@@ -5,8 +5,12 @@ coefficients (c_0, ..., c_(n-1)) is the plain integer sum c_s * p**s, so
 element indices run over [0, p**n).  A FieldCtx carries the modulus and,
 for orders up to 2**24, discrete log / antilog tables over a fixed
 primitive element plus a digit table that backs the vectorized helpers.
-Contexts are immutable after construction; every operation is a pure
-function of (context, arguments).
+Both are built on first use, not at construction, so callers that never
+multiply (coset scans, the algebraic deciders) never pay for them.  The
+antilog build runs in numpy: multiplying by the generator is an F_p-linear
+map on digit vectors, so doubling the run of known powers is one matrix
+product.  Contexts are immutable apart from that one-time
+fill; every operation is a pure function of (context, arguments).
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from .polyfp import PolyFp, is_irreducible
 
 ORDER_CAP = 1 << 48
 TABLE_CAP = 1 << 24
+
+_TABLE_SLOTS = ("generator", "log_table", "antilog_table")
+_BUILD_CHUNK = 1 << 15  # rows per block product; bounds the temporaries
 
 
 def find_irreducible(p: int, n: int) -> PolyFp:
@@ -46,7 +53,7 @@ def find_irreducible(p: int, n: int) -> PolyFp:
 
 
 class FieldCtx:
-    """Field context: modulus, cached tables, and the arithmetic on indices."""
+    """Field context: modulus, lazily built tables, and the arithmetic on indices."""
 
     __slots__ = (
         "p",
@@ -83,11 +90,18 @@ class FieldCtx:
         self._mod_tail = modulus.coeffs[:n]
         self._pow_vec = np.array([p**s for s in range(n)], dtype=np.int64)
         self._digits = None
-        self.generator = None
-        self.log_table = None
-        self.antilog_table = None
-        if order <= TABLE_CAP:
-            self._build_tables()
+        if order > TABLE_CAP:
+            self.generator = None
+            self.log_table = None
+            self.antilog_table = None
+
+    def __getattr__(self, name):
+        # Reached only for a slot never assigned: the tables of a field
+        # within TABLE_CAP, before their first read.
+        if name not in _TABLE_SLOTS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_tables()
+        return object.__getattribute__(self, name)
 
     # ---- encoding ----------------------------------------------------
 
@@ -209,6 +223,11 @@ class FieldCtx:
         if self.log_table is not None:
             group = self.order - 1
             return int(self.antilog_table[int(self.log_table[a]) * (e % group) % group])
+        return self._pow_reduce(a, e)
+
+    def _pow_reduce(self, a: int, e: int) -> int:
+        """Square-and-multiply on _mul_reduce; table-free, so the generator
+        search can use it while the tables are being built."""
         result, base = 1, a
         while e:
             if e & 1:
@@ -231,36 +250,47 @@ class FieldCtx:
 
     # ---- tables --------------------------------------------------------
 
-    def _pow_notable(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_reduce(result, base)
-            base = self._mul_reduce(base, base)
-            e >>= 1
-        return result
+    def _apply_linear(self, a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        """The F_p-linear map with the given (n, n) matrix, applied to the
+        digit rows of the index array a; returns packed indices.  Digit
+        products sum to at most n * (p - 1)**2 < 2**49 below TABLE_CAP."""
+        digits = a[:, None] // self._pow_vec % self.p
+        return (digits @ matrix) % self.p @ self._pow_vec
 
     def _build_tables(self) -> None:
-        order = self.order
+        p, n, order = self.p, self.n, self.order
         group = order - 1
         cofactors = [group // q for q in factorint(group)] if group > 1 else []
-        start = self.p if self.n > 1 else 1
+        start = p if n > 1 else 1
         gen = None
         for cand in range(start, order):
-            if all(self._pow_notable(cand, cf) != 1 for cf in cofactors):
+            if all(self._pow_reduce(cand, cf) != 1 for cf in cofactors):
                 gen = cand
                 break
         if gen is None:
             raise AssertionError("no primitive element found (impossible)")
+        # Row s is the digit vector of x**s * g: digits(a) @ mul_g = digits(a * g).
+        mul_g = np.array(
+            [self._digits_of_int(self._mul_reduce(p**s, gen)) for s in range(n)],
+            dtype=np.int64,
+        )
         antilog = np.empty(group, dtype=np.int64)
-        val = 1
-        for e in range(group):
-            antilog[e] = val
-            val = self._mul_reduce(val, gen)
-        if val != 1:
+        antilog[0] = 1
+        k, mul_gk = 1, mul_g
+        while k < group:
+            # antilog[k:2k] = antilog[:k] * g**k, in bounded chunks.
+            size = min(k, group - k)
+            for lo in range(0, size, _BUILD_CHUNK):
+                hi = min(lo + _BUILD_CHUNK, size)
+                antilog[k + lo : k + hi] = self._apply_linear(antilog[lo:hi], mul_gk)
+            k += size
+            mul_gk = mul_gk @ mul_gk % p
+        if self._apply_linear(antilog[-1:], mul_g)[0] != 1:
             raise AssertionError("generator is not primitive (table build bug)")
         log = np.full(order, -1, dtype=np.int64)
         log[antilog] = np.arange(group, dtype=np.int64)
+        if (log[1:] < 0).any():
+            raise AssertionError("antilog table misses an element (table build bug)")
         self.generator = gen
         self.antilog_table = antilog
         self.log_table = log

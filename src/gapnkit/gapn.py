@@ -100,7 +100,7 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     mode "verdict" may stop at the first direction with a count above p
     (the report is then flagged partial); mode "full" always aggregates
     every direction.  Each direction's counts must sum to p**n, which is
-    asserted as the buckets are folded in.
+    checked as the buckets are folded in.
     """
     if mode not in ("full", "verdict"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -113,7 +113,8 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     for a in range(1, order):
         y = _derivative_values(ctx, f.values, a)
         counts = np.bincount(y, minlength=order)
-        assert int(counts.sum()) == order, "direction counts must sum to p**n"
+        if int(counts.sum()) != order:
+            raise AssertionError("direction counts must sum to p**n")
         m = int(counts.max())
         if m > max_count:
             max_count = m
@@ -164,7 +165,8 @@ def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
     order, p = ctx.order, ctx.p
     y = _derivative_values(ctx, monomial_table(ctx, d).values, 1)
     counts = np.bincount(y, minlength=order)
-    assert int(counts.sum()) == order
+    if int(counts.sum()) != order:
+        raise AssertionError("direction counts must sum to p**n")
     m = int(counts.max())
     hist = np.bincount(counts)
     spectrum = {int(c): int(hist[c]) * (order - 1) for c in np.nonzero(hist)[0]}
@@ -233,12 +235,30 @@ def save_table_csv(table: FnTable, path) -> None:
 
 
 def load_table_csv(ctx: FieldCtx, path) -> FnTable:
+    """Read rows x,f(x) that give every element exactly once.
+
+    A header row (first field "x") and blank lines are skipped; any other
+    row that is not two integers in [0, p**n), or repeats an x, raises
+    ValueError naming its line.
+    """
     values = np.full(ctx.order, -1, dtype=np.int64)
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip() == "x":
                 continue
-            x, v = int(row[0]), int(row[1])
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 2:
+                raise ValueError(f"{where}: expected two fields x,f(x), got {len(row)}")
+            try:
+                x, v = int(row[0]), int(row[1])
+            except ValueError:
+                raise ValueError(f"{where}: non-integer field in {','.join(row)!r}") from None
+            for name, val in (("x", x), ("f(x)", v)):
+                if not 0 <= val < ctx.order:
+                    raise ValueError(f"{where}: {name} = {val} outside [0, {ctx.order})")
+            if values[x] >= 0:
+                raise ValueError(f"{where}: duplicate x = {x}")
             values[x] = v
     if (values < 0).any():
         raise ValueError("CSV table does not cover every element")

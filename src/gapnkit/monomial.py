@@ -69,6 +69,39 @@ def coset_rep(d: int, p: int, n: int) -> int:
     return best
 
 
+_SCAN_CHUNK = 1 << 15  # exponents per numpy pass; bounds the temporaries
+
+
+def coset_reps(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every cyclotomic-coset representative in [1, p**n - 1), ascending,
+    and the p-weight of each, as two int64 arrays.
+
+    Multiplying by p modulo p**n - 1 rotates the n-digit base-p vector of
+    an exponent, so d is a representative exactly when no rotation of its
+    digits is smaller.  Exponents are tested in numpy chunks.
+    """
+    modulus = p**n - 1
+    top = p ** (n - 1)
+    reps = [np.zeros(0, dtype=np.int64)]
+    weights = [np.zeros(0, dtype=np.int64)]
+    for lo in range(1, modulus, _SCAN_CHUNK):
+        d = np.arange(lo, min(lo + _SCAN_CHUNK, modulus), dtype=np.int64)
+        is_rep = np.ones(d.size, dtype=bool)
+        cur = d
+        for _ in range(n - 1):
+            cur = cur % top * p + cur // top
+            is_rep &= d <= cur
+        rep = d[is_rep]
+        weight = np.zeros(rep.size, dtype=np.int64)
+        rest = rep
+        for _ in range(n):
+            weight += rest % p
+            rest = rest // p
+        reps.append(rep)
+        weights.append(weight)
+    return np.concatenate(reps), np.concatenate(weights)
+
+
 def coset_members(d: int, p: int, n: int) -> tuple[int, ...]:
     """All members of the cyclotomic coset of d, sorted."""
     modulus = p**n - 1
@@ -163,7 +196,8 @@ def criterion_gapn(d: int, p: int, n: int) -> CriterionReport:
         if mult > 0:
             offending.append((factor, mult))
     is_gapn = not offending
-    assert is_gapn == (g.degree == 1)
+    if is_gapn != (g.degree == 1):
+        raise AssertionError(f"offending factors disagree with deg gcd = {g.degree}")
     return CriterionReport(d, p, n, digit_poly, g, is_gapn, tuple(offending))
 
 
@@ -232,12 +266,16 @@ class ExceptionalProfile:
     def predicts_gapn(self, n: int) -> bool:
         if self.p**n <= self.d:
             raise ValueError(f"{self.d} does not fit in F_({self.p}^{n})")
+        return self._predicts_fitting(n)
+
+    def _predicts_fitting(self, n: int) -> bool:
         if any(n % m == 0 for m in self.root_orders):
             return False
         return self.unit_root_multiplicity == 1 or n % self.p != 0
 
     def gapn_dimensions(self, n_max: int) -> list[int]:
-        return [n for n in range(self.min_n, n_max + 1) if self.predicts_gapn(n)]
+        # Every n >= min_n fits, so the bigint p**n check is skipped.
+        return [n for n in range(self.min_n, n_max + 1) if self._predicts_fitting(n)]
 
     def to_dict(self) -> dict:
         return {
@@ -270,7 +308,8 @@ def exceptional_profile(d: int, p: int) -> ExceptionalProfile:
             unit_mult = mult
         else:
             orders.add(root_order(factor))
-    assert unit_mult >= 1, "the digit polynomial always vanishes at 1"
+    if unit_mult < 1:
+        raise AssertionError("the digit polynomial always vanishes at 1")
     root_orders = tuple(sorted(orders))
     n = len(digs)
     while any(n % m == 0 for m in root_orders) or (unit_mult > 1 and n % p == 0):
@@ -318,7 +357,8 @@ def max_degree_family(p: int, n: int) -> list[int]:
         raise ValueError("need n >= 1")
     out = [p**n - p**j - 1 for j in range(n)]
     for d in out:
-        assert p_weight(d, p) == n * (p - 1) - 1
+        if p_weight(d, p) != n * (p - 1) - 1:
+            raise AssertionError(f"max-degree exponent {d} has the wrong weight")
     return out
 
 
@@ -375,6 +415,7 @@ __all__ = [
     "circulant_rank",
     "coset_members",
     "coset_rep",
+    "coset_reps",
     "criterion_gapn",
     "describe_exponent",
     "digit_polynomial",

@@ -3,10 +3,14 @@
 Candidates are enumerated once per cyclotomic coset (the orbit of an
 exponent under multiplication by p modulo p**n - 1); every member of a
 coset gives the same verdict, so the smallest member is the search key.
-Weight-p cosets are decided by the two algebraic deciders cross-checked
-against each other; all other cosets go to brute force, which uses the
-single-direction monomial reduction once fast_path_validated has vetted
-it for the characteristic and a full early-exit spectrum before that.
+Representatives and their weights come from monomial.coset_reps, which
+tests every exponent in numpy chunks; the band and filters are masks over
+its output.  Weight-p cosets are decided by the two algebraic deciders
+cross-checked against each other; they read no field table, so a
+weight-p-only scan never builds one.  All other cosets go to brute force,
+which uses the single-direction monomial reduction once fast_path_validated
+has vetted it for the characteristic and a full early-exit spectrum before
+that.
 
 Default filters drop cosets that cannot be GAPN: digit sum below p
 (any characteristic), and even digit sum (odd characteristic only, where
@@ -18,8 +22,9 @@ Cache files hold one CSV record per decided coset:
     p,n,coset_rep,weight,verdict,decider,version,checksum
 
 with verdict 0/1, deciders joined by '+', and checksum the decimal CRC-32
-of the preceding text.  Any mismatch raises CacheCorrupt rather than
-silently recomputing.
+of the preceding text.  Any mismatch, and any record whose coset_rep is
+not its coset's representative or whose weight is not its digit sum,
+raises CacheCorrupt rather than silently recomputing.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CacheCorrupt, DeciderDisagreement
 from .fields import FieldCtx, make_field
@@ -44,6 +51,7 @@ from .monomial import (
     circulant_rank,
     coset_members,
     coset_rep,
+    coset_reps,
     criterion_gapn,
     max_degree_family,
     normalize_weight_p,
@@ -170,6 +178,41 @@ class SearchResult:
         }
 
 
+def _enumerate(job: SearchJob):
+    """Sort every coset representative d >= 2 of the job's field into the
+    mode's band and the default filters with numpy masks.
+
+    Returns (scanned, filtered counts, filtered reps per filter, candidates),
+    reps ascending and each candidate (rep, weight, weight == p).
+    """
+    p, n = job.p, job.n
+    max_weight = n * (p - 1) - 1
+    skip_even = job.filters.skip_even_weight and p % 2 == 1
+    reps, weights = coset_reps(p, n)
+    keep = reps > 1
+    reps, weights = reps[keep], weights[keep]
+    if job.mode == "conjecture":
+        in_band = (weights > p) & (weights < max_weight)
+    elif job.mode == "weight-p-only":
+        in_band = weights == p
+    else:
+        in_band = np.ones(reps.size, dtype=bool)
+    low = in_band & (weights < p) & job.filters.skip_low_weight
+    even = in_band & ~low & (weights % 2 == 0) & skip_even
+    chosen = in_band & ~low & ~even
+    scanned = int(reps.size)
+    filtered = {
+        "low_weight": int(low.sum()),
+        "even_weight": int(even.sum()),
+        "out_of_band": int(reps.size - in_band.sum()),
+    }
+    filtered_reps = {"low_weight": reps[low].tolist(), "even_weight": reps[even].tolist()}
+    candidates = [
+        (d, w, w == p) for d, w in zip(reps[chosen].tolist(), weights[chosen].tolist())
+    ]
+    return scanned, filtered, filtered_reps, candidates
+
+
 def run_search(job: SearchJob) -> SearchResult:
     """Scan the coset space of F_(p^n) per the job and report GAPN cosets.
 
@@ -183,33 +226,7 @@ def run_search(job: SearchJob) -> SearchResult:
         return _run_families_only(job, t0)
     p, n = job.p, job.n
     ctx = make_field(p, n)
-    order = ctx.order
-    max_weight = n * (p - 1) - 1
-    skip_even = job.filters.skip_even_weight and p % 2 == 1
-    scanned = 0
-    filtered = {"low_weight": 0, "even_weight": 0, "out_of_band": 0}
-    filtered_reps: dict[str, list[int]] = {"low_weight": [], "even_weight": []}
-    candidates: list[tuple[int, int, bool]] = []
-    for d in range(2, order - 1):
-        if coset_rep(d, p, n) != d:
-            continue
-        scanned += 1
-        w = p_weight(d, p)
-        if job.mode == "conjecture" and not (p < w < max_weight):
-            filtered["out_of_band"] += 1
-            continue
-        if job.mode == "weight-p-only" and w != p:
-            filtered["out_of_band"] += 1
-            continue
-        if job.filters.skip_low_weight and w < p:
-            filtered["low_weight"] += 1
-            filtered_reps["low_weight"].append(d)
-            continue
-        if skip_even and w % 2 == 0:
-            filtered["even_weight"] += 1
-            filtered_reps["even_weight"].append(d)
-            continue
-        candidates.append((d, w, w == p))
+    scanned, filtered, filtered_reps, candidates = _enumerate(job)
 
     cached: dict[int, tuple[int, bool, list[str]]] = {}
     if job.cache_dir is not None:
@@ -343,7 +360,8 @@ def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> GapnR
     in; the report is then the extrapolated single-direction one.
     """
     report, _ = _gather_verdicts(ctx, d, want_report=True, long_running=long_running)
-    assert report is not None
+    if report is None:
+        raise AssertionError("no spectrum decider ran (impossible)")
     return report
 
 
@@ -500,9 +518,16 @@ def _load_cache(cache_dir, p: int, n: int) -> dict[int, tuple[int, bool, list[st
             prefix = ",".join(parts[:7])
             if str(zlib.crc32(prefix.encode("utf-8"))) != parts[7]:
                 raise CacheCorrupt(f"{path}:{lineno}: checksum mismatch")
-            rec_p, rec_n, rep, weight, verdict = (int(x) for x in parts[:5])
+            try:
+                rec_p, rec_n, rep, weight, verdict = (int(x) for x in parts[:5])
+            except ValueError:
+                raise CacheCorrupt(f"{path}:{lineno}: non-integer field") from None
             if (rec_p, rec_n) != (p, n):
                 raise CacheCorrupt(f"{path}:{lineno}: record for ({rec_p},{rec_n}) in ({p},{n}) cache")
+            if not 1 <= rep < p**n - 1 or coset_rep(rep, p, n) != rep:
+                raise CacheCorrupt(f"{path}:{lineno}: {rep} is not a coset representative")
+            if weight != p_weight(rep, p):
+                raise CacheCorrupt(f"{path}:{lineno}: weight {weight} is not the weight of {rep}")
             out[rep] = (weight, bool(verdict), parts[5].split("+"))
     return out
 

@@ -331,6 +331,19 @@ class TestSpectrumCommand:
             assert doc["source"] == str(path)
             assert {k: doc[k] for k in expected} == expected
 
+    def test_table_csv_negative_x_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = ["x,f(x)"] + [f"{x},{x}" for x in range(9)] + ["-1,3"]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            capsys, ["spectrum", "-p", "3", "-n", "2", "--table", str(path), "--format", "json"]
+        )
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert ":11:" in payload["message"]
+
     def test_missing_table_file(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, ["spectrum", "-p", "3", "-n", "2", "--table", str(tmp_path / "nope.csv")]

@@ -5,6 +5,7 @@ import pytest
 
 from gapnkit import (
     DivisionByZero,
+    FieldCtx,
     NotIrreducible,
     NotPrime,
     OrderTooLarge,
@@ -267,6 +268,39 @@ class TestAxioms:
 
 
 class TestTables:
+    @pytest.mark.parametrize(
+        "p,n", [(2, 1), (2, 8), (3, 1), (3, 6), (5, 4), (7, 3), (13, 2)]
+    )
+    def test_tables_match_scalar_walk(self, p, n):
+        ctx = make_field(p, n)
+        g = ctx.generator
+        walk = [1]
+        while len(walk) < ctx.order - 1:
+            walk.append(ctx._mul_reduce(walk[-1], g))
+        assert ctx._mul_reduce(walk[-1], g) == 1
+        assert ctx.antilog_table.tolist() == walk
+        log = [-1] * ctx.order
+        for e, x in enumerate(walk):
+            log[x] = e
+        assert ctx.log_table.tolist() == log
+        # g is the first primitive candidate, counting from x (from 1 when n = 1)
+        for cand in range(p if n > 1 else 1, g):
+            x, k = cand, 1
+            while x != 1:
+                x, k = ctx._mul_reduce(x, cand), k + 1
+            assert k < ctx.order - 1
+
+    def test_tables_built_on_first_read(self, monkeypatch):
+        built = []
+        build = FieldCtx._build_tables
+        monkeypatch.setattr(FieldCtx, "_build_tables", lambda ctx: built.append(build(ctx)))
+        ctx = make_field(3, 4)
+        assert ctx.add(4, 5) == ctx.add(5, 4)
+        assert built == []
+        assert ctx.mul(3, 3) == ctx._mul_reduce(3, 3)
+        assert ctx.generator is not None and ctx.antilog_table is not None
+        assert len(built) == 1
+
     @pytest.mark.parametrize("p,n", [(3, 2), (7, 2), (2, 6)])
     def test_log_antilog_inverse(self, field, p, n):
         ctx = field(p, n)

@@ -307,6 +307,25 @@ class TestTableIO:
         loaded = load_table_csv(ctx, path)
         assert np.array_equal(loaded.values, t.values)
 
+    @pytest.mark.parametrize(
+        "bad_row,line,fragment",
+        [
+            ("-1,3", 10, "outside"),  # must not wrap round onto f(8)
+            ("9,3", 10, "outside"),  # must not escape as an IndexError
+            ("4,3", 10, "duplicate"),
+            ("5", 10, "two fields"),
+            ("5,x", 10, "non-integer"),
+            ("8,9", 10, "outside"),
+        ],
+    )
+    def test_csv_bad_row_names_line(self, field, tmp_path, bad_row, line, fragment):
+        ctx = field(3, 2)
+        path = tmp_path / "t.csv"
+        rows = ["x,f(x)"] + [f"{x},{x}" for x in range(8)] + [bad_row, "8,8"]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=rf":{line}: .*{fragment}"):
+            load_table_csv(ctx, path)
+
     def test_csv_coverage_checked(self, field, tmp_path):
         ctx = field(3, 2)
         path = tmp_path / "t.csv"

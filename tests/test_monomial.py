@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -12,6 +13,7 @@ from gapnkit import (
     circulant_rank,
     coset_members,
     coset_rep,
+    coset_reps,
     criterion_gapn,
     describe_exponent,
     differential_spectrum,
@@ -78,6 +80,16 @@ class TestCosets:
             orbit = {d * p**k % (p**n - 1) for k in range(n)}
             assert coset_rep(d, p, n) == min(orbit)
             assert coset_members(d, p, n) == tuple(sorted(orbit))
+
+    @pytest.mark.parametrize(
+        "p,n", [(2, 1), (3, 1), (2, 2), (2, 6), (3, 4), (3, 5), (5, 3), (7, 2), (3, 10)]
+    )
+    def test_coset_reps_match_scalar_loop(self, p, n):
+        # (3, 10) spans more than one 2**15 chunk
+        reps, weights = coset_reps(p, n)
+        expected = [d for d in range(1, p**n - 1) if coset_rep(d, p, n) == d]
+        assert reps.tolist() == expected
+        assert weights.tolist() == [p_weight(d, p) for d in expected]
 
     def test_members_examples(self):
         assert coset_members(5, 3, 2) == (5, 7)
@@ -232,6 +244,15 @@ class TestExceptionalProfile:
         assert profile.unit_root_multiplicity == 1
         assert profile.witness_n == 3
         assert profile.gapn_dimensions(10) == [3, 5, 7, 9]
+
+    def test_gapn_dimensions_long_range_is_cheap(self):
+        profile = exceptional_profile(11, 3)
+        t0 = time.perf_counter()
+        dims = profile.gapn_dimensions(20000)
+        elapsed = time.perf_counter() - t0
+        assert dims == list(range(3, 20001, 2))
+        # a bigint p**n fit check per n makes this take seconds, not milliseconds
+        assert elapsed < 0.5
 
     def test_trace_exponent_excludes_multiples_of_p(self):
         profile = exceptional_profile(13, 3)

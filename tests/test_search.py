@@ -22,6 +22,7 @@ from gapnkit import (
     run_search,
     verify_families,
 )
+from gapnkit import FieldCtx, search
 from gapnkit.search import SOFT_ORDER_BUDGET
 
 
@@ -321,6 +322,73 @@ class TestCosetPartition:
         assert sorted(covered) == list(range(order))
 
 
+def _reference_enumerate(job):
+    """The scalar coset_rep loop that the numpy enumeration replaces."""
+    p, n = job.p, job.n
+    max_weight = n * (p - 1) - 1
+    skip_even = job.filters.skip_even_weight and p % 2 == 1
+    scanned = 0
+    filtered = {"low_weight": 0, "even_weight": 0, "out_of_band": 0}
+    filtered_reps = {"low_weight": [], "even_weight": []}
+    candidates = []
+    for d in range(2, p**n - 1):
+        if coset_rep(d, p, n) != d:
+            continue
+        scanned += 1
+        w = p_weight(d, p)
+        if job.mode == "conjecture" and not (p < w < max_weight):
+            filtered["out_of_band"] += 1
+            continue
+        if job.mode == "weight-p-only" and w != p:
+            filtered["out_of_band"] += 1
+            continue
+        if job.filters.skip_low_weight and w < p:
+            filtered["low_weight"] += 1
+            filtered_reps["low_weight"].append(d)
+            continue
+        if skip_even and w % 2 == 0:
+            filtered["even_weight"] += 1
+            filtered_reps["even_weight"].append(d)
+            continue
+        candidates.append((d, w, w == p))
+    return scanned, filtered, filtered_reps, candidates
+
+
+_ENUM_FIELDS = [(3, 4), (3, 5), (5, 3), (2, 6)]
+_FILTER_FLAGS = [(True, True), (False, True), (True, False), (False, False)]
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("p,n", _ENUM_FIELDS)
+    @pytest.mark.parametrize("mode", ["exhaustive", "weight-p-only", "conjecture"])
+    @pytest.mark.parametrize("skip_even,skip_low", _FILTER_FLAGS)
+    def test_matches_coset_rep_loop(self, p, n, mode, skip_even, skip_low):
+        job = SearchJob(p, n, mode, SearchFilters(skip_even, skip_low))
+        assert search._enumerate(job) == _reference_enumerate(job)
+
+    @pytest.mark.parametrize("p,n", _ENUM_FIELDS)
+    @pytest.mark.parametrize(
+        "mode", ["exhaustive", "weight-p-only", "families-only", "conjecture"]
+    )
+    @pytest.mark.parametrize("skip_even,skip_low", _FILTER_FLAGS)
+    def test_documents_match_coset_rep_loop(
+        self, monkeypatch, p, n, mode, skip_even, skip_low
+    ):
+        job = SearchJob(p, n, mode, SearchFilters(skip_even, skip_low))
+        fast = _frozen(run_search(job))
+        monkeypatch.setattr(search, "_enumerate", _reference_enumerate)
+        assert fast == _frozen(run_search(job))
+
+    def test_weight_p_only_leaves_tables_unbuilt(self, monkeypatch):
+        def refuse(ctx):
+            raise AssertionError("field tables built")
+
+        monkeypatch.setattr(FieldCtx, "_build_tables", refuse)
+        result = run_search(SearchJob(3, 6, "weight-p-only"))
+        assert result.scanned == 127
+        assert [e["d"] for e in result.gapn_cosets] == [5, 7, 31, 37]
+
+
 class TestCache:
     def test_store_lookup_roundtrip(self, tmp_path):
         cache_store(tmp_path, (3, 4, 5), 3, True, ["criterion", "circulant-rank"])
@@ -379,6 +447,24 @@ class TestCache:
         path = tmp_path / "gapn_3_4.csv"
         path.write_text("3,4,5,3,1,criterion\n")
         with pytest.raises(CacheCorrupt):
+            cache_lookup(tmp_path, (3, 4, 5))
+
+    @pytest.mark.parametrize(
+        "record,reason",
+        [
+            ("3,4,15,3,1", "not a coset representative"),  # 15 = 5 * 3
+            ("3,4,0,0,1", "not a coset representative"),
+            ("3,4,80,8,1", "not a coset representative"),
+            ("3,4,5,5,1", "weight 5 is not the weight"),
+            ("3,4,five,3,1", "non-integer"),
+        ],
+    )
+    def test_untrusted_checksum_valid_record_raises(self, tmp_path, record, reason):
+        prefix = f"{record},criterion,{__version__}"
+        crc = zlib.crc32(prefix.encode("utf-8"))
+        path = tmp_path / "gapn_3_4.csv"
+        path.write_text(f"{prefix},{crc}\n")
+        with pytest.raises(CacheCorrupt, match=f":1: .*{reason}"):
             cache_lookup(tmp_path, (3, 4, 5))
 
     def test_foreign_record_raises(self, tmp_path):
