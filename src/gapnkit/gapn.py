@@ -8,11 +8,12 @@ and f is GAPN when no value of any S_a is hit more than p times.  The
 count p itself is always reached: the summand set {x + i*a} is invariant
 under x -> x + a, so solutions come in blocks of p.
 
-For a power map f(x) = x**d the identity S_a f(x) = a**d * S_1 f(x / a)
-makes the count multiset of every direction a permutation of direction 1's,
-which is what monomial_gapn_fast exploits; searches only trust it after
-validating the reduction against full spectra on every exponent of every
-small field of the same characteristic (see search.fast_path_validated).
+One kernel computes every derivative sum: S_1 is a row sum over the
+packed indices, and S_a f(a*z) = S_1 g(z) with g(z) = f(a*z) reduces any
+direction to it.  For a power map f(x) = x**d this gives
+S_a f(x) = a**d * S_1 f(x / a): b -> a**d * b is a bijection, so every
+direction's count multiset equals direction 1's and monomial_gapn_fast is
+exact from that one direction.
 """
 
 from __future__ import annotations
@@ -73,25 +74,40 @@ class GapnReport:
 
 
 def _derivative_values(ctx: FieldCtx, values: np.ndarray, a: int) -> np.ndarray:
-    """S_a f for all x at once; digit sums stay below p**2, so one final
-    reduction mod p is enough."""
-    digit = ctx.digit_table
-    step = ctx.add_array(np.arange(ctx.order, dtype=np.int64), a)
-    acc = digit[values].astype(np.int64)
-    cur = step
-    for i in range(1, ctx.p):
-        acc += digit[values[cur]]
-        if i + 1 < ctx.p:
-            cur = step[cur]
-    return (acc % ctx.p) @ ctx._pow_vec
+    """Row sums r with S_a f(a*z) = r[z // p] for every element z.
+
+    Adding a constant i of F_p changes only digit 0 of a packed index, so
+    {z + i : i in F_p} is row z // p of a (p**(n-1), p) reshape and S_1 g is
+    that row's digit-vector sum mod p.  Any direction reduces to a = 1
+    through g(z) = f(a*z), one gather: S_a f(a*z) = S_1 g(z).  Digit sums
+    stay below p**2, so one reduction mod p is enough.
+    """
+    if a != 1:
+        values = values[ctx.mul_array(a, np.arange(ctx.order, dtype=np.int64))]
+    rows = ctx.digit_table[values].reshape(ctx.order // ctx.p, ctx.p, ctx.n)
+    return rows.sum(axis=1, dtype=np.int64) % ctx.p @ ctx._pow_vec
 
 
 def gen_derivative(f: FnTable, a: int) -> FnTable:
     """The derivative sum S_a f as a new table; a must be nonzero."""
     if a == 0:
         raise ZeroDirection("derivative direction must be nonzero")
-    f.ctx._check_element(a)
-    return FnTable(f.ctx, _derivative_values(f.ctx, f.values, a))
+    ctx = f.ctx
+    ctx._check_element(a)
+    out = np.empty(ctx.order, dtype=np.int64)
+    out[ctx.mul_array(a, np.arange(ctx.order, dtype=np.int64))] = np.repeat(
+        _derivative_values(ctx, f.values, a), ctx.p
+    )
+    return FnTable(ctx, out)
+
+
+def _direction_counts(ctx: FieldCtx, values: np.ndarray, a: int) -> np.ndarray:
+    """Solution counts of S_a f(x) = b for every b; each row value of the
+    kernel is hit once per member of its row."""
+    counts = ctx.p * np.bincount(_derivative_values(ctx, values, a), minlength=ctx.order)
+    if int(counts.sum()) != ctx.order:
+        raise AssertionError("direction counts must sum to p**n")
+    return counts
 
 
 def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
@@ -111,10 +127,7 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     witness = None
     partial = False
     for a in range(1, order):
-        y = _derivative_values(ctx, f.values, a)
-        counts = np.bincount(y, minlength=order)
-        if int(counts.sum()) != order:
-            raise AssertionError("direction counts must sum to p**n")
+        counts = _direction_counts(ctx, f.values, a)
         m = int(counts.max())
         if m > max_count:
             max_count = m
@@ -154,19 +167,14 @@ def monomial_table(ctx: FieldCtx, d: int) -> FnTable:
 def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
     """GAPN verdict for x**d from the a = 1 direction alone.
 
-    Valid because for power maps every direction's count multiset is a
-    permutation of direction 1's; the spectrum is the single-direction
-    histogram scaled by the number of directions.  Searches must not rely
-    on this decider before search.fast_path_validated has checked the
-    reduction for the characteristic.
+    Exact because S_a(x**d)(x) = a**d * S_1(x**d)(x / a): every direction's
+    count multiset equals direction 1's, so the spectrum is the
+    single-direction histogram scaled by the number of directions.
     """
     if d < 1:
         raise ValueError("need an exponent d >= 1")
     order, p = ctx.order, ctx.p
-    y = _derivative_values(ctx, monomial_table(ctx, d).values, 1)
-    counts = np.bincount(y, minlength=order)
-    if int(counts.sum()) != order:
-        raise AssertionError("direction counts must sum to p**n")
+    counts = _direction_counts(ctx, monomial_table(ctx, d).values, 1)
     m = int(counts.max())
     hist = np.bincount(counts)
     spectrum = {int(c): int(hist[c]) * (order - 1) for c in np.nonzero(hist)[0]}

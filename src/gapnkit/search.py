@@ -7,10 +7,10 @@ Representatives and their weights come from monomial.coset_reps, which
 tests every exponent in numpy chunks; the band and filters are masks over
 its output.  Weight-p cosets are decided by the two algebraic deciders
 cross-checked against each other; they read no field table, so a
-weight-p-only scan never builds one.  All other cosets go to brute force,
-which uses the single-direction monomial reduction once fast_path_validated
-has vetted it for the characteristic and a full early-exit spectrum before
-that.
+weight-p-only scan never builds one.  All other cosets go to the
+single-direction monomial decider, which is exact for every power map:
+S_a(x**d)(x) = a**d * S_1(x**d)(x / a), so direction 1 has every
+direction's count multiset.
 
 Default filters drop cosets that cannot be GAPN: digit sum below p
 (any characteristic), and even digit sum (odd characteristic only, where
@@ -61,36 +61,6 @@ from .monomial import (
 
 SOFT_ORDER_BUDGET = 3**7
 
-_FAST_VALIDATION_CAP = 3**5
-
-_fast_path_ok: dict[int, bool] = {}
-
-
-def fast_path_validated(p: int) -> bool:
-    """Vet the single-direction monomial reduction for characteristic p.
-
-    Every exponent of every field F_(p^m) with p**m <= 243 is decided both
-    by monomial_gapn_fast and by a full brute-force spectrum; the fast path
-    is trusted only if all verdicts agree.  The outcome is memoized per
-    characteristic for the life of the process.
-    """
-    ok = _fast_path_ok.get(p)
-    if ok is None:
-        ok = True
-        m = 1
-        while p**m <= _FAST_VALIDATION_CAP and ok:
-            ctx = make_field(p, m)
-            for d in range(1, p**m):
-                fast = monomial_gapn_fast(ctx, d)
-                full = differential_spectrum(monomial_table(ctx, d), mode="verdict")
-                if fast.is_gapn != full.is_gapn:
-                    ok = False
-                    break
-            m += 1
-        _fast_path_ok[p] = ok
-    return ok
-
-
 def _decide_weight_p(p: int, n: int, rep: int) -> tuple[bool, list[str]]:
     d = normalize_weight_p(rep, p)
     by_criterion = criterion_gapn(d, p, n).is_gapn
@@ -102,21 +72,17 @@ def _decide_weight_p(p: int, n: int, rep: int) -> tuple[bool, list[str]]:
     return by_criterion, ["criterion", "circulant-rank"]
 
 
-def _decide_brute(ctx: FieldCtx, d: int, fast_ok: bool) -> tuple[bool, list[str]]:
-    if fast_ok:
-        return monomial_gapn_fast(ctx, d).is_gapn, ["monomial-fast"]
-    report = differential_spectrum(monomial_table(ctx, d), mode="verdict")
-    return report.is_gapn, ["brute-force"]
+def _decide_brute(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
+    return monomial_gapn_fast(ctx, d).is_gapn, ["monomial-fast"]
 
 
 _worker_state: dict = {}
 
 
-def _init_worker(p: int, n: int, mod_coeffs: tuple[int, ...], fast_ok: bool) -> None:
+def _init_worker(p: int, n: int, mod_coeffs: tuple[int, ...]) -> None:
     from .polyfp import PolyFp
 
     _worker_state["ctx"] = make_field(p, n, PolyFp(p, mod_coeffs))
-    _worker_state["fast_ok"] = fast_ok
 
 
 def _decide_candidate(args: tuple[int, int, bool]):
@@ -125,7 +91,7 @@ def _decide_candidate(args: tuple[int, int, bool]):
     if algebraic:
         verdict, deciders = _decide_weight_p(ctx.p, ctx.n, rep)
     else:
-        verdict, deciders = _decide_brute(ctx, rep, _worker_state["fast_ok"])
+        verdict, deciders = _decide_brute(ctx, rep)
     return rep, weight, verdict, deciders
 
 
@@ -233,17 +199,13 @@ def run_search(job: SearchJob) -> SearchResult:
         cached = _load_cache(job.cache_dir, p, n)
     todo = [c for c in candidates if c[0] not in cached]
 
-    fast_ok = False
-    if any(not algebraic for _, _, algebraic in todo) or job.filters.verify_filters:
-        fast_ok = fast_path_validated(p)
-
     results: dict[int, tuple[int, bool, list[str]]] = {}
     if job.jobs > 1 and len(todo) > 1:
         chunk = max(1, len(todo) // (job.jobs * 4))
         with multiprocessing.Pool(
             job.jobs,
             initializer=_init_worker,
-            initargs=(p, n, ctx.modulus.coeffs, fast_ok),
+            initargs=(p, n, ctx.modulus.coeffs),
         ) as pool:
             for rep, w, verdict, deciders in pool.imap_unordered(
                 _decide_candidate, todo, chunksize=chunk
@@ -254,7 +216,7 @@ def run_search(job: SearchJob) -> SearchResult:
             if algebraic:
                 verdict, deciders = _decide_weight_p(p, n, rep)
             else:
-                verdict, deciders = _decide_brute(ctx, rep, fast_ok)
+                verdict, deciders = _decide_brute(ctx, rep)
             results[rep] = (w, verdict, deciders)
 
     if job.cache_dir is not None:
@@ -280,7 +242,7 @@ def run_search(job: SearchJob) -> SearchResult:
 
     filter_check = None
     if job.filters.verify_filters:
-        filter_check = _verify_filtered(ctx, filtered_reps, fast_ok)
+        filter_check = _verify_filtered(ctx, filtered_reps)
 
     conjecture_holds = None
     if job.mode == "conjecture":
@@ -299,7 +261,7 @@ def run_search(job: SearchJob) -> SearchResult:
     )
 
 
-def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]], fast_ok: bool) -> dict:
+def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]]) -> dict:
     """Brute-force a stratified sample of filtered cosets; all must be
     non-GAPN for the filters to be sound."""
     sampled = 0
@@ -317,7 +279,7 @@ def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]], fast_ok
         per_stratum[stratum] = len(sample)
         sampled += len(sample)
         for d in sample:
-            verdict, _ = _decide_brute(ctx, d, fast_ok)
+            verdict, _ = _decide_brute(ctx, d)
             if verdict:
                 violations.append(d)
     return {"sampled": sampled, "per_stratum": per_stratum, "violations": violations}
@@ -336,11 +298,10 @@ def _gather_verdicts(
             monomial_table(ctx, d), mode="full" if want_report else "verdict"
         )
         verdicts["brute-force"] = report.is_gapn
-    if fast_path_validated(p):
-        fast = monomial_gapn_fast(ctx, d)
-        verdicts["monomial-fast"] = fast.is_gapn
-        if report is None or (want_report and report.partial):
-            report = fast
+    fast = monomial_gapn_fast(ctx, d)
+    verdicts["monomial-fast"] = fast.is_gapn
+    if report is None or (want_report and report.partial):
+        report = fast
     if p_weight(d, p) == p:
         dn = normalize_weight_p(d, p)
         verdicts["criterion"] = criterion_gapn(dn, p, n).is_gapn
@@ -421,25 +382,28 @@ def verify_families(p: int, n: int, ctx: FieldCtx | None = None) -> FamilyReport
     Families: p**i + p - 1 for i = 1..n-1 (predicted GAPN iff gcd(i, n) = 1),
     the p**t + p + 1 exponent with its characteristic rule, and for odd p
     the maximal-degree family p**n - p**j - 1 (predicted GAPN throughout).
+    Exponents are reduced modulo p**n - 1, since x**(p**n - 1 + d) = x**d on
+    the field; one that reduces to 0 lies outside [1, p**n - 2] and is
+    dropped (gold i = 1 on F_4, where p**n - 1 = 3).
     """
     if ctx is None:
         ctx = make_field(p, n)
     entries: list[FamilyEntry] = []
+
+    def check(family: str, param: int, d: int, predicted: bool) -> None:
+        d %= p**n - 1
+        if d:
+            verdict, deciders = exact_verdict(ctx, d)
+            entries.append(FamilyEntry(family, param, d, predicted, verdict, deciders))
+
     for i in range(1, n):
-        d = p**i + p - 1
-        verdict, deciders = exact_verdict(ctx, d)
-        entries.append(
-            FamilyEntry("gold", i, d, math.gcd(i, n) == 1, verdict, deciders)
-        )
+        check("gold", i, p**i + p - 1, math.gcd(i, n) == 1)
     if n >= 2:
         d, predicted = welch_exponent(p, n)
-        t = (n - 1) // 2 if n % 2 else n // 2
-        verdict, deciders = exact_verdict(ctx, d)
-        entries.append(FamilyEntry("welch", t, d, predicted, verdict, deciders))
+        check("welch", (n - 1) // 2 if n % 2 else n // 2, d, predicted)
     if p % 2 == 1:
         for j, d in enumerate(max_degree_family(p, n)):
-            verdict, deciders = exact_verdict(ctx, d)
-            entries.append(FamilyEntry("max-degree", j, d, True, verdict, deciders))
+            check("max-degree", j, d, True)
     return FamilyReport(p, n, entries)
 
 
@@ -543,7 +507,6 @@ __all__ = [
     "cache_lookup",
     "cache_store",
     "exact_verdict",
-    "fast_path_validated",
     "run_search",
     "verify_families",
 ]

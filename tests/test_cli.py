@@ -189,6 +189,17 @@ class TestFamiliesCommand:
         assert len(doc["entries"]) == 8
         assert all(e["agree"] for e in doc["entries"])
 
+    def test_f4_reduces_family_exponents(self, capsys):
+        # on F_4 the welch exponent 5 acts as x^2 and gold(1) = 3 = p^n - 1
+        # is outside the exponent range, so only welch remains
+        doc = json_doc(capsys, ["families", "-p", "2", "-n", "2", "--format", "json"])
+        assert [(e["family"], e["d"], e["agree"]) for e in doc["entries"]] == [("welch", 2, True)]
+        doc = json_doc(
+            capsys, ["search", "--mode", "families-only", "-p", "2", "-n", "2", "--format", "json"]
+        )
+        assert doc["gapn_cosets"] == []
+        assert doc["scanned"] == 1
+
 
 class TestSearchCommand:
     def test_json_matches_library(self, capsys):

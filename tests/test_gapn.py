@@ -42,13 +42,22 @@ class TestGenDerivative:
             assert not gen_derivative(ident, a).values.any()
 
     def test_p2_classical_derivative(self, field):
-        ctx = field(2, 3)
-        f = monomial_table(ctx, 3)
-        for a in range(1, ctx.order):
-            d = gen_derivative(f, a)
-            for x in range(ctx.order):
-                expected = ctx.add(int(f.values[x]), int(f.values[ctx.add(x, a)]))
-                assert d.values[x] == expected
+        # every direction against the scalar definition sum_i f(x + i*a),
+        # for x^3 and a seeded non-monomial table; p = 2 is the classical
+        # derivative f(x) + f(x + a)
+        rng = np.random.default_rng(3)
+        for p, n in [(2, 3), (3, 2), (3, 3), (5, 2), (7, 2)]:
+            ctx = field(p, n)
+            tables = [monomial_table(ctx, 3), FnTable(ctx, rng.integers(0, ctx.order, ctx.order))]
+            for f in tables:
+                for a in range(1, ctx.order):
+                    d = gen_derivative(f, a)
+                    steps = [ctx.mul(ctx.embed_prime(i), a) for i in range(p)]
+                    for x in range(ctx.order):
+                        expected = 0
+                        for step in steps:
+                            expected = ctx.add(expected, int(f.values[ctx.add(x, step)]))
+                        assert d.values[x] == expected, (p, n, a, x)
 
     def test_x5_on_f9_direction_one(self, field):
         # the derivative sum of x^5 along a = 1 is the linear map
@@ -205,7 +214,7 @@ class TestMonomialTable:
 
 
 class TestMonomialFastPath:
-    @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (2, 3)])
+    @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (2, 3), (7, 2), (5, 3)])
     def test_verdict_matches_full_for_all_exponents(self, field, p, n):
         ctx = field(p, n)
         for d in range(1, ctx.order):

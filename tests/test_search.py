@@ -16,7 +16,6 @@ from gapnkit import (
     coset_rep,
     differential_spectrum,
     exact_verdict,
-    fast_path_validated,
     monomial_table,
     p_weight,
     run_search,
@@ -30,19 +29,6 @@ def _frozen(result):
     d = result.to_dict()
     d.pop("elapsed")
     return d
-
-
-class TestFastPath:
-    def test_validated_for_char_3(self):
-        assert fast_path_validated(3) is True
-
-    def test_validated_for_char_2_and_5(self):
-        assert fast_path_validated(2) is True
-        assert fast_path_validated(5) is True
-
-    def test_memoized(self):
-        first = fast_path_validated(3)
-        assert fast_path_validated(3) is first
 
 
 class TestExhaustive:
