@@ -4,9 +4,10 @@ A field element is its packed index: the element with polynomial-basis
 coefficients (c_0, ..., c_(n-1)) is the plain integer sum c_s * p**s, so
 element indices run over [0, p**n).  A FieldCtx carries the modulus and,
 for orders up to 2**24, discrete log / antilog tables over a fixed
-primitive element plus a digit table that backs the vectorized helpers.
-Both are built on first use, not at construction, so callers that never
-multiply (coset scans, the algebraic deciders) never pay for them.  The
+primitive element, a digit table that backs the vectorized helpers and a
+lane table that backs the derivative kernel.  All are built on first use,
+not at construction, so callers that never multiply (coset scans, the
+algebraic deciders) never pay for them.  The
 antilog build runs in numpy: multiplying by the generator is an F_p-linear
 map on digit vectors, so doubling the run of known powers is one matrix
 product.  Contexts are immutable apart from that one-time
@@ -14,6 +15,8 @@ fill; every operation is a pure function of (context, arguments).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,13 +29,23 @@ TABLE_CAP = 1 << 24
 
 _TABLE_SLOTS = ("generator", "log_table", "antilog_table")
 _BUILD_CHUNK = 1 << 15  # rows per block product; bounds the temporaries
+_LANE_LOOKUP_BITS = 12  # index width of one lane-reduction lookup table
 
 
+def _lane_layout(p: int) -> tuple[int, int]:
+    """(w, k): bits per lane, enough for a digit sum over p summands (at
+    most p * (p - 1)), and lanes per lane-reduction lookup."""
+    w = (p * (p - 1)).bit_length()
+    return w, max(1, _LANE_LOOKUP_BITS // w)
+
+
+@functools.lru_cache(maxsize=256)
 def find_irreducible(p: int, n: int) -> PolyFp:
     """The canonical modulus for F_(p^n): the monic irreducible of degree n
     whose coefficient vector (c_(n-1), ..., c_0) is lexicographically
     smallest.  Enumerating the non-leading coefficients as a base-p counter
-    visits candidates in exactly that order."""
+    visits candidates in exactly that order.  Cached per (p, n): the walk
+    is pure Python and PolyFp is immutable."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
@@ -65,6 +78,7 @@ class FieldCtx:
         "antilog_table",
         "_mod_tail",
         "_digits",
+        "_lanes",
         "_pow_vec",
     )
 
@@ -90,6 +104,7 @@ class FieldCtx:
         self._mod_tail = modulus.coeffs[:n]
         self._pow_vec = np.array([p**s for s in range(n)], dtype=np.int64)
         self._digits = None
+        self._lanes = None
         if order > TABLE_CAP:
             self.generator = None
             self.log_table = None
@@ -309,6 +324,59 @@ class FieldCtx:
                 idx = idx // self.p
             self._digits = ds
         return self._digits
+
+    def _lane_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The lane table and the lookup table that reduces groups of its
+        lane sums, or None when one lane is wider than _LANE_LOOKUP_BITS."""
+        if self._lanes is None:
+            if self.order > TABLE_CAP:
+                raise OrderTooLarge("lane table requested for an order above 2**24")
+            p = self.p
+            w, k = _lane_layout(p)
+            lanes = np.zeros(self.order, dtype=np.int64)
+            idx = np.arange(self.order, dtype=np.int64)
+            for s in range(self.n):
+                lanes |= (idx % p) << (s * w)
+                idx //= p
+            table = None
+            if k * w <= _LANE_LOOKUP_BITS:
+                # table[v] = sum_l (lane l of v mod p) * p**l over k lanes
+                v = np.arange(1 << (k * w), dtype=np.int64)
+                table = np.zeros(v.size, dtype=np.int64)
+                for l in range(k):
+                    table += ((v >> (l * w)) & ((1 << w) - 1)) % p * p**l
+            self._lanes = (lanes, table)
+        return self._lanes
+
+    @property
+    def lane_table(self) -> np.ndarray:
+        """(order,) int64 array: digit s of every element index in bits
+        [s*w, (s+1)*w), w = bit_length(p(p-1)).  A sum of p entries keeps
+        every lane below 2**w, so the digit-vector sum of p elements is one
+        integer sum; lanes_to_index reduces it.  Below TABLE_CAP, n*w is at
+        most 50 bits, so such sums never reach the int64 sign bit."""
+        return self._lane_tables()[0]
+
+    def lanes_to_index(self, sums: np.ndarray) -> np.ndarray:
+        """Element indices of lane-packed digit sums: every lane mod p.
+
+        Lanes s0 .. s0 + k - 1 are shifted down, masked, taken mod p by one
+        lookup (by % p when a lane is too wide for the table, k = 1) and
+        scaled by p**s0.
+        """
+        p = self.p
+        w, k = _lane_layout(p)
+        table = self._lane_tables()[1]
+        mask = (1 << (k * w)) - 1
+        out = None
+        for s0 in range(0, self.n, k):
+            part = (sums >> (s0 * w)) & mask
+            part = table[part] if table is not None else part % p
+            if out is None:
+                out = part
+            else:
+                out += part * p**s0
+        return out
 
     # ---- vectorized helpers ---------------------------------------------
 

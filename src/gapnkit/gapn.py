@@ -10,10 +10,25 @@ under x -> x + a, so solutions come in blocks of p.
 
 One kernel computes every derivative sum: S_1 is a row sum over the
 packed indices, and S_a f(a*z) = S_1 g(z) with g(z) = f(a*z) reduces any
-direction to it.  For a power map f(x) = x**d this gives
+direction to it.  Three exact facts make it cheap:
+
+- Projective directions.  S_(c*a) f = S_a f for every c in F_p^*, because
+  i -> c*i permutes F_p, so a full spectrum needs only the
+  M = (p**n - 1)/(p - 1) directions g**t, 0 <= t < M, each standing for
+  p - 1 directions.
+- Batching.  For consecutive t, the tables z -> f(g**t * z) are one gather
+  from f in log order; a batch holds at most 2**14 values.
+- Lane packing.  Every value is gathered as its digits packed into one
+  int64 (FieldCtx.lane_table), with lanes wide enough that a digit sum of
+  p values cannot carry, so a row's digit-vector sum is p - 1 integer
+  adds; a small lookup table then reduces the lanes mod p, a few at a
+  time.
+
+Verdict mode stops at the first projective class, in t order, with a
+count above p.  For a power map f(x) = x**d,
 S_a f(x) = a**d * S_1 f(x / a): b -> a**d * b is a bijection, so every
 direction's count multiset equals direction 1's and monomial_gapn_fast is
-exact from that one direction.
+exact from that one direction, a batch holding a = 1 alone.
 """
 
 from __future__ import annotations
@@ -51,8 +66,8 @@ class GapnReport:
     spectrum maps a solution count c to the number of (direction, value)
     pairs attaining it, covering all (p**n - 1) * p**n pairs when complete;
     partial marks a verdict-mode run that stopped at the first offending
-    direction.  witness is one (a, b) with more than p solutions, when any
-    exists and was seen.
+    projective class of directions.  witness is one (a, b) with more than
+    p solutions, when any exists and was seen.
     """
 
     is_gapn: bool
@@ -73,19 +88,65 @@ class GapnReport:
         }
 
 
-def _derivative_values(ctx: FieldCtx, values: np.ndarray, a: int) -> np.ndarray:
-    """Row sums r with S_a f(a*z) = r[z // p] for every element z.
+_BATCH_ELEMENTS = 1 << 14  # values gathered per kernel call; bounds the temporaries
 
-    Adding a constant i of F_p changes only digit 0 of a packed index, so
-    {z + i : i in F_p} is row z // p of a (p**(n-1), p) reshape and S_1 g is
-    that row's digit-vector sum mod p.  Any direction reduces to a = 1
-    through g(z) = f(a*z), one gather: S_a f(a*z) = S_1 g(z).  Digit sums
-    stay below p**2, so one reduction mod p is enough.
+
+def _derivative_values(ctx: FieldCtx, lanes: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row sums of one batch of directions, as element indices.
+
+    lanes holds lane-packed values (FieldCtx.lane_table), and row j of the
+    (B, p**n) array index locates f(a_j * z) in lanes for every z.  Adding
+    a constant i of F_p changes only digit 0 of a packed index, so
+    {z + i : i in F_p} is row z // p of a (p**(n-1), p) reshape, and
+    S_a f(a * z) is the digit-vector sum of that row of z -> f(a * z).
+    Lanes never carry, so that sum is p - 1 integer adds; returns the
+    (B * p**(n-1),) row sums, direction-major.
     """
-    if a != 1:
-        values = values[ctx.mul_array(a, np.arange(ctx.order, dtype=np.int64))]
-    rows = ctx.digit_table[values].reshape(ctx.order // ctx.p, ctx.p, ctx.n)
-    return rows.sum(axis=1, dtype=np.int64) % ctx.p @ ctx._pow_vec
+    p = ctx.p
+    rows = lanes[index].reshape(-1, p)
+    sums = rows[:, 0] + rows[:, 1]
+    for i in range(2, p):
+        sums += rows[:, i]
+    return ctx.lanes_to_index(sums)
+
+
+def _projective_count(ctx: FieldCtx) -> int:
+    """M = (p**n - 1)/(p - 1), the number of directions up to F_p^* scaling.
+    S_(c*a) f = S_a f for c in F_p^*, since i -> c*i permutes F_p, so g**t
+    for 0 <= t < M covers every direction once."""
+    return (ctx.order - 1) // (ctx.p - 1)
+
+
+def _direction_lanes(ctx: FieldCtx, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lanes, index) with lanes[t:][index] = the lane-packed f(g**t * z) in
+    element order z, for every 0 <= t < M.
+
+    lanes is f in log order, g**e -> f(g**e), run on past p**n - 1 by M
+    entries so that t + log z needs no reduction, then M copies of f(0);
+    index is the log table with log 0 pointing at those copies.
+    """
+    group, m = ctx.order - 1, _projective_count(ctx)
+    packed = ctx.lane_table[values]
+    lanes = np.empty(group + 2 * m, dtype=np.int64)
+    lanes[:group] = packed[ctx.antilog_table]
+    lanes[group : group + m] = lanes[:m]
+    lanes[group + m :] = packed[0]
+    index = ctx.log_table.copy()
+    index[0] = group + m
+    return lanes, index
+
+
+def _row_counts(ctx: FieldCtx, sums: np.ndarray) -> np.ndarray:
+    """(B, p**n) array: how many rows of each direction sum to each b.
+    S_a f(x) = b has p times as many solutions, one per member of a row."""
+    order = ctx.order
+    size = sums.size * ctx.p // order
+    if size > 1:  # direction j counts into bins [j * order, (j + 1) * order)
+        sums = (sums.reshape(size, -1) + np.arange(0, size * order, order)[:, None]).ravel()
+    counts = np.bincount(sums, minlength=size * order).reshape(size, order)
+    if (counts.sum(axis=1) * ctx.p != order).any():
+        raise AssertionError("direction counts must sum to p**n")
+    return counts
 
 
 def gen_derivative(f: FnTable, a: int) -> FnTable:
@@ -94,54 +155,67 @@ def gen_derivative(f: FnTable, a: int) -> FnTable:
         raise ZeroDirection("derivative direction must be nonzero")
     ctx = f.ctx
     ctx._check_element(a)
+    at = ctx.mul_array(a, np.arange(ctx.order, dtype=np.int64))  # z -> a*z
     out = np.empty(ctx.order, dtype=np.int64)
-    out[ctx.mul_array(a, np.arange(ctx.order, dtype=np.int64))] = np.repeat(
-        _derivative_values(ctx, f.values, a), ctx.p
-    )
+    out[at] = np.repeat(_derivative_values(ctx, ctx.lane_table, f.values[at][None, :]), ctx.p)
     return FnTable(ctx, out)
-
-
-def _direction_counts(ctx: FieldCtx, values: np.ndarray, a: int) -> np.ndarray:
-    """Solution counts of S_a f(x) = b for every b; each row value of the
-    kernel is hit once per member of its row."""
-    counts = ctx.p * np.bincount(_derivative_values(ctx, values, a), minlength=ctx.order)
-    if int(counts.sum()) != ctx.order:
-        raise AssertionError("direction counts must sum to p**n")
-    return counts
 
 
 def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     """Solution-count statistics of S_a f(x) = b over all directions.
 
-    mode "verdict" may stop at the first direction with a count above p
-    (the report is then flagged partial); mode "full" always aggregates
-    every direction.  Each direction's counts must sum to p**n, which is
-    checked as the buckets are folded in.
+    S_(c*a) f = S_a f for every c in F_p^*, so only the M = (p**n - 1)/(p - 1)
+    projective directions g**t are computed, in batches of consecutive t,
+    and each one's counts stand for its p - 1 multiples.  Mode "full"
+    aggregates every direction; its witness is the smallest direction index
+    with a count above p and that direction's first b of maximal count.
+    Mode "verdict" stops at the first offending class in t order (the report
+    is then flagged partial when classes were left); its witness is that
+    class's smallest member.  Each direction's counts must sum to p**n,
+    which is checked for every batch.
     """
     if mode not in ("full", "verdict"):
         raise ValueError(f"unknown mode {mode!r}")
     ctx = f.ctx
     order, p = ctx.order, ctx.p
-    hist = np.zeros(order + 1, dtype=np.int64)
-    max_count = 0
-    witness = None
+    m = _projective_count(ctx)
+    lanes, index = _direction_lanes(ctx, f.values)
+    batch = max(1, _BATCH_ELEMENTS // order)
+    # Row j of base locates f(g**(t0 + j) * z) in lanes[t0:], for any t0.
+    base = index + np.arange(batch, dtype=np.int64)[:, None]
+    hist = np.zeros(order // p + 1, dtype=np.int64)
+    max_rows = 0
+    offending = []  # t of every class with a count above p
     partial = False
-    for a in range(1, order):
-        counts = _direction_counts(ctx, f.values, a)
-        m = int(counts.max())
-        if m > max_count:
-            max_count = m
-            if m > p and witness is None:
-                witness = (a, int(counts.argmax()))
-        hist_a = np.bincount(counts)
-        hist[: hist_a.size] += hist_a
-        if mode == "verdict" and m > p:
-            partial = a < order - 1
+    for t0 in range(0, m, batch):
+        size = min(batch, m - t0)
+        counts = _row_counts(ctx, _derivative_values(ctx, lanes[t0:], base[:size]))
+        tops = counts.max(axis=1)
+        bad = np.flatnonzero(tops > 1)
+        stop = bool(bad.size) and mode == "verdict"
+        if stop:
+            counts, tops, bad = counts[: bad[0] + 1], tops[: bad[0] + 1], bad[:1]
+        hist_b = np.bincount(counts.ravel())
+        hist[: hist_b.size] += hist_b
+        max_rows = max(max_rows, int(tops.max()))
+        offending.append(t0 + bad)
+        if stop:
+            partial = t0 + int(bad[0]) < m - 1
             break
-    spectrum = {int(c): int(hist[c]) for c in np.nonzero(hist)[0]}
+    witness = None
+    ts = np.concatenate(offending)
+    if ts.size:
+        # Class t is {g**(t + k*M) : 0 <= k < p - 1}; the witness direction
+        # is the smallest member of any offending class.
+        members = ts[:, None] + m * np.arange(p - 1, dtype=np.int64)
+        smallest = ctx.antilog_table[members].min(axis=1)
+        j = int(smallest.argmin())
+        counts = _row_counts(ctx, _derivative_values(ctx, lanes[int(ts[j]) :], index[None, :]))
+        witness = (int(smallest[j]), int(counts.argmax()))
+    spectrum = {int(k) * p: int(hist[k]) * (p - 1) for k in np.nonzero(hist)[0]}
     return GapnReport(
-        is_gapn=max_count <= p,
-        max_count=max_count,
+        is_gapn=max_rows <= 1,
+        max_count=max_rows * p,
         spectrum=spectrum,
         witness=witness,
         deciders_agreed=["brute-force"],
@@ -174,10 +248,11 @@ def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
     if d < 1:
         raise ValueError("need an exponent d >= 1")
     order, p = ctx.order, ctx.p
-    counts = _direction_counts(ctx, monomial_table(ctx, d).values, 1)
-    m = int(counts.max())
+    values = monomial_table(ctx, d).values
+    counts = _row_counts(ctx, _derivative_values(ctx, ctx.lane_table, values[None, :]))[0]
+    m = int(counts.max()) * p
     hist = np.bincount(counts)
-    spectrum = {int(c): int(hist[c]) * (order - 1) for c in np.nonzero(hist)[0]}
+    spectrum = {int(k) * p: int(hist[k]) * (order - 1) for k in np.nonzero(hist)[0]}
     witness = (1, int(counts.argmax())) if m > p else None
     return GapnReport(
         is_gapn=m <= p,

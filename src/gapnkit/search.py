@@ -17,7 +17,9 @@ Default filters drop cosets that cannot be GAPN: digit sum below p
 x -> -x pairs up solutions).  verify_filters re-checks a stratified
 sample of everything filtered by brute force.
 
-Cache files hold one CSV record per decided coset:
+Cache files hold one CSV record per decided coset, appended as soon as
+its verdict reaches the parent process, so a killed scan resumes from
+every coset it finished:
 
     p,n,coset_rep,weight,verdict,decider,version,checksum
 
@@ -200,6 +202,13 @@ def run_search(job: SearchJob) -> SearchResult:
     todo = [c for c in candidates if c[0] not in cached]
 
     results: dict[int, tuple[int, bool, list[str]]] = {}
+
+    def record(rep: int, w: int, verdict: bool, deciders: list[str]) -> None:
+        # Stored as it arrives, so a killed scan resumes from what it finished.
+        results[rep] = (w, verdict, deciders)
+        if job.cache_dir is not None:
+            cache_store(job.cache_dir, (p, n, rep), w, verdict, deciders)
+
     if job.jobs > 1 and len(todo) > 1:
         chunk = max(1, len(todo) // (job.jobs * 4))
         with multiprocessing.Pool(
@@ -207,25 +216,16 @@ def run_search(job: SearchJob) -> SearchResult:
             initializer=_init_worker,
             initargs=(p, n, ctx.modulus.coeffs),
         ) as pool:
-            for rep, w, verdict, deciders in pool.imap_unordered(
-                _decide_candidate, todo, chunksize=chunk
-            ):
-                results[rep] = (w, verdict, deciders)
+            for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
+                record(*result)
     else:
         for rep, w, algebraic in todo:
             if algebraic:
                 verdict, deciders = _decide_weight_p(p, n, rep)
             else:
                 verdict, deciders = _decide_brute(ctx, rep)
-            results[rep] = (w, verdict, deciders)
-
-    if job.cache_dir is not None:
-        for rep in sorted(results):
-            w, verdict, deciders = results[rep]
-            cache_store(job.cache_dir, (p, n, rep), w, verdict, deciders)
-        results.update(cached)
-    else:
-        results.update(cached)
+            record(rep, w, verdict, deciders)
+    results.update(cached)
 
     gapn_cosets = []
     for rep in sorted(results):

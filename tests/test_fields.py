@@ -79,6 +79,30 @@ class TestFindIrreducible:
         with pytest.raises(NotPrime):
             find_irreducible(4, 2)
 
+    def test_modulus_cached_per_field(self, monkeypatch):
+        from gapnkit import fields
+
+        real = fields.is_irreducible
+        calls = []
+
+        def counting(f):
+            calls.append(f.coeffs)
+            return real(f)
+
+        monkeypatch.setattr(fields, "is_irreducible", counting)
+        find_irreducible.cache_clear()
+        first = make_field(5, 3)
+        assert calls
+        calls.clear()
+        second = make_field(5, 3)
+        assert calls == []
+        assert second.modulus.coeffs == first.modulus.coeffs
+        # an explicit modulus is still validated, even the cached one
+        make_field(5, 3, first.modulus)
+        assert calls == [first.modulus.coeffs]
+        with pytest.raises(NotIrreducible):
+            make_field(5, 3, PolyFp(5, (0, 0, 0, 1)))  # x^3
+
 
 class TestConstruction:
     def test_not_prime(self):
@@ -329,6 +353,22 @@ class TestTables:
         for i in range(500):
             assert adds[i] == ctx.add(int(a[i]), int(b[i]))
             assert muls[i] == ctx.mul(int(a[i]), int(b[i]))
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 8), (3, 7), (5, 4), (13, 2), (67, 2), (251, 1)])
+    def test_lane_sums_of_p_elements(self, field, p, n):
+        # a sum of p lane-packed elements reduces to their field sum, also
+        # where lanes are too wide for a lookup table ((67, 2), (251, 1))
+        ctx = field(p, n)
+        assert ctx.lanes_to_index(ctx.lane_table).tolist() == list(range(ctx.order))
+        rng = np.random.default_rng(p + n)
+        picks = rng.integers(0, ctx.order, (200, p))
+        picks[0] = ctx.order - 1  # every lane at its largest sum, p * (p - 1)
+        got = ctx.lanes_to_index(ctx.lane_table[picks].sum(axis=1))
+        for row, value in zip(picks.tolist(), got.tolist()):
+            expected = 0
+            for x in row:
+                expected = ctx.add(expected, x)
+            assert value == expected
 
 
 class TestEncoding:

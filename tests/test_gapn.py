@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapnkit import (
     FnTable,
@@ -170,6 +172,127 @@ class TestDifferentialSpectrum:
         assert report.max_count == 9
         # 26 directions, each hitting the 3 trace values 9 times apiece
         assert report.spectrum == {0: 624, 9: 78}
+
+
+def _reference_spectrum(f):
+    """The former per-direction loop, kept as the reference for the batched
+    kernel: for every direction a, gather z -> f(a*z), sum the digit
+    vectors of each row of p consecutive indices (z and z + i share a row)
+    and count each row sum p times."""
+    ctx = f.ctx
+    order, p = ctx.order, ctx.p
+    hist = np.zeros(order + 1, dtype=np.int64)
+    max_count, witness = 0, None
+    for a in range(1, order):
+        values = f.values[ctx.mul_array(a, np.arange(order, dtype=np.int64))]
+        rows = ctx.digit_table[values].reshape(order // p, p, ctx.n)
+        sums = rows.sum(axis=1, dtype=np.int64) % p @ ctx._pow_vec
+        counts = p * np.bincount(sums, minlength=order)
+        assert counts.sum() == order
+        m = int(counts.max())
+        if m > max_count:
+            max_count = m
+            if m > p and witness is None:
+                witness = (a, int(counts.argmax()))
+        hist_a = np.bincount(counts)
+        hist[: hist_a.size] += hist_a
+    spectrum = {int(c): int(hist[c]) for c in np.nonzero(hist)[0]}
+    return spectrum, max_count, witness
+
+
+def _scalar_derivative(ctx, f, a, x):
+    """sum over i in F_p of f(x + i*a), by scalar field arithmetic."""
+    total = 0
+    for i in range(ctx.p):
+        total = ctx.add(total, int(f.values[ctx.add(x, ctx.mul(ctx.embed_prime(i), a))]))
+    return total
+
+
+def _assert_matches_reference(f):
+    spectrum, max_count, witness = _reference_spectrum(f)
+    full = differential_spectrum(f)
+    assert (full.spectrum, full.max_count, full.witness) == (spectrum, max_count, witness)
+    assert not full.partial
+    verdict = differential_spectrum(f, mode="verdict")
+    assert verdict.is_gapn == full.is_gapn == (max_count <= f.ctx.p)
+    if not verdict.is_gapn:
+        ctx = f.ctx
+        a, b = verdict.witness
+        hits = sum(_scalar_derivative(ctx, f, a, x) == b for x in range(ctx.order))
+        assert hits > ctx.p
+    else:
+        assert verdict.witness is None and verdict.spectrum == spectrum
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (3, 4), (5, 2), (7, 2)])
+    def test_every_exponent_matches_per_direction_loop(self, field, p, n):
+        ctx = field(p, n)
+        for d in range(1, ctx.order):
+            _assert_matches_reference(monomial_table(ctx, d))
+
+    @pytest.mark.parametrize(
+        "p,n,tables", [(2, 1, 4), (3, 1, 4), (7, 1, 4), (251, 1, 4), (2, 5, 4),
+                       (3, 4, 4), (5, 2, 4), (7, 2, 4), (67, 2, 1)]
+    )
+    def test_random_tables_match_per_direction_loop(self, field, p, n, tables):
+        # (67, 2) and (251, 1) have lanes too wide for a lookup table;
+        # n = 1 is a single row per direction
+        ctx = field(p, n)
+        rng = np.random.default_rng(p * 100 + n)
+        # the last table hits few values, so that verdict mode has a witness
+        highs = [ctx.order] * (tables - 1) + [min(ctx.order, 3)]
+        for high in highs:
+            _assert_matches_reference(FnTable(ctx, rng.integers(0, high, ctx.order)))
+
+    @pytest.mark.parametrize("p,n", [(67, 2), (251, 1), (13, 2)])
+    def test_wide_lane_monomials(self, field, p, n):
+        # a monomial's full spectrum is direction 1's scaled, which
+        # monomial_gapn_fast computes without the projective batches
+        ctx = field(p, n)
+        for d in (1, 2, 3, p + 2, ctx.order - 2):
+            full = differential_spectrum(monomial_table(ctx, d))
+            fast = monomial_gapn_fast(ctx, d)
+            assert (full.spectrum, full.max_count) == (fast.spectrum, fast.max_count)
+            if ctx.order < 1000:
+                _assert_matches_reference(monomial_table(ctx, d))
+
+    def test_batches_span_many_directions(self, field, monkeypatch):
+        # small batches force several kernel calls per spectrum, including
+        # a partial last batch, and must not change any report
+        from gapnkit import gapn
+
+        ctx = field(3, 4)
+        f = FnTable(ctx, np.random.default_rng(9).integers(0, ctx.order, ctx.order))
+        expected = differential_spectrum(f).to_dict()
+        for elements in (ctx.order, 3 * ctx.order, 7 * ctx.order):
+            monkeypatch.setattr(gapn, "_BATCH_ELEMENTS", elements)
+            assert differential_spectrum(f).to_dict() == expected
+
+
+_SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_scalar_definition(field, data):
+    ctx = field(*data.draw(st.sampled_from(_SMALL_FIELDS)))
+    q = ctx.order
+    values = data.draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+    f = FnTable(ctx, np.array(values, dtype=np.int64))
+    a = data.draw(st.integers(1, q - 1))
+    derived = gen_derivative(f, a).values
+    assert [int(v) for v in derived] == [_scalar_derivative(ctx, f, a, x) for x in range(q)]
+    hist: dict[int, int] = {}
+    for direction in range(1, q):
+        counts = [0] * q
+        for x in range(q):
+            counts[_scalar_derivative(ctx, f, direction, x)] += 1
+        for c in counts:
+            hist[c] = hist.get(c, 0) + 1
+    report = differential_spectrum(f)
+    assert report.spectrum == hist
+    assert report.max_count == max(hist)
 
 
 class TestMonomialTable:

@@ -1,5 +1,6 @@
 """Search orchestration: enumeration, filters, deciders, caching, families."""
 
+import multiprocessing
 import zlib
 
 import pytest
@@ -462,3 +463,57 @@ class TestCache:
         path.write_text(f"{prefix},{crc}\n")
         with pytest.raises(CacheCorrupt):
             cache_lookup(tmp_path, (3, 4, 5))
+
+    @staticmethod
+    def _brute_calls(monkeypatch, real, die_at=None):
+        """Patch _decide_brute with real that logs its exponents and,
+        optionally, raises instead of deciding the exponent die_at."""
+        decided = []
+
+        def logged(ctx, d):
+            if d == die_at:
+                raise RuntimeError("killed")
+            decided.append(d)
+            return real(ctx, d)
+
+        monkeypatch.setattr(search, "_decide_brute", logged)
+        return decided
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_killed_scan_resumes_from_cache(self, tmp_path, monkeypatch, k):
+        real = search._decide_brute
+        everything = self._brute_calls(monkeypatch, real)
+        reference = _frozen(run_search(SearchJob(3, 5)))
+        assert len(everything) > 7
+        job = SearchJob(3, 5, cache_dir=str(tmp_path))
+        killed = self._brute_calls(monkeypatch, real, die_at=everything[k])
+        with pytest.raises(RuntimeError, match="killed"):
+            run_search(job)
+        assert killed == everything[:k]
+        rest = self._brute_calls(monkeypatch, real)
+        assert _frozen(run_search(job)) == reference
+        assert rest == everything[k:]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched decider reaches pool workers only through fork",
+    )
+    def test_killed_pool_scan_resumes_from_cache(self, tmp_path, monkeypatch):
+        # Which results reach the parent before the failure depends on
+        # scheduling; whatever was stored must not be decided again.  Forked
+        # workers inherit the patched decider whatever the default start
+        # method is.
+        fork_pool = multiprocessing.get_context("fork").Pool
+        monkeypatch.setattr(search.multiprocessing, "Pool", fork_pool)
+        real = search._decide_brute
+        everything = self._brute_calls(monkeypatch, real)
+        reference = _frozen(run_search(SearchJob(3, 5)))
+        job = SearchJob(3, 5, jobs=2, cache_dir=str(tmp_path))
+        self._brute_calls(monkeypatch, real, die_at=everything[len(everything) // 2])
+        with pytest.raises(RuntimeError, match="killed"):
+            run_search(job)
+        stored = set(search._load_cache(tmp_path, 3, 5))
+        rest = self._brute_calls(monkeypatch, real)
+        job.jobs = 1
+        assert _frozen(run_search(job)) == reference
+        assert sorted(rest) == sorted(set(everything) - stored)
