@@ -149,21 +149,18 @@ def _cmd_families(args):
     return doc, lines, (header, rows)
 
 
-def _budget_gate(args, mode: str) -> None:
+def _budget_gate(args, limit: int = SOFT_ORDER_BUDGET) -> None:
     order = args.p**args.n
-    if args.long_running:
-        return
-    limit = SOFT_ORDER_BUDGET
-    if mode == "weight-p-only":
-        limit = SOFT_ORDER_BUDGET**2
-    if mode != "families-only" and order > limit:
+    if order > limit and not args.long_running:
         raise BudgetExceeded(
             f"order {order} exceeds the soft budget {limit}; pass --long-running to proceed"
         )
 
 
 def _search_result(args, mode: str):
-    _budget_gate(args, mode)
+    # families-only decides a handful of exponents, so no budget applies.
+    if mode != "families-only":
+        _budget_gate(args, SOFT_ORDER_BUDGET**2 if mode == "weight-p-only" else SOFT_ORDER_BUDGET)
     filters = SearchFilters(
         skip_even_weight=not args.no_skip_even,
         skip_low_weight=not args.no_skip_low,
@@ -223,11 +220,7 @@ def _cmd_conjecture(args):
 
 def _cmd_spectrum(args):
     ctx = make_field(args.p, args.n)
-    if ctx.order > SOFT_ORDER_BUDGET and not args.long_running:
-        raise BudgetExceeded(
-            f"order {ctx.order} exceeds the soft budget {SOFT_ORDER_BUDGET}; "
-            "pass --long-running to proceed"
-        )
+    _budget_gate(args)
     if args.table is not None:
         if str(args.table).endswith(".csv"):
             table = load_table_csv(ctx, args.table)

@@ -180,9 +180,6 @@ class FieldCtx:
             mult *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def _mul_reduce(self, a: int, b: int) -> int:
         """Schoolbook product of coefficient vectors reduced by the modulus.
         Table-free; this is also what builds the tables."""
@@ -265,6 +262,12 @@ class FieldCtx:
 
     # ---- tables --------------------------------------------------------
 
+    def _require_tables(self, what: str) -> None:
+        """Raise OrderTooLarge for a table read above TABLE_CAP, where only
+        the table-free scalar operations work."""
+        if self.order > TABLE_CAP:
+            raise OrderTooLarge(f"{what} requested for an order above 2**24")
+
     def _apply_linear(self, a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         """The F_p-linear map with the given (n, n) matrix, applied to the
         digit rows of the index array a; returns packed indices.  Digit
@@ -314,8 +317,7 @@ class FieldCtx:
     def digit_table(self) -> np.ndarray:
         """(order, n) array of base-p digits for every element index."""
         if self._digits is None:
-            if self.order > TABLE_CAP:
-                raise OrderTooLarge("digit table requested for an order above 2**24")
+            self._require_tables("digit table")
             dtype = np.uint8 if self.p <= 256 else np.int64
             ds = np.empty((self.order, self.n), dtype=dtype)
             idx = np.arange(self.order, dtype=np.int64)
@@ -329,8 +331,7 @@ class FieldCtx:
         """The lane table and the lookup table that reduces groups of its
         lane sums, or None when one lane is wider than _LANE_LOOKUP_BITS."""
         if self._lanes is None:
-            if self.order > TABLE_CAP:
-                raise OrderTooLarge("lane table requested for an order above 2**24")
+            self._require_tables("lane table")
             p = self.p
             w, k = _lane_layout(p)
             lanes = np.zeros(self.order, dtype=np.int64)
@@ -388,8 +389,7 @@ class FieldCtx:
 
     def mul_array(self, a, b):
         """Elementwise field multiplication of index arrays via log tables."""
-        if self.log_table is None:
-            raise OrderTooLarge("mul_array needs log tables (order above 2**24)")
+        self._require_tables("log table")
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         a, b = np.broadcast_arrays(a, b)

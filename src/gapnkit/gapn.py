@@ -224,18 +224,21 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
 
 
 def monomial_table(ctx: FieldCtx, d: int) -> FnTable:
-    """The table of x -> x**d, with 0**0 = 1."""
+    """The table of x -> x**d, with 0**0 = 1, read off the log tables.
+
+    Raises OrderTooLarge above fields.TABLE_CAP, where the field has no
+    tables: every consumer of a value table needs them too.
+    """
     if d < 0:
         raise ValueError("negative exponent")
+    ctx._require_tables("log table")
     if d == 0:
         return FnTable(ctx, np.ones(ctx.order, dtype=np.int64))
-    if ctx.log_table is not None:
-        group = ctx.order - 1
-        values = np.zeros(ctx.order, dtype=np.int64)
-        e = ctx.log_table[1:] * (d % group) % group
-        values[1:] = ctx.antilog_table[e]
-        return FnTable(ctx, values)
-    return FnTable(ctx, np.array([ctx.pow(x, d) for x in range(ctx.order)], dtype=np.int64))
+    group = ctx.order - 1
+    values = np.zeros(ctx.order, dtype=np.int64)
+    e = ctx.log_table[1:] * (d % group) % group
+    values[1:] = ctx.antilog_table[e]
+    return FnTable(ctx, values)
 
 
 def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:

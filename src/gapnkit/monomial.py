@@ -22,6 +22,7 @@ that is what this module implements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,19 +131,25 @@ def normalize_weight_p(d: int, p: int) -> int:
     return d
 
 
-def digit_polynomial(d: int, p: int, n: int | None = None) -> PolyFp:
-    """The polynomial whose coefficient at x**s is the s-th base-p digit of d.
-
-    Requires a normalized weight-p exponent; with n given, d must satisfy
-    d < p**n so the digits fit positions 0..n-1.
-    """
+def _weight_p_digits(d: int, p: int, n: int | None = None) -> tuple[int, ...]:
+    """digits_of(d, p, n) for a normalized weight-p exponent: digit sum
+    exactly p and a nonzero constant digit."""
     digs = digits_of(d, p, n)
     w = sum(digs)
     if w != p:
         raise WrongWeight(f"digit sum of {d} is {w}, need exactly {p}")
     if d % p == 0:
         raise NotNormalized(f"{d} is divisible by {p}; normalize first")
-    return PolyFp(p, digs)
+    return digs
+
+
+def digit_polynomial(d: int, p: int, n: int | None = None) -> PolyFp:
+    """The polynomial whose coefficient at x**s is the s-th base-p digit of d.
+
+    Requires a normalized weight-p exponent; with n given, d must satisfy
+    d < p**n so the digits fit positions 0..n-1.
+    """
+    return PolyFp(p, _weight_p_digits(d, p, n))
 
 
 @dataclass(frozen=True)
@@ -229,12 +236,7 @@ def circulant_rank(d: int, p: int, n: int) -> int:
     is equivalent to rank = n - 1."""
     if not 1 <= d < p**n:
         raise ValueError(f"exponent {d} outside [1, {p**n})")
-    digs = digits_of(d, p, n)
-    w = sum(digs)
-    if w != p:
-        raise WrongWeight(f"digit sum of {d} is {w}, need exactly {p}")
-    if d % p == 0:
-        raise NotNormalized(f"{d} is divisible by {p}; normalize first")
+    digs = _weight_p_digits(d, p, n)
     m = [[digs[(i - j) % n] for j in range(n)] for i in range(n)]
     return rank_mod_p(m, p)
 
@@ -293,12 +295,7 @@ def exceptional_profile(d: int, p: int) -> ExceptionalProfile:
     May raise FactorizationTooLarge if the digit polynomial has an
     irreducible factor of degree above 24.
     """
-    digs = digits_of(d, p)
-    w = sum(digs)
-    if w != p:
-        raise WrongWeight(f"digit sum of {d} is {w}, need exactly {p}")
-    if d % p == 0:
-        raise NotNormalized(f"{d} is divisible by {p}; normalize first")
+    digs = _weight_p_digits(d, p)
     digit_poly = PolyFp(p, digs)
     x_minus_1 = PolyFp(p, (-1, 1))
     unit_mult = 0
@@ -336,15 +333,10 @@ def extension_prime(profile: ExceptionalProfile, n: int) -> int:
 
 
 def welch_exponent(p: int, n: int) -> tuple[int, bool]:
-    """The exponent p**t + p + 1 with t = (n-1)/2 for odd n, n/2 for even n,
-    together with the predicted GAPN verdict: true exactly for p = 2 with n
-    odd, and for p = 3 (every n)."""
+    """The welch exponent of classical_families and its predicted verdict."""
     if n < 2:
         raise ValueError("need n >= 2")
-    t = (n - 1) // 2 if n % 2 else n // 2
-    d = p**t + p + 1
-    predicted = (p == 2 and n % 2 == 1) or p == 3
-    return d, predicted
+    return next((d, pred) for fam, _, d, pred in classical_families(p, n) if fam == "welch")
 
 
 def max_degree_family(p: int, n: int) -> list[int]:
@@ -362,22 +354,34 @@ def max_degree_family(p: int, n: int) -> list[int]:
     return out
 
 
+def classical_families(p: int, n: int) -> list[tuple[str, int, int, bool]]:
+    """Every classical family exponent for F_(p^n) as (family, param, d,
+    predicted GAPN), unreduced, in this order:
+
+    - gold: p**i + p - 1 for i = 1..n-1, predicted iff gcd(i, n) = 1;
+    - welch (n >= 2): p**t + p + 1 with t = (n-1)/2 for odd n, n/2 for even
+      n, predicted exactly for p = 2 with n odd, and for p = 3 (every n);
+    - max-degree (odd p): p**n - p**j - 1 for j = 0..n-1, predicted always.
+    """
+    out = [("gold", i, p**i + p - 1, math.gcd(i, n) == 1) for i in range(1, n)]
+    if n >= 2:
+        t = n // 2
+        out.append(("welch", t, p**t + p + 1, (p == 2 and n % 2 == 1) or p == 3))
+    if p != 2:
+        out += [("max-degree", j, d, True) for j, d in enumerate(max_degree_family(p, n))]
+    return out
+
+
+_FAMILY_LABELS = {"gold": "gold(i={})", "welch": "welch(t={})", "max-degree": "inverse-class(j={})"}
+
+
 def identify_family(d: int, p: int, n: int) -> list[str]:
     """Names of the classical families d belongs to, empty if none."""
-    names = []
-    for i in range(1, n):
-        if d == p**i + p - 1:
-            names.append(f"gold(i={i})")
-    if n >= 2:
-        wd, _ = welch_exponent(p, n)
-        if d == wd:
-            t = (n - 1) // 2 if n % 2 else n // 2
-            names.append(f"welch(t={t})")
-    if p != 2:
-        for j in range(n):
-            if d == p**n - p**j - 1:
-                names.append("inverse" if j == 0 else f"inverse-class(j={j})")
-    return names
+    return [
+        "inverse" if (family, param) == ("max-degree", 0) else _FAMILY_LABELS[family].format(param)
+        for family, param, fd, _ in classical_families(p, n)
+        if fd == d
+    ]
 
 
 @dataclass(frozen=True)
@@ -413,6 +417,7 @@ __all__ = [
     "ExceptionalProfile",
     "Exponent",
     "circulant_rank",
+    "classical_families",
     "coset_members",
     "coset_rep",
     "coset_reps",

@@ -31,7 +31,6 @@ raises CacheCorrupt rather than silently recomputing.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
 import zlib
@@ -51,14 +50,13 @@ from .gapn import (
 )
 from .monomial import (
     circulant_rank,
+    classical_families,
     coset_members,
     coset_rep,
     coset_reps,
     criterion_gapn,
-    max_degree_family,
     normalize_weight_p,
     p_weight,
-    welch_exponent,
 )
 
 SOFT_ORDER_BUDGET = 3**7
@@ -81,15 +79,16 @@ def _decide_brute(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
 _worker_state: dict = {}
 
 
-def _init_worker(p: int, n: int, mod_coeffs: tuple[int, ...]) -> None:
-    from .polyfp import PolyFp
-
-    _worker_state["ctx"] = make_field(p, n, PolyFp(p, mod_coeffs))
+def _init_worker(p: int, n: int) -> None:
+    _worker_state["ctx"] = make_field(p, n)
 
 
-def _decide_candidate(args: tuple[int, int, bool]):
-    rep, weight, algebraic = args
-    ctx: FieldCtx = _worker_state["ctx"]
+def _decide_candidate(candidate: tuple[int, int, bool], ctx: FieldCtx | None = None):
+    """(rep, weight, verdict, deciders) for one (rep, weight, algebraic)
+    candidate; pool workers pass no ctx and use their initializer's field."""
+    rep, weight, algebraic = candidate
+    if ctx is None:
+        ctx = _worker_state["ctx"]
     if algebraic:
         verdict, deciders = _decide_weight_p(ctx.p, ctx.n, rep)
     else:
@@ -211,34 +210,19 @@ def run_search(job: SearchJob) -> SearchResult:
 
     if job.jobs > 1 and len(todo) > 1:
         chunk = max(1, len(todo) // (job.jobs * 4))
-        with multiprocessing.Pool(
-            job.jobs,
-            initializer=_init_worker,
-            initargs=(p, n, ctx.modulus.coeffs),
-        ) as pool:
+        with multiprocessing.Pool(job.jobs, initializer=_init_worker, initargs=(p, n)) as pool:
             for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
                 record(*result)
     else:
-        for rep, w, algebraic in todo:
-            if algebraic:
-                verdict, deciders = _decide_weight_p(p, n, rep)
-            else:
-                verdict, deciders = _decide_brute(ctx, rep)
-            record(rep, w, verdict, deciders)
+        for candidate in todo:
+            record(*_decide_candidate(candidate, ctx))
     results.update(cached)
 
-    gapn_cosets = []
-    for rep in sorted(results):
-        w, verdict, deciders = results[rep]
-        if verdict:
-            gapn_cosets.append(
-                {
-                    "d": rep,
-                    "members": list(coset_members(rep, p, n)),
-                    "weight": w,
-                    "deciders": list(deciders),
-                }
-            )
+    gapn_cosets = [
+        _coset_entry(rep, p, n, w, deciders)
+        for rep, (w, verdict, deciders) in sorted(results.items())
+        if verdict
+    ]
 
     filter_check = None
     if job.filters.verify_filters:
@@ -259,6 +243,15 @@ def run_search(job: SearchJob) -> SearchResult:
         conjecture_holds=conjecture_holds,
         filter_check=filter_check,
     )
+
+
+def _coset_entry(rep: int, p: int, n: int, weight: int, deciders: list[str]) -> dict:
+    return {
+        "d": rep,
+        "members": list(coset_members(rep, p, n)),
+        "weight": weight,
+        "deciders": list(deciders),
+    }
 
 
 def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]]) -> dict:
@@ -300,7 +293,7 @@ def _gather_verdicts(
         verdicts["brute-force"] = report.is_gapn
     fast = monomial_gapn_fast(ctx, d)
     verdicts["monomial-fast"] = fast.is_gapn
-    if report is None or (want_report and report.partial):
+    if report is None:
         report = fast
     if p_weight(d, p) == p:
         dn = normalize_weight_p(d, p)
@@ -376,57 +369,34 @@ class FamilyReport:
         }
 
 
-def verify_families(p: int, n: int, ctx: FieldCtx | None = None) -> FamilyReport:
-    """Check every classical family exponent against an exact decider.
+def verify_families(p: int, n: int) -> FamilyReport:
+    """Check every exponent of monomial.classical_families against the
+    exact deciders.
 
-    Families: p**i + p - 1 for i = 1..n-1 (predicted GAPN iff gcd(i, n) = 1),
-    the p**t + p + 1 exponent with its characteristic rule, and for odd p
-    the maximal-degree family p**n - p**j - 1 (predicted GAPN throughout).
     Exponents are reduced modulo p**n - 1, since x**(p**n - 1 + d) = x**d on
     the field; one that reduces to 0 lies outside [1, p**n - 2] and is
     dropped (gold i = 1 on F_4, where p**n - 1 = 3).
     """
-    if ctx is None:
-        ctx = make_field(p, n)
+    ctx = make_field(p, n)
     entries: list[FamilyEntry] = []
-
-    def check(family: str, param: int, d: int, predicted: bool) -> None:
+    for family, param, d, predicted in classical_families(p, n):
         d %= p**n - 1
         if d:
             verdict, deciders = exact_verdict(ctx, d)
             entries.append(FamilyEntry(family, param, d, predicted, verdict, deciders))
-
-    for i in range(1, n):
-        check("gold", i, p**i + p - 1, math.gcd(i, n) == 1)
-    if n >= 2:
-        d, predicted = welch_exponent(p, n)
-        check("welch", (n - 1) // 2 if n % 2 else n // 2, d, predicted)
-    if p % 2 == 1:
-        for j, d in enumerate(max_degree_family(p, n)):
-            check("max-degree", j, d, True)
     return FamilyReport(p, n, entries)
 
 
 def _run_families_only(job: SearchJob, t0: float) -> SearchResult:
-    report = verify_families(job.p, job.n)
-    gapn_cosets = []
-    seen = set()
+    p, n = job.p, job.n
+    report = verify_families(p, n)
+    first: dict[int, list[str]] = {}  # coset rep -> deciders of its first GAPN entry
     for entry in report.entries:
-        if not entry.verdict:
-            continue
-        rep = coset_rep(entry.d, job.p, job.n)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        gapn_cosets.append(
-            {
-                "d": rep,
-                "members": list(coset_members(rep, job.p, job.n)),
-                "weight": p_weight(rep, job.p),
-                "deciders": list(entry.deciders),
-            }
-        )
-    gapn_cosets.sort(key=lambda e: e["d"])
+        if entry.verdict:
+            first.setdefault(coset_rep(entry.d, p, n), entry.deciders)
+    gapn_cosets = [
+        _coset_entry(rep, p, n, p_weight(rep, p), deciders) for rep, deciders in sorted(first.items())
+    ]
     return SearchResult(
         p=job.p,
         n=job.n,

@@ -1,6 +1,6 @@
 import pytest
 
-from gapnkit import make_field
+from gapnkit import FieldCtx, make_field
 
 _cache = {}
 
@@ -16,3 +16,14 @@ def field():
         return _cache[key]
 
     return get
+
+
+@pytest.fixture
+def no_scalar_pow(monkeypatch):
+    """Make FieldCtx.pow raise, so a table request that falls back to
+    element-by-element scalar arithmetic fails instead of running for hours."""
+
+    def refuse(self, a, e):
+        raise RuntimeError("a table request fell back to scalar pow")
+
+    monkeypatch.setattr(FieldCtx, "pow", refuse)

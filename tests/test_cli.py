@@ -1,6 +1,7 @@
 """CLI surface: argument handling, output formats, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -264,6 +265,13 @@ class TestSearchCommand:
         assert {5, 13, 29}.issubset(set(reps))
         assert 11 not in reps
 
+    def test_weight_p_only_above_table_cap(self, capsys, no_scalar_pow):
+        # F_(2^25) has no field tables; the algebraic deciders need none.
+        argv = ["search", "-p", "2", "-n", "25", "--mode", "weight-p-only", "--long-running"]
+        doc = json_doc(capsys, argv + ["--format", "json"])
+        reps = [e["d"] for e in doc["gapn_cosets"]]
+        assert reps == [2**i + 1 for i in range(1, 13) if math.gcd(i, 25) == 1]
+
     def test_cache_flag(self, capsys, tmp_path):
         doc1 = json_doc(
             capsys, ["search", "-p", "3", "-n", "4", "--cache", str(tmp_path), "--format", "json"]
@@ -401,6 +409,20 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, ["spectrum", "-p", "3", "-n", "8", "-d", "5"])
         assert code == 1
         assert json.loads(err)["error"] == "BudgetExceeded"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "-p", "3", "-n", "16", "-d", "5"],
+            ["spectrum", "-p", "2", "-n", "25", "-d", "3", "--long-running"],
+            ["families", "-p", "3", "-n", "16"],
+        ],
+    )
+    def test_table_requests_above_cap_fail_fast(self, capsys, no_scalar_pow, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "OrderTooLarge"
 
     def test_long_running_unlocks_n8(self, capsys):
         code, out, _ = run_cli(capsys, ["conjecture", "-p", "3", "-n", "8", "--long-running"])

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +8,13 @@ from hypothesis import strategies as st
 
 from gapnkit import (
     FnTable,
+    OrderTooLarge,
     WrongWeight,
     ZeroDirection,
     differential_spectrum,
     gen_derivative,
     linearized_kernel_dim,
+    make_field,
     monomial_gapn_fast,
     monomial_table,
 )
@@ -324,16 +329,30 @@ class TestMonomialTable:
             for x in range(ctx.order):
                 assert t.values[x] == ctx.pow(x, d)
 
-    def test_no_table_fallback_matches_table_path(self):
-        from gapnkit import make_field
 
-        # a private context with its tables stripped drives the pow loop
-        ctx = make_field(3, 3)
-        expected = monomial_table(ctx, 13).values.copy()
-        ctx.log_table = None
-        ctx.antilog_table = None
-        fallback = monomial_table(ctx, 13)
-        assert np.array_equal(fallback.values, expected)
+class TestTableGate:
+    """Above TABLE_CAP only the scalar ops work; every table request raises
+    OrderTooLarge before doing any work."""
+
+    @pytest.fixture
+    def big(self, no_scalar_pow):
+        return make_field(3, 16)
+
+    @pytest.mark.parametrize(
+        "request_tables",
+        [
+            lambda ctx: monomial_table(ctx, 5),
+            lambda ctx: monomial_table(ctx, 0),
+            lambda ctx: monomial_gapn_fast(ctx, 5),
+            lambda ctx: ctx.mul_array(1, 2),
+            lambda ctx: ctx.digit_table,
+            lambda ctx: ctx.lane_table,
+        ],
+        ids=["monomial_table", "monomial_table_d0", "monomial_gapn_fast", "mul_array", "digit_table", "lane_table"],
+    )
+    def test_raises_order_too_large(self, big, request_tables):
+        with pytest.raises(OrderTooLarge, match="above 2\\*\\*24"):
+            request_tables(big)
 
 
 class TestMonomialFastPath:
@@ -457,6 +476,44 @@ class TestTableIO:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=rf":{line}: .*{fragment}"):
             load_table_csv(ctx, path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_csv_round_trip_random_tables(self, field, data):
+        ctx = field(*data.draw(st.sampled_from(_SMALL_FIELDS)))
+        values = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=ctx.order, max_size=ctx.order))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            save_table_csv(FnTable(ctx, np.array(values, dtype=np.int64)), path)
+            assert load_table_csv(ctx, path).values.tolist() == values
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_csv_random_bad_row_names_line(self, field, data):
+        ctx = field(*data.draw(st.sampled_from(_SMALL_FIELDS)))
+        q = ctx.order
+        lines = ["x,f(x)"] + [f"{x},{x}" for x in range(q)]
+        at = data.draw(st.integers(1, q))  # the data line to replace, x = at - 1
+        outside = st.one_of(st.integers(max_value=-1), st.integers(min_value=q))
+        word = st.text(alphabet="abc.", min_size=1, max_size=3)
+        bad = data.draw(
+            st.one_of(
+                st.builds("{},{}".format, outside, st.integers(0, q - 1)),
+                st.builds("{},{}".format, st.integers(0, q - 1), outside),
+                st.builds("{},{}".format, word, st.integers(0, q - 1)),
+                st.builds("{},{}".format, st.integers(0, q - 1), word),
+                st.builds(str, st.integers(0, q - 1)),
+                st.builds("{},{},{}".format, *[st.integers(0, q - 1)] * 3),
+                st.builds("{},0".format, st.integers(0, at - 2)) if at > 1 else st.nothing(),
+            )
+        )
+        lines[at] = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError) as err:
+                load_table_csv(ctx, path)
+        assert str(err.value).startswith(f"{path}:{at + 1}: ")
 
     def test_csv_coverage_checked(self, field, tmp_path):
         ctx = field(3, 2)

@@ -1,9 +1,12 @@
 """Search orchestration: enumeration, filters, deciders, caching, families."""
 
 import multiprocessing
+import tempfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapnkit import (
     CacheCorrupt,
@@ -15,8 +18,10 @@ from gapnkit import (
     cache_store,
     coset_members,
     coset_rep,
+    coset_reps,
     differential_spectrum,
     exact_verdict,
+    identify_family,
     monomial_table,
     p_weight,
     run_search,
@@ -228,6 +233,27 @@ class TestFamilies:
         assert welch[0].predicted is False
         assert welch[0].verdict is False
         assert report.mismatches == 0
+
+    @pytest.mark.parametrize(
+        "p,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
+    )
+    def test_entries_agree_with_identify_family(self, p, n):
+        # Each entry's exponent before reduction modulo p**n - 1, and its name.
+        unreduced = {
+            "gold": lambda i: p**i + p - 1,
+            "welch": lambda t: p**t + p + 1,
+            "max-degree": lambda j: p**n - p**j - 1,
+        }
+        names = {"gold": "gold(i={})", "welch": "welch(t={})", "max-degree": "inverse-class(j={})"}
+        named_by_entries = {
+            (e.d, "inverse" if (e.family, e.param) == ("max-degree", 0) else names[e.family].format(e.param))
+            for e in verify_families(p, n).entries
+            if unreduced[e.family](e.param) == e.d
+        }
+        named_by_identify = {
+            (d, name) for d in range(1, p**n - 1) for name in identify_family(d, p, n)
+        }
+        assert named_by_entries == named_by_identify
 
     def test_to_dict_shape(self):
         doc = verify_families(3, 2).to_dict()
@@ -463,6 +489,43 @@ class TestCache:
         path.write_text(f"{prefix},{crc}\n")
         with pytest.raises(CacheCorrupt):
             cache_lookup(tmp_path, (3, 4, 5))
+
+    _FIELDS = [(2, 3), (2, 5), (3, 2), (3, 4), (5, 2), (7, 2)]
+    _DECIDERS = ["brute-force", "monomial-fast", "criterion", "circulant-rank", "linearized-kernel"]
+
+    @classmethod
+    def _records(cls, data):
+        """A random (p, n) and cache records {rep: (weight, verdict, deciders)}."""
+        p, n = data.draw(st.sampled_from(cls._FIELDS))
+        reps = data.draw(st.lists(st.sampled_from(coset_reps(p, n)[0].tolist()), min_size=1, unique=True))
+        deciders = st.lists(st.sampled_from(cls._DECIDERS), min_size=1, max_size=3)
+        return p, n, {rep: (p_weight(rep, p), data.draw(st.booleans()), data.draw(deciders)) for rep in reps}
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_random_records_round_trip(self, data):
+        p, n, records = self._records(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            for rep, (weight, verdict, deciders) in records.items():
+                cache_store(tmp, (p, n, rep), weight, verdict, deciders)
+            assert search._load_cache(tmp, p, n) == records
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_single_character_change_raises(self, data):
+        p, n, records = self._records(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            for rep, (weight, verdict, deciders) in records.items():
+                cache_store(tmp, (p, n, rep), weight, verdict, deciders)
+            path = search._cache_path(tmp, p, n)
+            lines = path.read_text().splitlines()
+            row = data.draw(st.integers(0, len(lines) - 1))
+            at = data.draw(st.integers(0, len(lines[row]) - 1))
+            char = data.draw(st.characters(min_codepoint=32, max_codepoint=126).filter(lambda c: c != lines[row][at]))
+            lines[row] = lines[row][:at] + char + lines[row][at + 1 :]
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(CacheCorrupt, match=f":{row + 1}: "):
+                search._load_cache(tmp, p, n)
 
     @staticmethod
     def _brute_calls(monkeypatch, real, die_at=None):
