@@ -78,7 +78,7 @@ def _cmd_test(args):
         lines.append("family: " + ", ".join(families))
     lines.append("deciders: " + ", ".join(report.deciders_agreed))
     spectrum = " ".join(f"{c}:{m}" for c, m in sorted(report.spectrum.items()))
-    lines.append(f"spectrum{' (partial)' if report.partial else ''}: {spectrum}")
+    lines.append(f"spectrum: {spectrum}")
     header = ["p", "n", "d", "weight", "is_gapn", "max_count", "partial"]
     row = [args.p, args.n, args.d, info.weight, int(report.is_gapn), report.max_count, int(report.partial)]
     return doc, lines, (header, [row])

@@ -50,8 +50,6 @@ def find_irreducible(p: int, n: int) -> PolyFp:
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if n == 1:
-        return PolyFp.x(p)
     for k in range(p**n):
         coeffs = []
         kk = k
@@ -160,25 +158,14 @@ class FieldCtx:
         p = self.p
         if p == 2:
             return a ^ b
-        out, mult = 0, 1
-        while a or b:
-            out += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        da, db = self._digits_of_int(a), self._digits_of_int(b)
+        return self._int_of_digits([(x + y) % p for x, y in zip(da, db)])
 
     def neg(self, a: int) -> int:
         self._check_element(a)
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a
-        out, mult = 0, 1
-        while a:
-            out += -a % p * mult
-            a //= p
-            mult *= p
-        return out
+        return self._int_of_digits([-x % self.p for x in self._digits_of_int(a)])
 
     def _mul_reduce(self, a: int, b: int) -> int:
         """Schoolbook product of coefficient vectors reduced by the modulus.

@@ -179,11 +179,6 @@ class PolyFp:
         return " + ".join(terms)
 
 
-def divrem(a: PolyFp, b: PolyFp) -> tuple[PolyFp, PolyFp]:
-    """Quotient and remainder of a by b; deg(remainder) < deg(b)."""
-    return divmod(a, b)
-
-
 def poly_gcd(a: PolyFp, b: PolyFp) -> PolyFp:
     """Monic greatest common divisor."""
     if a.is_zero and b.is_zero:

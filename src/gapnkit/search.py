@@ -26,7 +26,9 @@ every coset it finished:
 with verdict 0/1, deciders joined by '+', and checksum the decimal CRC-32
 of the preceding text.  Any mismatch, and any record whose coset_rep is
 not its coset's representative or whose weight is not its digit sum,
-raises CacheCorrupt rather than silently recomputing.
+raises CacheCorrupt rather than silently recomputing.  The one exception
+is an unterminated last line, which a scan killed mid-append leaves: it is
+dropped and cut from the file, and its coset is decided again.
 """
 
 from __future__ import annotations
@@ -193,6 +195,11 @@ def run_search(job: SearchJob) -> SearchResult:
         return _run_families_only(job, t0)
     p, n = job.p, job.n
     ctx = make_field(p, n)
+    if job.mode != "weight-p-only":
+        # These scans send their cosets of weight other than p to the
+        # monomial decider, which needs the log table: fail before
+        # enumerating rather than at the first such coset.
+        ctx._require_tables("log table")
     scanned, filtered, filtered_reps, candidates = _enumerate(job)
 
     cached: dict[int, tuple[int, bool, list[str]]] = {}
@@ -280,11 +287,14 @@ def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]]) -> dict
 
 def _gather_verdicts(
     ctx: FieldCtx, d: int, want_report: bool, long_running: bool = False
-) -> tuple[GapnReport | None, dict[str, bool]]:
-    """Run every decider that applies to (ctx, d); outcomes must agree."""
+) -> tuple[GapnReport, dict[str, bool]]:
+    """Run every decider that applies to (ctx, d); outcomes must agree.
+
+    The report is the full spectrum when brute force runs, else the
+    single-direction one.
+    """
     p, n = ctx.p, ctx.n
     verdicts: dict[str, bool] = {}
-    report = None
     full_ok = ctx.order <= SOFT_ORDER_BUDGET or long_running
     if full_ok:
         report = differential_spectrum(
@@ -293,17 +303,15 @@ def _gather_verdicts(
         verdicts["brute-force"] = report.is_gapn
     fast = monomial_gapn_fast(ctx, d)
     verdicts["monomial-fast"] = fast.is_gapn
-    if report is None:
+    if not full_ok:
         report = fast
     if p_weight(d, p) == p:
-        dn = normalize_weight_p(d, p)
-        verdicts["criterion"] = criterion_gapn(dn, p, n).is_gapn
-        verdicts["circulant-rank"] = circulant_rank(dn, p, n) == n - 1
-        verdicts["linearized-kernel"] = linearized_kernel_dim(ctx, dn) == 1
+        by_pair, names = _decide_weight_p(p, n, d)
+        verdicts.update(dict.fromkeys(names, by_pair))
+        verdicts["linearized-kernel"] = linearized_kernel_dim(ctx, normalize_weight_p(d, p)) == 1
     if len(set(verdicts.values())) != 1:
         raise DeciderDisagreement(f"deciders disagree on d={d}, p={p}, n={n}: {verdicts}")
-    if report is not None:
-        report.deciders_agreed = sorted(verdicts)
+    report.deciders_agreed = sorted(verdicts)
     return report, verdicts
 
 
@@ -313,10 +321,7 @@ def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> GapnR
     Above the soft order budget the full spectrum is skipped unless opted
     in; the report is then the extrapolated single-direction one.
     """
-    report, _ = _gather_verdicts(ctx, d, want_report=True, long_running=long_running)
-    if report is None:
-        raise AssertionError("no spectrum decider ran (impossible)")
-    return report
+    return _gather_verdicts(ctx, d, want_report=True, long_running=long_running)[0]
 
 
 def exact_verdict(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
@@ -430,39 +435,39 @@ def cache_store(
         fh.write(f"{prefix},{crc}\n")
 
 
-def cache_lookup(cache_dir, key: tuple[int, int, int]):
-    """(weight, verdict, deciders) for a cached coset, or None on a miss."""
-    p, n, rep = key
-    return _load_cache(cache_dir, p, n).get(rep)
-
-
 def _load_cache(cache_dir, p: int, n: int) -> dict[int, tuple[int, bool, list[str]]]:
     path = _cache_path(cache_dir, p, n)
     out: dict[int, tuple[int, bool, list[str]]] = {}
     if not path.exists():
         return out
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise CacheCorrupt(f"{path}:{lineno}: malformed record")
-            prefix = ",".join(parts[:7])
-            if str(zlib.crc32(prefix.encode("utf-8"))) != parts[7]:
-                raise CacheCorrupt(f"{path}:{lineno}: checksum mismatch")
-            try:
-                rec_p, rec_n, rep, weight, verdict = (int(x) for x in parts[:5])
-            except ValueError:
-                raise CacheCorrupt(f"{path}:{lineno}: non-integer field") from None
-            if (rec_p, rec_n) != (p, n):
-                raise CacheCorrupt(f"{path}:{lineno}: record for ({rec_p},{rec_n}) in ({p},{n}) cache")
-            if not 1 <= rep < p**n - 1 or coset_rep(rep, p, n) != rep:
-                raise CacheCorrupt(f"{path}:{lineno}: {rep} is not a coset representative")
-            if weight != p_weight(rep, p):
-                raise CacheCorrupt(f"{path}:{lineno}: weight {weight} is not the weight of {rep}")
-            out[rep] = (weight, bool(verdict), parts[5].split("+"))
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        # A torn append: drop the unterminated last line from the file, so
+        # the next append starts a fresh line.
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    for lineno, line in enumerate(data[:end].decode("utf-8").split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise CacheCorrupt(f"{path}:{lineno}: malformed record")
+        prefix = ",".join(parts[:7])
+        if str(zlib.crc32(prefix.encode("utf-8"))) != parts[7]:
+            raise CacheCorrupt(f"{path}:{lineno}: checksum mismatch")
+        try:
+            rec_p, rec_n, rep, weight, verdict = (int(x) for x in parts[:5])
+        except ValueError:
+            raise CacheCorrupt(f"{path}:{lineno}: non-integer field") from None
+        if (rec_p, rec_n) != (p, n):
+            raise CacheCorrupt(f"{path}:{lineno}: record for ({rec_p},{rec_n}) in ({p},{n}) cache")
+        if not 1 <= rep < p**n - 1 or coset_rep(rep, p, n) != rep:
+            raise CacheCorrupt(f"{path}:{lineno}: {rep} is not a coset representative")
+        if weight != p_weight(rep, p):
+            raise CacheCorrupt(f"{path}:{lineno}: weight {weight} is not the weight of {rep}")
+        out[rep] = (weight, bool(verdict), parts[5].split("+"))
     return out
 
 
@@ -474,7 +479,6 @@ __all__ = [
     "SearchResult",
     "SOFT_ORDER_BUDGET",
     "analyze_exponent",
-    "cache_lookup",
     "cache_store",
     "exact_verdict",
     "run_search",

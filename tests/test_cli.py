@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gapnkit import __version__, make_field, monomial_table
+from gapnkit import __version__, make_field, monomial_table, search
 from gapnkit.cli import main
 from gapnkit.gapn import save_table_csv, save_table_raw
 
@@ -423,6 +423,26 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "OrderTooLarge"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conjecture", "-p", "3", "-n", "16", "--long-running"],
+            ["search", "-p", "2", "-n", "25", "--long-running"],
+        ],
+    )
+    def test_scans_above_cap_fail_before_enumerating(self, capsys, monkeypatch, argv):
+        def refuse(p, n):
+            raise RuntimeError("cosets enumerated before the table gate")
+
+        monkeypatch.setattr(search, "coset_reps", refuse)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "OrderTooLarge",
+            "message": "log table requested for an order above 2**24",
+        }
 
     def test_long_running_unlocks_n8(self, capsys):
         code, out, _ = run_cli(capsys, ["conjecture", "-p", "3", "-n", "8", "--long-running"])

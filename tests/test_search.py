@@ -14,7 +14,6 @@ from gapnkit import (
     SearchJob,
     __version__,
     analyze_exponent,
-    cache_lookup,
     cache_store,
     coset_members,
     coset_rep,
@@ -405,14 +404,14 @@ class TestEnumeration:
 class TestCache:
     def test_store_lookup_roundtrip(self, tmp_path):
         cache_store(tmp_path, (3, 4, 5), 3, True, ["criterion", "circulant-rank"])
-        assert cache_lookup(tmp_path, (3, 4, 5)) == (
+        assert search._load_cache(tmp_path, 3, 4).get(5) == (
             3,
             True,
             ["criterion", "circulant-rank"],
         )
 
     def test_empty_cache_misses(self, tmp_path):
-        assert cache_lookup(tmp_path, (3, 4, 5)) is None
+        assert search._load_cache(tmp_path, 3, 4).get(5) is None
 
     def test_record_format(self, tmp_path):
         cache_store(tmp_path, (3, 4, 5), 3, True, ["criterion", "circulant-rank"])
@@ -441,8 +440,8 @@ class TestCache:
 
     def test_filtered_reps_never_stored(self, tmp_path):
         run_search(SearchJob(3, 4, cache_dir=str(tmp_path)))
-        assert cache_lookup(tmp_path, (3, 4, 2)) is None
-        assert cache_lookup(tmp_path, (3, 4, 11)) == (
+        assert search._load_cache(tmp_path, 3, 4).get(2) is None
+        assert search._load_cache(tmp_path, 3, 4).get(11) == (
             3,
             False,
             ["criterion", "circulant-rank"],
@@ -460,7 +459,7 @@ class TestCache:
         path = tmp_path / "gapn_3_4.csv"
         path.write_text("3,4,5,3,1,criterion\n")
         with pytest.raises(CacheCorrupt):
-            cache_lookup(tmp_path, (3, 4, 5))
+            search._load_cache(tmp_path, 3, 4)
 
     @pytest.mark.parametrize(
         "record,reason",
@@ -478,7 +477,7 @@ class TestCache:
         path = tmp_path / "gapn_3_4.csv"
         path.write_text(f"{prefix},{crc}\n")
         with pytest.raises(CacheCorrupt, match=f":1: .*{reason}"):
-            cache_lookup(tmp_path, (3, 4, 5))
+            search._load_cache(tmp_path, 3, 4)
 
     def test_foreign_record_raises(self, tmp_path):
         # A (3,5) record smuggled into the (3,4) file fails loudly even with
@@ -488,7 +487,7 @@ class TestCache:
         path = tmp_path / "gapn_3_4.csv"
         path.write_text(f"{prefix},{crc}\n")
         with pytest.raises(CacheCorrupt):
-            cache_lookup(tmp_path, (3, 4, 5))
+            search._load_cache(tmp_path, 3, 4)
 
     _FIELDS = [(2, 3), (2, 5), (3, 2), (3, 4), (5, 2), (7, 2)]
     _DECIDERS = ["brute-force", "monomial-fast", "criterion", "circulant-rank", "linearized-kernel"]
@@ -526,6 +525,22 @@ class TestCache:
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(CacheCorrupt, match=f":{row + 1}: "):
                 search._load_cache(tmp, p, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from([(2, 5), (3, 4), (3, 5), (5, 2)]), data=st.data())
+    def test_torn_last_record_resumes(self, field, data):
+        # A scan killed mid-append leaves a proper prefix of its last record.
+        p, n = field
+        with tempfile.TemporaryDirectory() as tmp:
+            job = SearchJob(p, n, cache_dir=tmp)
+            reference = _frozen(run_search(job))
+            path = search._cache_path(tmp, p, n)
+            whole = path.read_bytes()
+            last = whole.rstrip(b"\n").rfind(b"\n") + 1
+            cut = data.draw(st.integers(last, len(whole) - 1))
+            path.write_bytes(whole[:cut])
+            assert _frozen(run_search(job)) == reference
+            assert path.read_bytes() == whole
 
     @staticmethod
     def _brute_calls(monkeypatch, real, die_at=None):
