@@ -21,6 +21,7 @@ import functools
 import numpy as np
 
 from .errors import DivisionByZero, NotIrreducible, NotPrime, OrderTooLarge
+from .monomial import digits_of
 from .numtheory import factorint, is_prime
 from .polyfp import PolyFp, is_irreducible
 
@@ -43,21 +44,15 @@ def _lane_layout(p: int) -> tuple[int, int]:
 def find_irreducible(p: int, n: int) -> PolyFp:
     """The canonical modulus for F_(p^n): the monic irreducible of degree n
     whose coefficient vector (c_(n-1), ..., c_0) is lexicographically
-    smallest.  Enumerating the non-leading coefficients as a base-p counter
-    visits candidates in exactly that order.  Cached per (p, n): the walk
-    is pure Python and PolyFp is immutable."""
+    smallest.  Counting k up and taking its base-p digits as the
+    non-leading coefficients visits candidates in exactly that order.
+    Cached per (p, n): the walk is pure Python and PolyFp is immutable."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError("degree must be at least 1")
     for k in range(p**n):
-        coeffs = []
-        kk = k
-        for _ in range(n):
-            coeffs.append(kk % p)
-            kk //= p
-        coeffs.append(1)
-        f = PolyFp(p, coeffs)
+        f = PolyFp(p, digits_of(k, p, n) + (1,))
         if is_irreducible(f):
             return f
     raise AssertionError("no irreducible of the requested degree (impossible)")
@@ -118,14 +113,6 @@ class FieldCtx:
 
     # ---- encoding ----------------------------------------------------
 
-    def _digits_of_int(self, a: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.n):
-            out.append(a % p)
-            a //= p
-        return out
-
     def _int_of_digits(self, digits) -> int:
         p = self.p
         v = 0
@@ -144,7 +131,7 @@ class FieldCtx:
     def coeffs_of(self, a: int) -> tuple[int, ...]:
         """Unpack an index into its coefficient vector (c_0, ..., c_(n-1))."""
         self._check_element(a)
-        return tuple(self._digits_of_int(a))
+        return digits_of(a, self.p, self.n)
 
     def _check_element(self, a: int) -> None:
         if not 0 <= a < self.order:
@@ -155,26 +142,21 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         self._check_element(a)
         self._check_element(b)
-        p = self.p
-        if p == 2:
-            return a ^ b
-        da, db = self._digits_of_int(a), self._digits_of_int(b)
+        p, n = self.p, self.n
+        da, db = digits_of(a, p, n), digits_of(b, p, n)
         return self._int_of_digits([(x + y) % p for x, y in zip(da, db)])
 
     def neg(self, a: int) -> int:
         self._check_element(a)
-        if self.p == 2:
-            return a
-        return self._int_of_digits([-x % self.p for x in self._digits_of_int(a)])
+        p = self.p
+        return self._int_of_digits([-x % p for x in digits_of(a, p, self.n)])
 
     def _mul_reduce(self, a: int, b: int) -> int:
         """Schoolbook product of coefficient vectors reduced by the modulus.
         Table-free; this is also what builds the tables."""
         p, n = self.p, self.n
-        if n == 1:
-            return a * b % p
-        da = self._digits_of_int(a)
-        db = self._digits_of_int(b)
+        da = digits_of(a, p, n)
+        db = digits_of(b, p, n)
         prod = [0] * (2 * n - 1)
         for i, ca in enumerate(da):
             if ca:
@@ -207,9 +189,6 @@ class FieldCtx:
         self._check_element(a)
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self.log_table is not None:
-            group = self.order - 1
-            return int(self.antilog_table[-int(self.log_table[a]) % group])
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -276,7 +255,7 @@ class FieldCtx:
             raise AssertionError("no primitive element found (impossible)")
         # Row s is the digit vector of x**s * g: digits(a) @ mul_g = digits(a * g).
         mul_g = np.array(
-            [self._digits_of_int(self._mul_reduce(p**s, gen)) for s in range(n)],
+            [digits_of(self._mul_reduce(p**s, gen), p, n) for s in range(n)],
             dtype=np.int64,
         )
         antilog = np.empty(group, dtype=np.int64)

@@ -305,8 +305,15 @@ def save_table_raw(table: FnTable, path) -> None:
 
 
 def load_table_raw(ctx: FieldCtx, path) -> FnTable:
-    vals = np.fromfile(path, dtype=RAW_DTYPE)
-    if vals.shape != (ctx.order,):
+    """Read a save_table_raw file: exactly p**n entries, no stray bytes."""
+    ctx._require_tables("value table")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    entry = np.dtype(RAW_DTYPE).itemsize
+    if len(data) % entry:
+        raise ValueError(f"raw table is {len(data)} bytes, not whole {entry}-byte entries")
+    vals = np.frombuffer(data, dtype=RAW_DTYPE)
+    if vals.size != ctx.order:
         raise ValueError(f"raw table has {vals.size} entries, field needs {ctx.order}")
     return FnTable(ctx, vals.astype(np.int64))
 
@@ -325,8 +332,9 @@ def load_table_csv(ctx: FieldCtx, path) -> FnTable:
 
     A header row (first field "x") and blank lines are skipped; any other
     row that is not two integers in [0, p**n), or repeats an x, raises
-    ValueError naming its line.
+    ValueError naming its line.  OrderTooLarge comes before any allocation.
     """
+    ctx._require_tables("value table")
     values = np.full(ctx.order, -1, dtype=np.int64)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenCharacteristic, NotNormalized, WrongWeight
-from .numtheory import primes
+from .errors import EvenCharacteristic, NotNormalized, NotPrime, WrongWeight
+from .numtheory import is_prime, primes
 from .polyfp import PolyFp, factorize, poly_gcd, root_order
 
 
@@ -38,6 +38,8 @@ def digits_of(d: int, p: int, n: int | None = None) -> tuple[int, ...]:
     With n given the result has exactly n entries and d must fit; without
     it the intrinsic digits are returned (empty tuple for d = 0).
     """
+    if p < 2:
+        raise ValueError(f"base {p} is below 2")
     if d < 0:
         raise ValueError("negative exponent")
     out = []
@@ -57,17 +59,20 @@ def p_weight(d: int, p: int) -> int:
     return sum(digits_of(d, p))
 
 
-def coset_rep(d: int, p: int, n: int) -> int:
-    """Smallest member of the cyclotomic coset {d * p**k mod (p**n - 1)}."""
+def _coset_walk(d: int, p: int, n: int) -> list[int]:
+    """d * p**k mod (p**n - 1) for k = 0..n-1, repeats included."""
     modulus = p**n - 1
     if not 1 <= d < modulus:
         raise ValueError(f"exponent {d} outside [1, {modulus})")
-    best = cur = d
+    walk = [d]
     for _ in range(n - 1):
-        cur = cur * p % modulus
-        if cur < best:
-            best = cur
-    return best
+        walk.append(walk[-1] * p % modulus)
+    return walk
+
+
+def coset_rep(d: int, p: int, n: int) -> int:
+    """Smallest member of the cyclotomic coset {d * p**k mod (p**n - 1)}."""
+    return min(_coset_walk(d, p, n))
 
 
 _SCAN_CHUNK = 1 << 15  # exponents per numpy pass; bounds the temporaries
@@ -105,15 +110,7 @@ def coset_reps(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def coset_members(d: int, p: int, n: int) -> tuple[int, ...]:
     """All members of the cyclotomic coset of d, sorted."""
-    modulus = p**n - 1
-    if not 1 <= d < modulus:
-        raise ValueError(f"exponent {d} outside [1, {modulus})")
-    seen = {d}
-    cur = d
-    for _ in range(n - 1):
-        cur = cur * p % modulus
-        seen.add(cur)
-    return tuple(sorted(seen))
+    return tuple(sorted(set(_coset_walk(d, p, n))))
 
 
 def normalize_weight_p(d: int, p: int) -> int:
@@ -132,8 +129,10 @@ def normalize_weight_p(d: int, p: int) -> int:
 
 
 def _weight_p_digits(d: int, p: int, n: int | None = None) -> tuple[int, ...]:
-    """digits_of(d, p, n) for a normalized weight-p exponent: digit sum
-    exactly p and a nonzero constant digit."""
+    """digits_of(d, p, n) for a prime p and a normalized weight-p
+    exponent: digit sum exactly p and a nonzero constant digit."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     digs = digits_of(d, p, n)
     w = sum(digs)
     if w != p:
@@ -179,6 +178,18 @@ class CriterionReport:
         }
 
 
+def _x_pow_mod(n: int, mod: PolyFp) -> PolyFp:
+    """x**n reduced modulo mod, of degree at least 1, in O(log n) steps by
+    square-and-shift: x**(2k + 1) = x * (x**k)**2, and multiplying by x is
+    a shift and one reduction step, not a full product.  Below
+    3 * deg(mod), reducing x**n in one division costs less than squaring."""
+    if n < 3 * mod.degree:
+        return PolyFp.x_pow(mod.p, n) % mod
+    r = _x_pow_mod(n >> 1, mod)
+    r = r * r % mod
+    return r.shift(1) % mod if n & 1 else r
+
+
 def criterion_gapn(d: int, p: int, n: int) -> CriterionReport:
     """Decide GAPN for a normalized weight-p exponent on F_(p^n).
 
@@ -188,13 +199,13 @@ def criterion_gapn(d: int, p: int, n: int) -> CriterionReport:
 
     Digits are taken from d itself, so d may exceed p**n; the gcd against
     x**n - 1 folds digit positions modulo n exactly as x**(p**s) collapses
-    to x**(p**(s mod n)) on the field.
+    to x**(p**(s mod n)) on the field.  That gcd is taken as
+    gcd(C, (x**n mod C) - 1), so its cost grows with log n, not n.
     """
     if d < 1:
         raise ValueError(f"exponent {d} must be positive")
     digit_poly = digit_polynomial(d, p)
-    xn1 = PolyFp.x_pow(p, n) - PolyFp.one(p)
-    g = poly_gcd(digit_poly, xn1)
+    g = poly_gcd(digit_poly, _x_pow_mod(n, digit_poly) - PolyFp.one(p))
     x_minus_1 = PolyFp(p, (-1, 1))
     offending = []
     for factor, mult in factorize(g).factors:
@@ -341,17 +352,15 @@ def welch_exponent(p: int, n: int) -> tuple[int, bool]:
 
 def max_degree_family(p: int, n: int) -> list[int]:
     """The exponents p**n - p**j - 1 for j = 0..n-1, all of digit sum
-    n*(p-1) - 1, the largest possible for a GAPN power map.  j = 0 gives
-    p**n - 2, the inverse exponent.  Odd characteristic only."""
+    n*(p-1) - 1, the largest possible for a GAPN power map: every digit of
+    p**n - 1 is p - 1, so subtracting p**j lowers digit j to p - 2 with no
+    borrow.  j = 0 gives p**n - 2, the inverse exponent.  Odd
+    characteristic only."""
     if p == 2:
         raise EvenCharacteristic("this family needs odd characteristic")
     if n < 1:
         raise ValueError("need n >= 1")
-    out = [p**n - p**j - 1 for j in range(n)]
-    for d in out:
-        if p_weight(d, p) != n * (p - 1) - 1:
-            raise AssertionError(f"max-degree exponent {d} has the wrong weight")
-    return out
+    return [p**n - p**j - 1 for j in range(n)]
 
 
 def classical_families(p: int, n: int) -> list[tuple[str, int, int, bool]]:

@@ -205,9 +205,10 @@ def run_search(job: SearchJob) -> SearchResult:
     cached: dict[int, tuple[int, bool, list[str]]] = {}
     if job.cache_dir is not None:
         cached = _load_cache(job.cache_dir, p, n)
-    todo = [c for c in candidates if c[0] not in cached]
-
-    results: dict[int, tuple[int, bool, list[str]]] = {}
+    # Only this run's candidates: the cache may hold cosets that another
+    # mode or filter setting decided and this run leaves out.
+    results = {rep: cached[rep] for rep, _, _ in candidates if rep in cached}
+    todo = [c for c in candidates if c[0] not in results]
 
     def record(rep: int, w: int, verdict: bool, deciders: list[str]) -> None:
         # Stored as it arrives, so a killed scan resumes from what it finished.
@@ -223,7 +224,6 @@ def run_search(job: SearchJob) -> SearchResult:
     else:
         for candidate in todo:
             record(*_decide_candidate(candidate, ctx))
-    results.update(cached)
 
     gapn_cosets = [
         _coset_entry(rep, p, n, w, deciders)
@@ -287,11 +287,11 @@ def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]]) -> dict
 
 def _gather_verdicts(
     ctx: FieldCtx, d: int, want_report: bool, long_running: bool = False
-) -> tuple[GapnReport, dict[str, bool]]:
+) -> GapnReport:
     """Run every decider that applies to (ctx, d); outcomes must agree.
 
     The report is the full spectrum when brute force runs, else the
-    single-direction one.
+    single-direction one; deciders_agreed names every decider that ran.
     """
     p, n = ctx.p, ctx.n
     verdicts: dict[str, bool] = {}
@@ -312,7 +312,7 @@ def _gather_verdicts(
     if len(set(verdicts.values())) != 1:
         raise DeciderDisagreement(f"deciders disagree on d={d}, p={p}, n={n}: {verdicts}")
     report.deciders_agreed = sorted(verdicts)
-    return report, verdicts
+    return report
 
 
 def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> GapnReport:
@@ -321,13 +321,13 @@ def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> GapnR
     Above the soft order budget the full spectrum is skipped unless opted
     in; the report is then the extrapolated single-direction one.
     """
-    return _gather_verdicts(ctx, d, want_report=True, long_running=long_running)[0]
+    return _gather_verdicts(ctx, d, want_report=True, long_running=long_running)
 
 
 def exact_verdict(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
     """Verdict for one exponent by all applicable deciders (must agree)."""
-    _, verdicts = _gather_verdicts(ctx, d, want_report=False)
-    return next(iter(verdicts.values())), sorted(verdicts)
+    report = _gather_verdicts(ctx, d, want_report=False)
+    return report.is_gapn, report.deciders_agreed
 
 
 @dataclass

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,6 +384,35 @@ class TestErrorHandling:
         payload = json.loads(err)
         assert payload["error"] == "NotPrime"
         assert "4" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["criterion", "-p", "1", "-n", "2", "-d", "1"],
+            ["criterion", "-p", "4", "-n", "3", "-d", "7"],
+            ["criterion", "-p", "9", "-n", "2", "-d", "17"],
+            ["profile", "-p", "1", "-d", "1"],
+            ["profile", "-p", "4", "-d", "7"],
+            ["profile", "-p", "9", "-d", "17"],
+        ],
+    )
+    def test_weight_p_commands_need_prime_p(self, argv):
+        # In a subprocess with a timeout and a 400 MB address-space cap:
+        # p = 1 once looped in digits_of until memory ran out.
+        import resource
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapnkit.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert set(json.loads(proc.stderr)) == {"error", "message"}
 
     def test_exponent_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, ["test", "-p", "3", "-n", "2", "-d", "9"])

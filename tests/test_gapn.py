@@ -450,6 +450,32 @@ class TestTableIO:
         with pytest.raises(ValueError):
             load_table_raw(ctx27, path)
 
+    def test_raw_whole_entries_count_named(self, field, tmp_path):
+        path = tmp_path / "t.bin"
+        save_table_raw(monomial_table(field(3, 2), 5), path)
+        with pytest.raises(ValueError, match="raw table has 9 entries, field needs 27"):
+            load_table_raw(field(3, 3), path)
+
+    def test_raw_stray_bytes_rejected(self, field, tmp_path):
+        # 9 whole entries and 3 stray bytes: the partial entry must not be
+        # dropped without a word.
+        ctx = field(3, 2)
+        path = tmp_path / "t.bin"
+        save_table_raw(monomial_table(ctx, 5), path)
+        with open(path, "ab") as fh:
+            fh.write(b"abc")
+        with pytest.raises(ValueError, match="75 bytes"):
+            load_table_raw(ctx, path)
+
+    @pytest.mark.parametrize("load", [load_table_csv, load_table_raw])
+    def test_loaders_refuse_above_table_cap(self, tmp_path, load):
+        # Before the gate, load_table_csv allocated p**n entries (8 TiB here).
+        ctx = make_field(2, 40)
+        path = tmp_path / "t"
+        path.write_text("x,f(x)\n0,0\n")
+        with pytest.raises(OrderTooLarge):
+            load(ctx, path)
+
     def test_csv_round_trip(self, field, tmp_path):
         ctx = field(3, 2)
         t = monomial_table(ctx, 5)

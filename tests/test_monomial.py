@@ -8,6 +8,7 @@ from gapnkit import (
     EvenCharacteristic,
     ExceptionalProfile,
     NotNormalized,
+    NotPrime,
     PolyFp,
     WrongWeight,
     circulant_rank,
@@ -31,6 +32,7 @@ from gapnkit import (
     welch_exponent,
 )
 from gapnkit.monomial import rank_mod_p
+from gapnkit.polyfp import factorize, poly_gcd
 
 
 def _normalized_weight_p_exponents(p, n):
@@ -51,6 +53,13 @@ class TestDigits:
     def test_digits_overflow_rejected(self):
         with pytest.raises(ValueError):
             digits_of(11, 3, 2)
+
+    @pytest.mark.parametrize("base", [0, -2])
+    def test_base_below_two_rejected(self, base):
+        # Base 1 is covered by the CLI tests, in a subprocess: before this
+        # check it looped until memory ran out, since 1 // 1 == 1.
+        with pytest.raises(ValueError, match="below 2"):
+            digits_of(1, base)
 
     def test_weight_examples(self):
         assert p_weight(5, 3) == 3
@@ -178,6 +187,46 @@ class TestCriterion:
             criterion_gapn(15, 3, 3)
         with pytest.raises(ValueError):
             criterion_gapn(0, 3, 2)
+
+    @pytest.mark.parametrize("d,p", [(7, 4), (17, 9)])
+    def test_non_prime_p_rejected(self, d, p):
+        # 7 = 13_4 and 17 = 18_9 have digit sum p, but p is not prime.
+        with pytest.raises(NotPrime):
+            criterion_gapn(d, p, 2)
+        with pytest.raises(NotPrime):
+            circulant_rank(d, p, 2)
+        with pytest.raises(NotPrime):
+            exceptional_profile(d, p)
+
+    @pytest.mark.parametrize("p,n", [(2, 7), (3, 5), (5, 3), (7, 2)])
+    def test_matches_gcd_with_full_x_n_minus_1(self, p, n):
+        # Reference: gcd(C, x**n - 1) with x**n - 1 built in full.  Every
+        # normalized weight-p exponent of F_(p^n), in dimensions 1..2n so
+        # that p divides some of them.
+        x_minus_1 = PolyFp(p, (-1, 1))
+        for d in _normalized_weight_p_exponents(p, n):
+            c = PolyFp(p, digits_of(d, p))
+            for m in range(1, 2 * n + 1):
+                g = poly_gcd(c, PolyFp.x_pow(p, m) - PolyFp.one(p))
+                offending = []
+                for f, k in factorize(g).factors:
+                    k -= f == x_minus_1
+                    if k:
+                        offending.append((f, k))
+                report = criterion_gapn(d, p, m)
+                assert report.gcd == g, (d, m)
+                assert list(report.offending_factors) == offending, (d, m)
+                assert report.is_gapn == (not offending)
+
+    def test_cost_grows_with_log_n(self):
+        # x**n - 1 is never built: 10**18 would not fit in memory.
+        for n in (10**18, 10**9):
+            t0 = time.perf_counter()
+            report = criterion_gapn(5, 3, n)
+            assert time.perf_counter() - t0 < 1.0
+            assert report.is_gapn
+            assert report.gcd.coeffs == (2, 1)
+        assert not criterion_gapn(11, 3, 10**9).is_gapn  # 2 | n: x + 1 divides both
 
     def test_report_serialization(self):
         doc = criterion_gapn(11, 3, 2).to_dict()

@@ -438,6 +438,23 @@ class TestCache:
         rerun = run_search(SearchJob(3, 4, cache_dir=str(tmp_path)))
         assert _frozen(plain) == _frozen(warm) == _frozen(rerun)
 
+    def test_shared_cache_across_modes(self, tmp_path):
+        # Each run takes from a shared cache only the verdicts of its own
+        # candidates: the exhaustive runs store cosets outside the
+        # conjecture band and outside weight p, and cosets the default
+        # filters drop.
+        runs = [
+            SearchJob(3, 6, filters=SearchFilters(False, False)),
+            SearchJob(3, 6),
+            SearchJob(3, 6, mode="conjecture"),
+            SearchJob(3, 6, mode="weight-p-only"),
+            SearchJob(3, 6, mode="conjecture", filters=SearchFilters(False, False)),
+        ]
+        plain = [_frozen(run_search(job)) for job in runs]
+        for job in runs:
+            job.cache_dir = str(tmp_path)
+        assert [_frozen(run_search(job)) for job in runs] == plain
+
     def test_filtered_reps_never_stored(self, tmp_path):
         run_search(SearchJob(3, 4, cache_dir=str(tmp_path)))
         assert search._load_cache(tmp_path, 3, 4).get(2) is None
