@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import __version__
@@ -150,10 +151,13 @@ def _cmd_families(args):
 
 
 def _budget_gate(args, limit: int = SOFT_ORDER_BUDGET) -> None:
-    order = args.p**args.n
-    if order > limit and not args.long_running:
+    if args.long_running:
+        return
+    # For p >= 2, an n of limit's bit length or more is above the limit
+    # without forming p**n.
+    if (args.p > 1 and args.n >= limit.bit_length()) or args.p**args.n > limit:
         raise BudgetExceeded(
-            f"order {order} exceeds the soft budget {limit}; pass --long-running to proceed"
+            f"order {args.p}**{args.n} exceeds the soft budget {limit}; pass --long-running to proceed"
         )
 
 
@@ -349,18 +353,22 @@ def _emit(args, doc, lines, csv_part) -> None:
         writer.writerows(rows)
     else:
         print("\n".join(lines))
+    sys.stdout.flush()  # a closed reader fails here, inside main's handler
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, lines, csv_part = args.func(args)
+        _emit(args, *args.func(args))
     except (GapnkitError, ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone: send what is left of stdout nowhere, so
+            # the interpreter's final flush does not fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1
-    _emit(args, doc, lines, csv_part)
     return 0
 
 

@@ -80,9 +80,10 @@ class FieldCtx:
             raise NotPrime(f"{p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be at least 1")
+        # p >= 2, so n > 48 is above the cap without forming p**n.
+        if n > 48 or p**n > ORDER_CAP:
+            raise OrderTooLarge(f"{p}**{n} exceeds the cap 2**48")
         order = p**n
-        if order > ORDER_CAP:
-            raise OrderTooLarge(f"p**n = {order} exceeds the cap 2**48")
         if modulus is None:
             modulus = find_irreducible(p, n)
         else:

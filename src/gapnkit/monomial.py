@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EvenCharacteristic, NotNormalized, NotPrime, WrongWeight
 from .numtheory import is_prime, primes
-from .polyfp import PolyFp, factorize, poly_gcd, root_order
+from .polyfp import PolyFp, factorize, poly_gcd, root_order, x_pow_mod
 
 
 def digits_of(d: int, p: int, n: int | None = None) -> tuple[int, ...]:
@@ -178,18 +178,6 @@ class CriterionReport:
         }
 
 
-def _x_pow_mod(n: int, mod: PolyFp) -> PolyFp:
-    """x**n reduced modulo mod, of degree at least 1, in O(log n) steps by
-    square-and-shift: x**(2k + 1) = x * (x**k)**2, and multiplying by x is
-    a shift and one reduction step, not a full product.  Below
-    3 * deg(mod), reducing x**n in one division costs less than squaring."""
-    if n < 3 * mod.degree:
-        return PolyFp.x_pow(mod.p, n) % mod
-    r = _x_pow_mod(n >> 1, mod)
-    r = r * r % mod
-    return r.shift(1) % mod if n & 1 else r
-
-
 def criterion_gapn(d: int, p: int, n: int) -> CriterionReport:
     """Decide GAPN for a normalized weight-p exponent on F_(p^n).
 
@@ -204,8 +192,10 @@ def criterion_gapn(d: int, p: int, n: int) -> CriterionReport:
     """
     if d < 1:
         raise ValueError(f"exponent {d} must be positive")
+    if n < 1:
+        raise ValueError("extension degree must be at least 1")
     digit_poly = digit_polynomial(d, p)
-    g = poly_gcd(digit_poly, _x_pow_mod(n, digit_poly) - PolyFp.one(p))
+    g = poly_gcd(digit_poly, x_pow_mod(n, digit_poly) - PolyFp.one(p))
     x_minus_1 = PolyFp(p, (-1, 1))
     offending = []
     for factor, mult in factorize(g).factors:
@@ -252,6 +242,14 @@ def circulant_rank(d: int, p: int, n: int) -> int:
     return rank_mod_p(m, p)
 
 
+def _gapn_in_dimension(n: int, p: int, root_orders: tuple[int, ...], unit_root_multiplicity: int) -> bool:
+    """The dimension rule of a profile: no root order divides n, and p does
+    not divide n unless 1 is a simple root."""
+    if any(n % m == 0 for m in root_orders):
+        return False
+    return unit_root_multiplicity == 1 or n % p != 0
+
+
 @dataclass(frozen=True)
 class ExceptionalProfile:
     """Dimension-independent GAPN data for a normalized weight-p exponent.
@@ -282,9 +280,7 @@ class ExceptionalProfile:
         return self._predicts_fitting(n)
 
     def _predicts_fitting(self, n: int) -> bool:
-        if any(n % m == 0 for m in self.root_orders):
-            return False
-        return self.unit_root_multiplicity == 1 or n % self.p != 0
+        return _gapn_in_dimension(n, self.p, self.root_orders, self.unit_root_multiplicity)
 
     def gapn_dimensions(self, n_max: int) -> list[int]:
         # Every n >= min_n fits, so the bigint p**n check is skipped.
@@ -320,27 +316,17 @@ def exceptional_profile(d: int, p: int) -> ExceptionalProfile:
         raise AssertionError("the digit polynomial always vanishes at 1")
     root_orders = tuple(sorted(orders))
     n = len(digs)
-    while any(n % m == 0 for m in root_orders) or (unit_mult > 1 and n % p == 0):
+    while not _gapn_in_dimension(n, p, root_orders, unit_mult):
         n += 1
     return ExceptionalProfile(d, p, root_orders, unit_mult, n)
 
 
 def extension_prime(profile: ExceptionalProfile, n: int) -> int:
-    """Smallest prime q such that GAPN on F_(p^n) extends to F_(p^(q*n)).
-
-    q must be coprime to every root order (so no order divides q*n) and,
-    when the root 1 is multiple, different from p (so p does not divide
-    q*n either).
-    """
+    """Smallest prime q such that GAPN on F_(p^n) extends to F_(p^(q*n)):
+    the first prime at which the profile predicts GAPN in dimension q*n."""
     if not profile.predicts_gapn(n):
         raise ValueError(f"profile of {profile.d} does not predict GAPN in dimension {n}")
-    for q in primes():
-        if any(m % q == 0 for m in profile.root_orders):
-            continue
-        if profile.unit_root_multiplicity > 1 and q == profile.p:
-            continue
-        return q
-    raise AssertionError("unreachable")
+    return next(q for q in primes() if profile.predicts_gapn(q * n))
 
 
 def welch_exponent(p: int, n: int) -> tuple[int, bool]:

@@ -3,10 +3,11 @@
 Coefficients live in [0, p) and are stored lowest degree first with no
 trailing zeros, so the zero polynomial has an empty coefficient tuple and
 ``degree`` is -1 for it.  On top of the ring operations the module provides
-Rabin's irreducibility test, a full factorization pipeline (square-free
-split, distinct-degree split, then Cantor-Zassenhaus equal-degree split
-driven by a deterministically seeded random stream), and the multiplicative
-order of the root of an irreducible polynomial.
+a full factorization pipeline (square-free split, distinct-degree split,
+then Cantor-Zassenhaus equal-degree split driven by a deterministically
+seeded random stream), an irreducibility test that is the distinct-degree
+split itself, and the multiplicative order of the root of an irreducible
+polynomial.
 """
 
 from __future__ import annotations
@@ -202,33 +203,24 @@ def pow_mod(base: PolyFp, e: int, mod: PolyFp) -> PolyFp:
     return result
 
 
-def is_irreducible(f: PolyFp) -> bool:
-    """Rabin's irreducibility test.
-
-    f of degree n is irreducible over F_p iff x**(p**n) = x mod f and, for
-    every prime divisor q of n, gcd(x**(p**(n/q)) - x, f) = 1.
-    """
-    n = f.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    p = f.p
-    fm = f.monic()
-    x = PolyFp.x(p)
-    # x**(p**k) mod f by k successive p-th powers
-    frob_steps = [x]
-    u = x
-    for _ in range(n):
-        u = pow_mod(u, p, fm)
-        frob_steps.append(u)
-    if frob_steps[n] != x % fm:
-        return False
-    for q in factorint(n):
-        g = poly_gcd(fm, frob_steps[n // q] - x)
-        if not g.is_one:
-            return False
-    return True
+def x_pow_mod(k: int, mod: PolyFp) -> PolyFp:
+    """x**k reduced modulo mod, for k >= 0, in O(log k) steps by
+    square-and-shift: x**(2j + 1) = x * (x**j)**2, and multiplying by x is
+    a shift and one reduction step, not a full product.  Below
+    3 * deg(mod), reducing x**k in one division costs less than squaring,
+    so the walk starts from the top bits of k below that bound."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    bound = max(3 * mod.degree, 1)
+    s = 0
+    while k >> s >= bound:
+        s += 1
+    r = PolyFp.x_pow(mod.p, k >> s) % mod
+    for i in range(s - 1, -1, -1):
+        r = r * r % mod
+        if k >> i & 1:
+            r = r.shift(1) % mod
+    return r
 
 
 def _pth_root(f: PolyFp) -> PolyFp:
@@ -291,6 +283,17 @@ def _distinct_degree_parts(f: PolyFp) -> list[tuple[PolyFp, int]]:
     if f.degree > 0:
         out.append((f, f.degree))
     return out
+
+
+def is_irreducible(f: PolyFp) -> bool:
+    """Ben-Or's irreducibility test: f of degree n >= 1 is irreducible
+    over F_p iff gcd(f, x**(p**i) - x) = 1 for every i <= n/2, that is,
+    iff the distinct-degree split of f is f itself in degree n."""
+    n = f.degree
+    if n < 1:
+        return False
+    fm = f.monic()
+    return _distinct_degree_parts(fm) == [(fm, n)]
 
 
 def _random_poly(p: int, deg_below: int, rng: random.Random) -> PolyFp:
@@ -381,8 +384,7 @@ def root_order(h: PolyFp) -> int:
         raise ValueError("root_order needs a monic irreducible polynomial")
     n_group = p**m - 1
     e = n_group
-    x = PolyFp.x(p)
     for q in factorint(n_group):
-        while e % q == 0 and pow_mod(x, e // q, h).is_one:
+        while e % q == 0 and x_pow_mod(e // q, h).is_one:
             e //= q
     return e

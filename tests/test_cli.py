@@ -23,6 +23,24 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_cli_subprocess(argv, stdout=subprocess.PIPE, timeout=60):
+    """Run the CLI in a fresh interpreter with a timeout and a 400 MB
+    address-space cap, so a hang or a runaway allocation fails the test
+    instead of stalling the suite."""
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-m", "gapnkit.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout, env=env,
+        preexec_fn=cap_memory,
+    )
+
+
 def json_doc(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
@@ -397,22 +415,58 @@ class TestErrorHandling:
         ],
     )
     def test_weight_p_commands_need_prime_p(self, argv):
-        # In a subprocess with a timeout and a 400 MB address-space cap:
-        # p = 1 once looped in digits_of until memory ran out.
-        import resource
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-
-        path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "gapnkit.cli", *argv],
-            capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
-        )
+        # In a subprocess: p = 1 once looped in digits_of until memory ran out.
+        proc = run_cli_subprocess(argv)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert set(json.loads(proc.stderr)) == {"error", "message"}
+
+    @pytest.mark.parametrize(
+        "argv,error,order",
+        [
+            (["test", "-p", "3", "-n", "100000000", "-d", "5"], "OrderTooLarge", "3**100000000"),
+            (["search", "-p", "3", "-n", "100000000"], "BudgetExceeded", "3**100000000"),
+            (["conjecture", "-p", "3", "-n", "100000000"], "BudgetExceeded", "3**100000000"),
+            (["spectrum", "-p", "3", "-n", "100000000", "-d", "5"], "OrderTooLarge", "3**100000000"),
+            (["families", "-p", "3", "-n", "100000000"], "OrderTooLarge", "3**100000000"),
+            (["test", "-p", "3", "-n", "10000000", "-d", "5"], "OrderTooLarge", "3**10000000"),
+        ],
+    )
+    def test_huge_dimension_fails_fast(self, argv, error, order):
+        # In a subprocess: forming p**n for such n once hung these commands,
+        # or failed converting the number to text for the message.
+        proc = run_cli_subprocess(argv, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == error
+        assert payload["message"].startswith(order if error == "OrderTooLarge" else f"order {order} ")
+
+    def test_order_named_as_power_in_messages(self, capsys):
+        _, _, err = run_cli(capsys, ["search", "-p", "3", "-n", "8"])
+        assert json.loads(err)["message"] == (
+            "order 3**8 exceeds the soft budget 2187; pass --long-running to proceed"
+        )
+        _, _, err = run_cli(capsys, ["test", "-p", "2", "-n", "49", "-d", "3"])
+        assert json.loads(err) == {"error": "OrderTooLarge", "message": "2**49 exceeds the cap 2**48"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conjecture", "-p", "3", "-n", "6"],
+            ["profile", "-p", "3", "-d", "13", "--max-n", "100000", "--format", "json"],
+        ],
+    )
+    def test_closed_stdout(self, argv):
+        # The read end of stdout's pipe is closed before the CLI writes.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli_subprocess(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "BrokenPipeError"
 
     def test_exponent_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, ["test", "-p", "3", "-n", "2", "-d", "9"])

@@ -15,7 +15,7 @@ from gapnkit import (
 )
 
 
-# Naive irreducibility oracle, independent of the library's Rabin test:
+# Naive irreducibility oracle, independent of the library's irreducibility test:
 # multiply coefficient vectors directly and look for a proper factor.
 
 

@@ -32,6 +32,7 @@ from gapnkit import (
     welch_exponent,
 )
 from gapnkit.monomial import rank_mod_p
+from gapnkit.numtheory import is_prime
 from gapnkit.polyfp import factorize, poly_gcd
 
 
@@ -187,6 +188,12 @@ class TestCriterion:
             criterion_gapn(15, 3, 3)
         with pytest.raises(ValueError):
             criterion_gapn(0, 3, 2)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_dimension_below_one_rejected(self, n):
+        # There is no field F_(3^n) to give a verdict for.
+        with pytest.raises(ValueError, match="extension degree"):
+            criterion_gapn(5, 3, n)
 
     @pytest.mark.parametrize("d,p", [(7, 4), (17, 9)])
     def test_non_prime_p_rejected(self, d, p):
@@ -418,6 +425,30 @@ class TestExtensionPrime:
         profile = exceptional_profile(11, 3)
         with pytest.raises(ValueError):
             extension_prime(profile, 4)
+
+    def test_prime_dividing_a_root_order_can_be_smallest(self):
+        # The root order of 31 = 1011_3 is 8: 8 does not divide 2 * 5, so
+        # q = 2 works although it divides 8.
+        profile = exceptional_profile(31, 3)
+        assert profile.root_orders == (8,)
+        assert extension_prime(profile, 5) == 2
+        assert criterion_gapn(31, 3, 10).is_gapn
+
+    @pytest.mark.parametrize("p,n0", [(3, 5), (5, 3), (7, 3)])
+    def test_first_prime_where_the_criterion_holds(self, p, n0):
+        # Every normalized weight-p exponent of F_(p^n0) and every GAPN
+        # dimension n <= 12: the answer is the first prime q with GAPN at
+        # q * n, by the profile and by the criterion, which also rejects
+        # every smaller prime.
+        for d in _normalized_weight_p_exponents(p, n0):
+            profile = exceptional_profile(d, p)
+            for n in profile.gapn_dimensions(12):
+                q = extension_prime(profile, n)
+                smaller = [r for r in range(2, q) if is_prime(r)]
+                assert profile.predicts_gapn(q * n)
+                assert not any(profile.predicts_gapn(r * n) for r in smaller)
+                assert criterion_gapn(d, p, q * n).is_gapn, (d, n, q)
+                assert not any(criterion_gapn(d, p, r * n).is_gapn for r in smaller), (d, n, q)
 
 
 class TestFamilies:

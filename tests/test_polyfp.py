@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,11 +14,26 @@ from gapnkit import (
     poly_gcd,
     root_order,
 )
-from gapnkit.polyfp import is_irreducible, pow_mod
+from gapnkit.polyfp import is_irreducible, pow_mod, x_pow_mod
 
 
 def P(p, *coeffs):
     return PolyFp(p, coeffs)
+
+
+def _monic(p, deg):
+    """Every monic polynomial of degree deg over F_p."""
+    return [PolyFp(p, low + (1,)) for low in itertools.product(range(p), repeat=deg)]
+
+
+def _reducible_monic(p, max_deg):
+    """Every monic reducible polynomial of degree <= max_deg over F_p, by
+    definition: a product g * h of monic g and h of degree >= 1."""
+    out = set()
+    for i in range(1, max_deg // 2 + 1):
+        for j in range(i, max_deg - i + 1):
+            out.update(g * h for g in _monic(p, i) for h in _monic(p, j))
+    return out
 
 
 class TestConstruction:
@@ -159,6 +175,45 @@ class TestIrreducibility:
         for coeffs, expect in naive.items():
             assert is_irreducible(PolyFp(2, coeffs)) is expect
 
+    @pytest.mark.parametrize("p,max_deg", [(2, 6), (3, 6), (5, 4), (7, 4)])
+    def test_matches_definition_on_every_small_polynomial(self, p, max_deg):
+        # Monic and non-monic: f is irreducible iff deg f >= 1 and its
+        # monic multiple is no product of two monic factors of degree >= 1.
+        reducible = _reducible_monic(p, max_deg)
+        for deg in range(max_deg + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                for lc in range(1, p):
+                    f = PolyFp(p, low + (lc,))
+                    expect = deg >= 1 and f.monic() not in reducible
+                    assert is_irreducible(f) is expect, f
+
+    def test_square_needs_the_half_degree_step(self):
+        # (x^2 + 1)^2 over F_3 has no factor of degree 1, so only the
+        # step i = n/2 = 2 of the walk sees that it is reducible.
+        assert not is_irreducible(P(3, 1, 0, 1) * P(3, 1, 0, 1))
+
+
+class TestXPowMod:
+    @pytest.mark.parametrize("mod", [P(2, 1, 1, 0, 1), P(3, 1, 0, 1), P(5, 2, 3, 0, 4, 1), P(7, 3, 1)])
+    def test_matches_plain_reduction(self, mod):
+        for k in range(200):
+            assert x_pow_mod(k, mod) == PolyFp.x_pow(mod.p, k) % mod
+
+    def test_large_exponents_match_pow_mod(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            p = rng.choice([2, 3, 5, 7])
+            mod = PolyFp(p, [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [1])
+            k = rng.randrange(10**12)
+            assert x_pow_mod(k, mod) == pow_mod(P(p, 0, 1), k, mod)
+
+    def test_constant_modulus(self):
+        assert x_pow_mod(10**6, P(3, 2)).is_zero
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            x_pow_mod(-1, P(3, 1, 0, 1))
+
 
 class TestFactorize:
     def test_difference_of_squares(self):
@@ -262,6 +317,20 @@ class TestRootOrder:
             acc = ctx.mul(acc, x)
             order += 1
         assert order == root_order(P(3, 1, 0, 1)) == 4
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_matches_smallest_power_of_x(self, p):
+        # Every monic irreducible h != x of degree <= 4: the order is the
+        # least N >= 1 with x**N = 1 mod h, found by stepping through powers.
+        reducible = _reducible_monic(p, 4)
+        for deg in range(1, 5):
+            for h in _monic(p, deg):
+                if h in reducible or h == P(p, 0, 1):
+                    continue
+                power, order = P(p, 0, 1) % h, 1
+                while not power.is_one:
+                    power, order = power.shift(1) % h, order + 1
+                assert root_order(h) == order, h
 
     def test_large_degree_within_cap(self):
         # x^13 - 1 over F_3 splits into x - 1 and four irreducible cubics
