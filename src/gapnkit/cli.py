@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -356,9 +357,15 @@ def _emit(args, doc, lines, csv_part) -> None:
     sys.stdout.flush()  # a closed reader fails here, inside main's handler
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per interpreter: building it costs most of a
+    small request, and parse_args leaves the parser as it found it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _emit(args, *args.func(args))
     except (GapnkitError, ValueError, OSError) as exc:

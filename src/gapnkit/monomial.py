@@ -108,6 +108,51 @@ def coset_reps(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(reps), np.concatenate(weights)
 
 
+def weight_p_reps(p: int, n: int) -> list[int]:
+    """Every cyclotomic-coset representative of digit sum exactly p in
+    [1, p**n - 1), ascending: the representatives of coset_reps with
+    weight p, without visiting the other exponents.
+
+    Read from the top digit down, a representative's n digits form a
+    necklace (no rotation is smaller), and lexicographic order of digit
+    words is numeric order.  The prenecklace walk of Ruskey, Savage and
+    Wang ("Generating necklaces", J. Algorithms 1992) lists necklaces in
+    that order; here it also keeps every digit below p and cuts each
+    branch whose digit sum passes p.  It visits only prenecklaces of digit
+    sum at most p, polynomially many in n, not the p**n exponents.
+    """
+    top = p**n - 1  # all digits p - 1: digit sum p only on F_4, and no rep
+    word = [0] * (n + 1)  # word[t] is digit n - t; word[0] = 0 starts the walk
+    reps = []
+
+    def extend(t: int, period: int, total: int, value: int) -> None:
+        if t > n:
+            if total == p and n % period == 0 and value != top:
+                reps.append(value)
+            return
+        first = word[t - period]
+        for digit in range(first, min(p - 1, p - total) + 1):
+            word[t] = digit
+            extend(t + 1, period if digit == first else t, total + digit, value * p + digit)
+
+    extend(1, 1, 0, 0)
+    return reps
+
+
+def coset_count(p: int, n: int) -> int:
+    """How many representatives coset_reps lists above 1: the cyclotomic
+    cosets of [2, p**n - 2] other than the coset of 1.
+
+    Cosets are the necklaces of n base-p digits.  Rotation by k fixes
+    p**gcd(k, n) digit words, so by Burnside's lemma there are
+    (1/n) sum_k p**gcd(k, n) = (1/n) sum_(e | n) phi(e) p**(n/e) of them.
+    The necklaces of 0, p**n - 1 and 1 are not counted; on F_2,
+    p**n - 1 = 1, so the last two are one necklace.
+    """
+    necklaces = sum(p ** math.gcd(k, n) for k in range(n)) // n
+    return necklaces - (2 if p**n == 2 else 3)
+
+
 def coset_members(d: int, p: int, n: int) -> tuple[int, ...]:
     """All members of the cyclotomic coset of d, sorted."""
     return tuple(sorted(set(_coset_walk(d, p, n))))
@@ -413,6 +458,7 @@ __all__ = [
     "Exponent",
     "circulant_rank",
     "classical_families",
+    "coset_count",
     "coset_members",
     "coset_rep",
     "coset_reps",
@@ -427,5 +473,6 @@ __all__ = [
     "normalize_weight_p",
     "p_weight",
     "rank_mod_p",
+    "weight_p_reps",
     "welch_exponent",
 ]

@@ -3,11 +3,16 @@
 Candidates are enumerated once per cyclotomic coset (the orbit of an
 exponent under multiplication by p modulo p**n - 1); every member of a
 coset gives the same verdict, so the smallest member is the search key.
-Representatives and their weights come from monomial.coset_reps, which
-tests every exponent in numpy chunks; the band and filters are masks over
-its output.  Weight-p cosets are decided by the two algebraic deciders
-cross-checked against each other; they read no field table, so a
-weight-p-only scan never builds one.  All other cosets go to the
+Exhaustive and conjecture scans take representatives and their weights
+from monomial.coset_reps, which tests every exponent in numpy chunks; the
+band and filters are masks over its output.  A weight-p-only scan visits
+only its band: monomial.weight_p_reps generates the representatives of
+digit sum p as necklaces, and monomial.coset_count counts every coset by
+Burnside's lemma, so its cost is polynomial in n, not p**n.
+
+Weight-p cosets are decided by the two algebraic deciders cross-checked
+against each other; they read no field table, so a weight-p-only scan
+never builds one.  All other cosets go to the
 single-direction monomial decider, which is exact for every power map:
 S_a(x**d)(x) = a**d * S_1(x**d)(x / a), so direction 1 has every
 direction's count multiset.
@@ -53,12 +58,14 @@ from .gapn import (
 from .monomial import (
     circulant_rank,
     classical_families,
+    coset_count,
     coset_members,
     coset_rep,
     coset_reps,
     criterion_gapn,
     normalize_weight_p,
     p_weight,
+    weight_p_reps,
 )
 
 SOFT_ORDER_BUDGET = 3**7
@@ -149,12 +156,20 @@ class SearchResult:
 
 def _enumerate(job: SearchJob):
     """Sort every coset representative d >= 2 of the job's field into the
-    mode's band and the default filters with numpy masks.
+    mode's band and the default filters.
 
     Returns (scanned, filtered counts, filtered reps per filter, candidates),
-    reps ascending and each candidate (rep, weight, weight == p).
+    reps ascending and each candidate (rep, weight, weight == p).  A
+    weight-p-only scan generates its band directly and counts the other
+    cosets; neither filter applies to digit sum p, which is odd whenever
+    the even-weight filter is on.  Other modes mask coset_reps' output.
     """
     p, n = job.p, job.n
+    if job.mode == "weight-p-only":
+        reps = weight_p_reps(p, n)
+        scanned = coset_count(p, n)
+        filtered = {"low_weight": 0, "even_weight": 0, "out_of_band": scanned - len(reps)}
+        return scanned, filtered, {"low_weight": [], "even_weight": []}, [(d, p, True) for d in reps]
     max_weight = n * (p - 1) - 1
     skip_even = job.filters.skip_even_weight and p % 2 == 1
     reps, weights = coset_reps(p, n)
@@ -162,8 +177,6 @@ def _enumerate(job: SearchJob):
     reps, weights = reps[keep], weights[keep]
     if job.mode == "conjecture":
         in_band = (weights > p) & (weights < max_weight)
-    elif job.mode == "weight-p-only":
-        in_band = weights == p
     else:
         in_band = np.ones(reps.size, dtype=bool)
     low = in_band & (weights < p) & job.filters.skip_low_weight

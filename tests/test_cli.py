@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gapnkit import __version__, make_field, monomial_table, search
+from gapnkit import __version__, cli, make_field, monomial_table, search
 from gapnkit.cli import main
 from gapnkit.gapn import save_table_csv, save_table_raw
 
@@ -559,6 +559,62 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert "usage:" in err
+
+
+# One request of every kind, with each option that has a default set.
+_EVERY_REQUEST_KIND = [
+    ["test", "-p", "3", "-n", "2", "-d", "5"],
+    ["test", "-p", "3", "-n", "8", "-d", "5", "--long-running", "--format", "json"],
+    ["criterion", "-p", "3", "-n", "4", "-d", "11", "--format", "csv"],
+    ["profile", "-p", "3", "-d", "13"],
+    ["profile", "-p", "3", "-d", "13", "--max-n", "20", "--format", "json"],
+    ["families", "-p", "3", "-n", "3"],
+    ["search", "-p", "3", "-n", "4"],
+    [
+        "search", "-p", "3", "-n", "4", "--mode", "weight-p-only", "--jobs", "2", "--cache", "D",
+        "--no-skip-even", "--no-skip-low", "--verify-filters", "--long-running", "--format", "csv",
+    ],
+    ["conjecture", "-p", "3", "-n", "5", "--cache", "D", "--jobs", "3"],
+    ["conjecture", "-p", "3", "-n", "5"],
+    ["spectrum", "-p", "3", "-n", "2", "-d", "5"],
+    ["spectrum", "-p", "3", "-n", "2", "--table", "t.csv", "--long-running"],
+]
+
+
+class TestParserReuse:
+    def test_built_at_first_main_call_not_at_import(self):
+        code = "import gapnkit.cli as c; print(c._parser.cache_info().currsize)"
+        path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stdout == "0\n", proc.stderr
+
+    def test_one_parser_per_interpreter(self, capsys):
+        run_cli(capsys, ["profile", "-p", "3", "-d", "13"])
+        assert cli._parser() is cli._parser()
+
+    def test_reused_parser_matches_fresh_one(self):
+        shared = cli._parser()
+        for argv in _EVERY_REQUEST_KIND:
+            shared.parse_args(argv)
+        for argv in _EVERY_REQUEST_KIND:
+            assert shared.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    def test_no_state_carried_between_requests(self):
+        shared = cli._parser()
+        assert shared.parse_args(["search", "-p", "3", "-n", "4", "--cache", "D"]).cache == "D"
+        args = shared.parse_args(["search", "-p", "3", "-n", "4"])
+        assert args.cache is None
+        assert (args.mode, args.jobs, args.format) == ("exhaustive", 1, "human")
+
+    def test_usage_errors_after_requests_exit_2(self, capsys):
+        for argv in (["test", "-p", "3", "-n", "2"], ["profile", "-p", "3", "-d", "13"]) * 2:
+            code, _, err = run_cli(capsys, argv)
+            if argv[0] == "test":
+                assert code == 2
+                assert "usage:" in err
+            else:
+                assert code == 0
 
 
 class TestVersion:

@@ -12,6 +12,7 @@ from gapnkit import (
     PolyFp,
     WrongWeight,
     circulant_rank,
+    coset_count,
     coset_members,
     coset_rep,
     coset_reps,
@@ -29,6 +30,7 @@ from gapnkit import (
     monomial_table,
     normalize_weight_p,
     p_weight,
+    weight_p_reps,
     welch_exponent,
 )
 from gapnkit.monomial import rank_mod_p
@@ -110,6 +112,37 @@ class TestCosets:
             coset_rep(0, 3, 2)
         with pytest.raises(ValueError):
             coset_rep(8, 3, 2)
+
+
+# Every field of at most 2**20 elements for these p, the degenerate
+# (2, 1), (2, 2) and (3, 1) included.
+_SMALL_FIELDS = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 21) if p**n <= 1 << 20]
+
+
+class TestWeightPReps:
+    @pytest.mark.parametrize("p,n", _SMALL_FIELDS)
+    def test_match_coset_reps(self, p, n):
+        reps, weights = coset_reps(p, n)
+        keep = reps > 1
+        assert coset_count(p, n) == int(keep.sum())
+        assert weight_p_reps(p, n) == reps[keep & (weights == p)].tolist()
+
+    def test_degenerate_fields_have_no_cosets(self):
+        # F_2's one exponent class is the coset of 1 = p**n - 1; F_4's
+        # weight-2 word 11 is p**n - 1 itself; F_3 has no digit sum 3.
+        for p, n in [(2, 1), (2, 2), (3, 1)]:
+            assert coset_count(p, n) == 0
+            assert weight_p_reps(p, n) == []
+
+    def test_burnside_divisor_form(self):
+        # The count (1/n) sum_(e | n) phi(e) p**(n/e), from phi by its
+        # definition rather than the gcd sum coset_count uses.
+        def phi(e):
+            return sum(1 for k in range(1, e + 1) if gcd(k, e) == 1)
+
+        for p, n in [(3, 30), (2, 40), (5, 12), (7, 9)]:
+            necklaces = sum(phi(e) * p ** (n // e) for e in range(1, n + 1) if n % e == 0) // n
+            assert coset_count(p, n) == necklaces - 3
 
 
 class TestNormalize:

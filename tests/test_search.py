@@ -1,8 +1,11 @@
 """Search orchestration: enumeration, filters, deciders, caching, families."""
 
+import json
 import multiprocessing
 import tempfile
+import time
 import zlib
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +23,17 @@ from gapnkit import (
     coset_reps,
     differential_spectrum,
     exact_verdict,
+    exceptional_profile,
     identify_family,
     monomial_table,
+    normalize_weight_p,
     p_weight,
     run_search,
     verify_families,
+    weight_p_reps,
 )
 from gapnkit import FieldCtx, search
+from gapnkit.cli import main as cli_main
 from gapnkit.search import SOFT_ORDER_BUDGET
 
 
@@ -399,6 +406,118 @@ class TestEnumeration:
         result = run_search(SearchJob(3, 6, "weight-p-only"))
         assert result.scanned == 127
         assert [e["d"] for e in result.gapn_cosets] == [5, 7, 31, 37]
+
+
+def _coset_reps_weight_p(job):
+    """The weight-p-only enumeration that necklace generation replaces:
+    every coset_reps representative, masked to digit sum p."""
+    p, n = job.p, job.n
+    skip_even = job.filters.skip_even_weight and p % 2 == 1
+    reps, weights = coset_reps(p, n)
+    keep = reps > 1
+    reps, weights = reps[keep], weights[keep]
+    in_band = weights == p
+    low = in_band & (weights < p) & job.filters.skip_low_weight
+    even = in_band & ~low & (weights % 2 == 0) & skip_even
+    chosen = in_band & ~low & ~even
+    filtered = {
+        "low_weight": int(low.sum()),
+        "even_weight": int(even.sum()),
+        "out_of_band": int(reps.size - in_band.sum()),
+    }
+    filtered_reps = {"low_weight": reps[low].tolist(), "even_weight": reps[even].tolist()}
+    candidates = [
+        (d, w, w == p) for d, w in zip(reps[chosen].tolist(), weights[chosen].tolist())
+    ]
+    return int(reps.size), filtered, filtered_reps, candidates
+
+
+def _cli_outputs(capsys, argv):
+    """(exit code, stdout, stderr) of the human, json and csv runs of argv,
+    with the elapsed time taken out."""
+    out = []
+    for fmt in ("human", "json", "csv"):
+        code = cli_main([*argv, "--format", fmt])
+        captured = capsys.readouterr()
+        text = captured.out
+        if fmt == "human":
+            text = "\n".join(line for line in text.split("\n") if not line.startswith("elapsed: "))
+        elif fmt == "json" and code == 0:
+            doc = json.loads(text)
+            doc.pop("elapsed")
+            text = json.dumps(doc, indent=2)
+        out.append((code, text, captured.err))
+    return out
+
+
+_WEIGHT_P_FIELDS = [(2, 1), (2, 2), (3, 1), (2, 7), (3, 5), (5, 3), (7, 3), (3, 8)]
+_WEIGHT_P_FLAGS = [
+    [],
+    ["--no-skip-even"],
+    ["--no-skip-low"],
+    ["--no-skip-even", "--no-skip-low"],
+    ["--verify-filters"],
+]
+
+
+class TestWeightPOnlyDocuments:
+    """weight-p-only documents from necklace generation against those of
+    the coset_reps enumeration."""
+
+    @pytest.mark.parametrize("p,n", _WEIGHT_P_FIELDS)
+    @pytest.mark.parametrize("flags", _WEIGHT_P_FLAGS)
+    def test_formats_and_filters(self, capsys, monkeypatch, p, n, flags):
+        argv = ["search", "-p", str(p), "-n", str(n), "--mode", "weight-p-only", *flags]
+        new = _cli_outputs(capsys, argv)
+        monkeypatch.setattr(search, "_enumerate", _coset_reps_weight_p)
+        assert new == _cli_outputs(capsys, argv)
+
+    @pytest.mark.parametrize("p,n", [(3, 5), (2, 9)])
+    def test_cold_and_warm_cache(self, capsys, monkeypatch, tmp_path, p, n):
+        def runs(cache):
+            argv = ["search", "-p", str(p), "-n", str(n), "--mode", "weight-p-only", "--cache", str(cache)]
+            cold = _cli_outputs(capsys, argv)
+            return cold, _cli_outputs(capsys, argv), (cache / f"gapn_{p}_{n}.csv").read_bytes()
+
+        new = runs(tmp_path / "new")
+        monkeypatch.setattr(search, "_enumerate", _coset_reps_weight_p)
+        assert new == runs(tmp_path / "reference")
+
+    def test_two_workers(self, capsys, monkeypatch):
+        argv = ["search", "-p", "3", "-n", "6", "--mode", "weight-p-only", "--jobs", "2", "--verify-filters"]
+        new = _cli_outputs(capsys, argv)
+        monkeypatch.setattr(search, "_enumerate", _coset_reps_weight_p)
+        assert new == _cli_outputs(capsys, argv)
+
+    def test_never_calls_coset_reps(self, monkeypatch):
+        def refuse(p, n):
+            raise AssertionError("coset_reps called")
+
+        monkeypatch.setattr(search, "coset_reps", refuse)
+        result = run_search(SearchJob(3, 8, "weight-p-only"))
+        assert result.scanned == 831
+        assert result.filtered == {"low_weight": 0, "even_weight": 0, "out_of_band": 817}
+        assert [e["d"] for e in result.gapn_cosets] == [5, 7, 13, 29, 55, 85, 109, 253]
+
+
+class TestWeightPOnlyLargeFields:
+    @pytest.mark.parametrize("p,n", [(3, 30), (2, 40)])
+    def test_polynomial_in_n(self, capsys, p, n):
+        argv = ["search", "-p", str(p), "-n", str(n), "--mode", "weight-p-only", "--long-running", "--format", "json"]
+        t0 = time.perf_counter()
+        code = cli_main(argv)
+        seconds = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert seconds < 5
+        doc = json.loads(captured.out)
+        # Burnside's necklace count, less the necklaces of 0, p**n - 1 and 1.
+        necklaces = sum(p ** gcd(k, n) for k in range(n)) // n
+        assert doc["scanned"] == necklaces - 3
+        reps = weight_p_reps(p, n)
+        assert doc["filtered"]["out_of_band"] == doc["scanned"] - len(reps)
+        predicted = [d for d in reps if exceptional_profile(normalize_weight_p(d, p), p).predicts_gapn(n)]
+        assert [e["d"] for e in doc["gapn_cosets"]] == predicted
 
 
 class TestCache:
