@@ -6,12 +6,12 @@ element indices run over [0, p**n).  A FieldCtx carries the modulus and,
 for orders up to 2**24, discrete log / antilog tables over a fixed
 primitive element, a digit table that backs the vectorized helpers and a
 lane table that backs the derivative kernel.  All are built on first use,
-not at construction, so callers that never multiply (coset scans, the
-algebraic deciders) never pay for them.  The
-antilog build runs in numpy: multiplying by the generator is an F_p-linear
-map on digit vectors, so doubling the run of known powers is one matrix
-product.  Contexts are immutable apart from that one-time
-fill; every operation is a pure function of (context, arguments).
+not at construction, the default modulus included, so callers that never
+multiply (weight-p-only scans, the algebraic deciders) never pay for
+them.  The antilog build runs in numpy: multiplying by the generator is an
+F_p-linear map on digit vectors, so doubling the run of known powers is
+one matrix product.  Contexts are immutable apart from that one-time fill;
+every operation is a pure function of (context, arguments).
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class FieldCtx:
         "generator",
         "log_table",
         "antilog_table",
-        "_mod_tail",
         "_digits",
         "_lanes",
         "_pow_vec",
@@ -84,18 +83,15 @@ class FieldCtx:
         if n > 48 or p**n > ORDER_CAP:
             raise OrderTooLarge(f"{p}**{n} exceeds the cap 2**48")
         order = p**n
-        if modulus is None:
-            modulus = find_irreducible(p, n)
-        else:
+        if modulus is not None:
             if modulus.p != p:
                 raise NotIrreducible("modulus is over the wrong prime field")
             if modulus.degree != n or modulus.lc != 1 or not is_irreducible(modulus):
                 raise NotIrreducible(f"{modulus} is not monic irreducible of degree {n}")
+            self.modulus = modulus
         self.p = p
         self.n = n
         self.order = order
-        self.modulus = modulus
-        self._mod_tail = modulus.coeffs[:n]
         self._pow_vec = np.array([p**s for s in range(n)], dtype=np.int64)
         self._digits = None
         self._lanes = None
@@ -105,8 +101,11 @@ class FieldCtx:
             self.antilog_table = None
 
     def __getattr__(self, name):
-        # Reached only for a slot never assigned: the tables of a field
-        # within TABLE_CAP, before their first read.
+        # Reached only for a slot never assigned: the default modulus, and
+        # the tables of a field within TABLE_CAP, before their first read.
+        if name == "modulus":
+            self.modulus = find_irreducible(self.p, self.n)
+            return self.modulus
         if name not in _TABLE_SLOTS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._build_tables()
@@ -164,7 +163,7 @@ class FieldCtx:
                 for j, cb in enumerate(db):
                     if cb:
                         prod[i + j] = (prod[i + j] + ca * cb) % p
-        tail = self._mod_tail
+        tail = self.modulus.coeffs[:n]
         for k in range(2 * n - 2, n - 1, -1):
             c = prod[k]
             if c:

@@ -75,73 +75,49 @@ def coset_rep(d: int, p: int, n: int) -> int:
     return min(_coset_walk(d, p, n))
 
 
-_SCAN_CHUNK = 1 << 15  # exponents per numpy pass; bounds the temporaries
-
-
-def coset_reps(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every cyclotomic-coset representative in [1, p**n - 1), ascending,
-    and the p-weight of each, as two int64 arrays.
+def coset_reps(
+    p: int, n: int, min_weight: int = 0, max_weight: int | None = None
+) -> tuple[list[int], list[int]]:
+    """Every cyclotomic-coset representative in [2, p**n - 2] whose digit
+    sum lies in [min_weight, max_weight] (max_weight None: no upper bound),
+    ascending, and the digit sum of each, as two lists.
 
     Multiplying by p modulo p**n - 1 rotates the n-digit base-p vector of
-    an exponent, so d is a representative exactly when no rotation of its
-    digits is smaller.  Exponents are tested in numpy chunks.
+    an exponent, so, read from the top digit down, a representative's
+    digits form a necklace (no rotation is smaller), and lexicographic
+    order of digit words is numeric order.  The prenecklace walk of
+    Ruskey, Savage and Wang ("Generating necklaces", J. Algorithms 1992)
+    lists necklaces in that order; here it also keeps every digit below p
+    and cuts each branch whose digit sum passes max_weight.  It visits
+    only prenecklaces of digit sum at most max_weight, about p**n / n of
+    them for the whole range and polynomially many in n for a fixed
+    max_weight, never all p**n exponents.
     """
-    modulus = p**n - 1
-    top = p ** (n - 1)
-    reps = [np.zeros(0, dtype=np.int64)]
-    weights = [np.zeros(0, dtype=np.int64)]
-    for lo in range(1, modulus, _SCAN_CHUNK):
-        d = np.arange(lo, min(lo + _SCAN_CHUNK, modulus), dtype=np.int64)
-        is_rep = np.ones(d.size, dtype=bool)
-        cur = d
-        for _ in range(n - 1):
-            cur = cur % top * p + cur // top
-            is_rep &= d <= cur
-        rep = d[is_rep]
-        weight = np.zeros(rep.size, dtype=np.int64)
-        rest = rep
-        for _ in range(n):
-            weight += rest % p
-            rest = rest // p
-        reps.append(rep)
-        weights.append(weight)
-    return np.concatenate(reps), np.concatenate(weights)
-
-
-def weight_p_reps(p: int, n: int) -> list[int]:
-    """Every cyclotomic-coset representative of digit sum exactly p in
-    [1, p**n - 1), ascending: the representatives of coset_reps with
-    weight p, without visiting the other exponents.
-
-    Read from the top digit down, a representative's n digits form a
-    necklace (no rotation is smaller), and lexicographic order of digit
-    words is numeric order.  The prenecklace walk of Ruskey, Savage and
-    Wang ("Generating necklaces", J. Algorithms 1992) lists necklaces in
-    that order; here it also keeps every digit below p and cuts each
-    branch whose digit sum passes p.  It visits only prenecklaces of digit
-    sum at most p, polynomially many in n, not the p**n exponents.
-    """
-    top = p**n - 1  # all digits p - 1: digit sum p only on F_4, and no rep
+    if max_weight is None:
+        max_weight = n * (p - 1)
+    top = p**n - 1  # all digits p - 1; like 0 and 1, not in [2, p**n - 2]
     word = [0] * (n + 1)  # word[t] is digit n - t; word[0] = 0 starts the walk
-    reps = []
+    reps: list[int] = []
+    weights: list[int] = []
 
     def extend(t: int, period: int, total: int, value: int) -> None:
         if t > n:
-            if total == p and n % period == 0 and value != top:
+            if total >= min_weight and n % period == 0 and 1 < value < top:
                 reps.append(value)
+                weights.append(total)
             return
         first = word[t - period]
-        for digit in range(first, min(p - 1, p - total) + 1):
+        for digit in range(first, min(p - 1, max_weight - total) + 1):
             word[t] = digit
             extend(t + 1, period if digit == first else t, total + digit, value * p + digit)
 
     extend(1, 1, 0, 0)
-    return reps
+    return reps, weights
 
 
 def coset_count(p: int, n: int) -> int:
-    """How many representatives coset_reps lists above 1: the cyclotomic
-    cosets of [2, p**n - 2] other than the coset of 1.
+    """len(coset_reps(p, n)[0]), without the walk: the cyclotomic cosets
+    of [2, p**n - 2] other than the coset of 1.
 
     Cosets are the necklaces of n base-p digits.  Rotation by k fixes
     p**gcd(k, n) digit words, so by Burnside's lemma there are
@@ -473,6 +449,5 @@ __all__ = [
     "normalize_weight_p",
     "p_weight",
     "rank_mod_p",
-    "weight_p_reps",
     "welch_exponent",
 ]

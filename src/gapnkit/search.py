@@ -3,12 +3,12 @@
 Candidates are enumerated once per cyclotomic coset (the orbit of an
 exponent under multiplication by p modulo p**n - 1); every member of a
 coset gives the same verdict, so the smallest member is the search key.
-Exhaustive and conjecture scans take representatives and their weights
-from monomial.coset_reps, which tests every exponent in numpy chunks; the
-band and filters are masks over its output.  A weight-p-only scan visits
-only its band: monomial.weight_p_reps generates the representatives of
-digit sum p as necklaces, and monomial.coset_count counts every coset by
-Burnside's lemma, so its cost is polynomial in n, not p**n.
+Each mode scans one band of digit sums: every weight (exhaustive),
+p < w < n(p-1) - 1 (conjecture) or w = p (weight-p-only).
+monomial.coset_reps generates the representatives of the band as
+necklaces, and monomial.coset_count counts every coset by Burnside's
+lemma, so no scan visits all p**n exponents, and a weight-p-only scan
+costs polynomially many steps in n.
 
 Weight-p cosets are decided by the two algebraic deciders cross-checked
 against each other; they read no field table, so a weight-p-only scan
@@ -30,8 +30,9 @@ every coset it finished:
 
 with verdict 0/1, deciders joined by '+', and checksum the decimal CRC-32
 of the preceding text.  Any mismatch, and any record whose coset_rep is
-not its coset's representative or whose weight is not its digit sum,
-raises CacheCorrupt rather than silently recomputing.  The one exception
+not its coset's representative, whose weight is not its digit sum, whose
+verdict is not 0 or 1 or whose decider list has an empty name, raises
+CacheCorrupt rather than silently recomputing.  The one exception
 is an unterminated last line, which a scan killed mid-append leaves: it is
 dropped and cut from the file, and its coset is decided again.
 """
@@ -43,8 +44,6 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .errors import CacheCorrupt, DeciderDisagreement
 from .fields import FieldCtx, make_field
@@ -65,7 +64,6 @@ from .monomial import (
     criterion_gapn,
     normalize_weight_p,
     p_weight,
-    weight_p_reps,
 )
 
 SOFT_ORDER_BUDGET = 3**7
@@ -155,43 +153,32 @@ class SearchResult:
 
 
 def _enumerate(job: SearchJob):
-    """Sort every coset representative d >= 2 of the job's field into the
-    mode's band and the default filters.
+    """Sort the coset representatives d >= 2 in the digit-sum band of the
+    job's mode (every weight for exhaustive scans) into the default filters.
 
     Returns (scanned, filtered counts, filtered reps per filter, candidates),
-    reps ascending and each candidate (rep, weight, weight == p).  A
-    weight-p-only scan generates its band directly and counts the other
-    cosets; neither filter applies to digit sum p, which is odd whenever
-    the even-weight filter is on.  Other modes mask coset_reps' output.
+    reps ascending and each candidate (rep, weight, weight == p).  Every
+    coset outside the band counts as out_of_band.  Neither filter applies
+    to digit sum p, which is odd whenever the even-weight filter is on.
     """
     p, n = job.p, job.n
-    if job.mode == "weight-p-only":
-        reps = weight_p_reps(p, n)
-        scanned = coset_count(p, n)
-        filtered = {"low_weight": 0, "even_weight": 0, "out_of_band": scanned - len(reps)}
-        return scanned, filtered, {"low_weight": [], "even_weight": []}, [(d, p, True) for d in reps]
-    max_weight = n * (p - 1) - 1
     skip_even = job.filters.skip_even_weight and p % 2 == 1
-    reps, weights = coset_reps(p, n)
-    keep = reps > 1
-    reps, weights = reps[keep], weights[keep]
-    if job.mode == "conjecture":
-        in_band = (weights > p) & (weights < max_weight)
-    else:
-        in_band = np.ones(reps.size, dtype=bool)
-    low = in_band & (weights < p) & job.filters.skip_low_weight
-    even = in_band & ~low & (weights % 2 == 0) & skip_even
-    chosen = in_band & ~low & ~even
-    scanned = int(reps.size)
-    filtered = {
-        "low_weight": int(low.sum()),
-        "even_weight": int(even.sum()),
-        "out_of_band": int(reps.size - in_band.sum()),
-    }
-    filtered_reps = {"low_weight": reps[low].tolist(), "even_weight": reps[even].tolist()}
-    candidates = [
-        (d, w, w == p) for d, w in zip(reps[chosen].tolist(), weights[chosen].tolist())
-    ]
+    band = {"conjecture": (p + 1, n * (p - 1) - 2), "weight-p-only": (p, p)}.get(job.mode, (0, None))
+    reps, weights = coset_reps(p, n, *band)
+    scanned = coset_count(p, n)
+    filtered = {"low_weight": 0, "even_weight": 0, "out_of_band": scanned - len(reps)}
+    filtered_reps: dict[str, list[int]] = {"low_weight": [], "even_weight": []}
+    candidates = []
+    for d, w in zip(reps, weights):
+        if job.filters.skip_low_weight and w < p:
+            stratum = "low_weight"
+        elif skip_even and w % 2 == 0:
+            stratum = "even_weight"
+        else:
+            candidates.append((d, w, w == p))
+            continue
+        filtered[stratum] += 1
+        filtered_reps[stratum].append(d)
     return scanned, filtered, filtered_reps, candidates
 
 
@@ -229,9 +216,10 @@ def run_search(job: SearchJob) -> SearchResult:
         if job.cache_dir is not None:
             cache_store(job.cache_dir, (p, n, rep), w, verdict, deciders)
 
-    if job.jobs > 1 and len(todo) > 1:
-        chunk = max(1, len(todo) // (job.jobs * 4))
-        with multiprocessing.Pool(job.jobs, initializer=_init_worker, initargs=(p, n)) as pool:
+    workers = min(job.jobs, len(todo))
+    if workers > 1:
+        chunk = max(1, len(todo) // (workers * 4))
+        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(p, n)) as pool:
             for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
                 record(*result)
     else:
@@ -480,7 +468,12 @@ def _load_cache(cache_dir, p: int, n: int) -> dict[int, tuple[int, bool, list[st
             raise CacheCorrupt(f"{path}:{lineno}: {rep} is not a coset representative")
         if weight != p_weight(rep, p):
             raise CacheCorrupt(f"{path}:{lineno}: weight {weight} is not the weight of {rep}")
-        out[rep] = (weight, bool(verdict), parts[5].split("+"))
+        if verdict not in (0, 1):
+            raise CacheCorrupt(f"{path}:{lineno}: verdict {verdict} is not 0 or 1")
+        deciders = parts[5].split("+")
+        if not all(deciders):
+            raise CacheCorrupt(f"{path}:{lineno}: empty decider name")
+        out[rep] = (weight, bool(verdict), deciders)
     return out
 
 

@@ -519,7 +519,7 @@ class TestErrorHandling:
         ],
     )
     def test_scans_above_cap_fail_before_enumerating(self, capsys, monkeypatch, argv):
-        def refuse(p, n):
+        def refuse(*args):
             raise RuntimeError("cosets enumerated before the table gate")
 
         monkeypatch.setattr(search, "coset_reps", refuse)

@@ -92,9 +92,12 @@ class TestFindIrreducible:
         monkeypatch.setattr(fields, "is_irreducible", counting)
         find_irreducible.cache_clear()
         first = make_field(5, 3)
+        assert calls == []  # the modulus is found on its first read
+        first.modulus
         assert calls
         calls.clear()
         second = make_field(5, 3)
+        second.modulus
         assert calls == []
         assert second.modulus.coeffs == first.modulus.coeffs
         # an explicit modulus is still validated, even the cached one

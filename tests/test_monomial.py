@@ -30,12 +30,12 @@ from gapnkit import (
     monomial_table,
     normalize_weight_p,
     p_weight,
-    weight_p_reps,
     welch_exponent,
 )
 from gapnkit.monomial import rank_mod_p
 from gapnkit.numtheory import is_prime
 from gapnkit.polyfp import factorize, poly_gcd
+from numpy_cosets import coset_reps as numpy_coset_reps
 
 
 def _normalized_weight_p_exponents(p, n):
@@ -97,11 +97,10 @@ class TestCosets:
         "p,n", [(2, 1), (3, 1), (2, 2), (2, 6), (3, 4), (3, 5), (5, 3), (7, 2), (3, 10)]
     )
     def test_coset_reps_match_scalar_loop(self, p, n):
-        # (3, 10) spans more than one 2**15 chunk
         reps, weights = coset_reps(p, n)
-        expected = [d for d in range(1, p**n - 1) if coset_rep(d, p, n) == d]
-        assert reps.tolist() == expected
-        assert weights.tolist() == [p_weight(d, p) for d in expected]
+        expected = [d for d in range(2, p**n - 1) if coset_rep(d, p, n) == d]
+        assert reps == expected
+        assert weights == [p_weight(d, p) for d in expected]
 
     def test_members_examples(self):
         assert coset_members(5, 3, 2) == (5, 7)
@@ -120,19 +119,26 @@ _SMALL_FIELDS = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 21) if p
 
 
 class TestWeightPReps:
+    """The necklace walk and Burnside's count against the numpy scan that
+    tests every exponent by rotation."""
+
     @pytest.mark.parametrize("p,n", _SMALL_FIELDS)
     def test_match_coset_reps(self, p, n):
-        reps, weights = coset_reps(p, n)
+        reps, weights = numpy_coset_reps(p, n)
         keep = reps > 1
-        assert coset_count(p, n) == int(keep.sum())
-        assert weight_p_reps(p, n) == reps[keep & (weights == p)].tolist()
+        reps, weights = reps[keep], weights[keep]
+        assert coset_count(p, n) == reps.size
+        assert coset_reps(p, n) == (reps.tolist(), weights.tolist())
+        assert coset_reps(p, n, p, p)[0] == reps[weights == p].tolist()
+        band = (weights >= p + 1) & (weights <= n * (p - 1) - 2)
+        assert coset_reps(p, n, p + 1, n * (p - 1) - 2) == (reps[band].tolist(), weights[band].tolist())
 
     def test_degenerate_fields_have_no_cosets(self):
         # F_2's one exponent class is the coset of 1 = p**n - 1; F_4's
         # weight-2 word 11 is p**n - 1 itself; F_3 has no digit sum 3.
         for p, n in [(2, 1), (2, 2), (3, 1)]:
             assert coset_count(p, n) == 0
-            assert weight_p_reps(p, n) == []
+            assert coset_reps(p, n) == ([], [])
 
     def test_burnside_divisor_form(self):
         # The count (1/n) sum_(e | n) phi(e) p**(n/e), from phi by its

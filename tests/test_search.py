@@ -30,11 +30,11 @@ from gapnkit import (
     p_weight,
     run_search,
     verify_families,
-    weight_p_reps,
 )
 from gapnkit import FieldCtx, search
 from gapnkit.cli import main as cli_main
 from gapnkit.search import SOFT_ORDER_BUDGET
+from numpy_cosets import coset_reps as numpy_coset_reps
 
 
 def _frozen(result):
@@ -183,6 +183,35 @@ class TestDeterminism:
         a = run_search(SearchJob(3, 4))
         b = run_search(SearchJob(3, 4))
         assert _frozen(a) == _frozen(b)
+
+    @pytest.mark.parametrize("p,n,jobs,workers", [(3, 4, 64, [9]), (3, 4, 2, [2]), (3, 2, 64, [])])
+    def test_pool_never_exceeds_candidates(self, monkeypatch, p, n, jobs, workers):
+        # A stand-in for multiprocessing that records each pool's worker
+        # count and decides in this process, so no worker is started.
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, items, chunksize):
+                return map(fn, items)
+
+        class SerialMultiprocessing:
+            Pool = SerialPool
+
+        monkeypatch.setattr(search, "_worker_state", {})
+        monkeypatch.setattr(search, "multiprocessing", SerialMultiprocessing)
+        result = run_search(SearchJob(p, n, jobs=jobs))
+        assert started == workers
+        assert _frozen(result) == _frozen(run_search(SearchJob(p, n)))
 
 
 class TestVerifyFilters:
@@ -373,7 +402,7 @@ def _reference_enumerate(job):
     return scanned, filtered, filtered_reps, candidates
 
 
-_ENUM_FIELDS = [(3, 4), (3, 5), (5, 3), (2, 6)]
+_ENUM_FIELDS = [(3, 4), (3, 5), (5, 3), (2, 6), (2, 1), (2, 2), (3, 1), (7, 2), (2, 8)]
 _FILTER_FLAGS = [(True, True), (False, True), (True, False), (False, False)]
 
 
@@ -409,11 +438,11 @@ class TestEnumeration:
 
 
 def _coset_reps_weight_p(job):
-    """The weight-p-only enumeration that necklace generation replaces:
-    every coset_reps representative, masked to digit sum p."""
+    """The weight-p-only enumeration that necklace generation replaced:
+    every representative of the numpy scan, masked to digit sum p."""
     p, n = job.p, job.n
     skip_even = job.filters.skip_even_weight and p % 2 == 1
-    reps, weights = coset_reps(p, n)
+    reps, weights = numpy_coset_reps(p, n)
     keep = reps > 1
     reps, weights = reps[keep], weights[keep]
     in_band = weights == p
@@ -462,7 +491,7 @@ _WEIGHT_P_FLAGS = [
 
 class TestWeightPOnlyDocuments:
     """weight-p-only documents from necklace generation against those of
-    the coset_reps enumeration."""
+    the numpy enumeration."""
 
     @pytest.mark.parametrize("p,n", _WEIGHT_P_FIELDS)
     @pytest.mark.parametrize("flags", _WEIGHT_P_FLAGS)
@@ -490,14 +519,38 @@ class TestWeightPOnlyDocuments:
         assert new == _cli_outputs(capsys, argv)
 
     def test_never_calls_coset_reps(self, monkeypatch):
-        def refuse(p, n):
-            raise AssertionError("coset_reps called")
+        # The walk is asked for the weight-p band only.
+        bands = []
 
-        monkeypatch.setattr(search, "coset_reps", refuse)
+        def recording(p, n, *band):
+            bands.append(band)
+            return coset_reps(p, n, *band)
+
+        monkeypatch.setattr(search, "coset_reps", recording)
         result = run_search(SearchJob(3, 8, "weight-p-only"))
+        assert bands == [(3, 3)]
         assert result.scanned == 831
         assert result.filtered == {"low_weight": 0, "even_weight": 0, "out_of_band": 817}
         assert [e["d"] for e in result.gapn_cosets] == [5, 7, 13, 29, 55, 85, 109, 253]
+
+    def test_never_finds_a_modulus(self, monkeypatch, capsys):
+        from gapnkit import fields
+
+        def refuse(p, n):
+            raise AssertionError("modulus searched")
+
+        monkeypatch.setattr(fields, "find_irreducible", refuse)
+        result = run_search(SearchJob(3, 8, "weight-p-only"))
+        assert [e["d"] for e in result.gapn_cosets] == [5, 7, 13, 29, 55, 85, 109, 253]
+        # The field's own checks still run before any scan.
+        for argv, error in [
+            (["-p", "4", "-n", "3"], "NotPrime"),
+            (["-p", "3", "-n", "31", "--long-running"], "OrderTooLarge"),
+        ]:
+            assert cli_main(["search", *argv, "--mode", "weight-p-only"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == error
 
 
 class TestWeightPOnlyLargeFields:
@@ -514,7 +567,7 @@ class TestWeightPOnlyLargeFields:
         # Burnside's necklace count, less the necklaces of 0, p**n - 1 and 1.
         necklaces = sum(p ** gcd(k, n) for k in range(n)) // n
         assert doc["scanned"] == necklaces - 3
-        reps = weight_p_reps(p, n)
+        reps = coset_reps(p, n, p, p)[0]
         assert doc["filtered"]["out_of_band"] == doc["scanned"] - len(reps)
         predicted = [d for d in reps if exceptional_profile(normalize_weight_p(d, p), p).predicts_gapn(n)]
         assert [e["d"] for e in doc["gapn_cosets"]] == predicted
@@ -605,10 +658,18 @@ class TestCache:
             ("3,4,80,8,1", "not a coset representative"),
             ("3,4,5,5,1", "weight 5 is not the weight"),
             ("3,4,five,3,1", "non-integer"),
+            ("3,4,5,3,7", "verdict 7 is not 0 or 1"),
+            ("3,4,5,3,-1", "verdict -1 is not 0 or 1"),
+            ("3,4,5,3,1,", "empty decider name"),
+            ("3,4,5,3,1,criterion+", "empty decider name"),
+            ("3,4,5,3,1,+criterion", "empty decider name"),
+            ("3,4,5,3,1,criterion++circulant-rank", "empty decider name"),
         ],
     )
     def test_untrusted_checksum_valid_record_raises(self, tmp_path, record, reason):
-        prefix = f"{record},criterion,{__version__}"
+        # A record names its own deciders or was decided by "criterion".
+        fields = [*record.split(","), "criterion"][:6]
+        prefix = ",".join([*fields, __version__])
         crc = zlib.crc32(prefix.encode("utf-8"))
         path = tmp_path / "gapn_3_4.csv"
         path.write_text(f"{prefix},{crc}\n")
@@ -632,7 +693,7 @@ class TestCache:
     def _records(cls, data):
         """A random (p, n) and cache records {rep: (weight, verdict, deciders)}."""
         p, n = data.draw(st.sampled_from(cls._FIELDS))
-        reps = data.draw(st.lists(st.sampled_from(coset_reps(p, n)[0].tolist()), min_size=1, unique=True))
+        reps = data.draw(st.lists(st.sampled_from([1, *coset_reps(p, n)[0]]), min_size=1, unique=True))
         deciders = st.lists(st.sampled_from(cls._DECIDERS), min_size=1, max_size=3)
         return p, n, {rep: (p_weight(rep, p), data.draw(st.booleans()), data.draw(deciders)) for rep in reps}
 
