@@ -29,12 +29,18 @@ every coset it finished:
     p,n,coset_rep,weight,verdict,decider,version,checksum
 
 with verdict 0/1, deciders joined by '+', and checksum the decimal CRC-32
-of the preceding text.  Any mismatch, and any record whose coset_rep is
-not its coset's representative, whose weight is not its digit sum, whose
-verdict is not 0 or 1 or whose decider list has an empty name, raises
-CacheCorrupt rather than silently recomputing.  The one exception
-is an unterminated last line, which a scan killed mid-append leaves: it is
-dropped and cut from the file, and its coset is decided again.
+of the preceding text.  A line loads only if writing its parsed fields
+back gives that same line, so its checksum holds and every number is in
+canonical decimal; version is recorded but not checked.  CacheCorrupt,
+rather than a silent recompute, is raised by any other line and by any
+record from another field, whose coset_rep is not its coset's
+representative, whose weight is not its digit sum, whose verdict is not
+0 or 1, whose decider list names anything outside DECIDERS (an empty
+name included), or whose verdict contradicts an earlier record of the
+same coset.  Repeats that agree load, the last one winning.  The one
+exception is an unterminated last line, which a scan killed mid-append
+leaves: it is dropped and cut from the file, and its coset is decided
+again.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import __version__
 from .errors import CacheCorrupt, DeciderDisagreement
 from .fields import FieldCtx, make_field
 from .gapn import (
@@ -68,19 +75,29 @@ from .monomial import (
 
 SOFT_ORDER_BUDGET = 3**7
 
+# The names a cache record may give its deciders.
+DECIDERS = ("brute-force", "monomial-fast", "criterion", "circulant-rank", "linearized-kernel")
+BRUTE_FORCE, MONOMIAL_FAST, CRITERION, CIRCULANT_RANK, LINEARIZED_KERNEL = DECIDERS
+
+
+def _agree(verdicts: dict[str, bool], d: int, p: int, n: int) -> bool:
+    """The one verdict of a decider panel {name: verdict}."""
+    if len(set(verdicts.values())) != 1:
+        raise DeciderDisagreement(f"deciders disagree on d={d}, p={p}, n={n}: {verdicts}")
+    return next(iter(verdicts.values()))
+
+
 def _decide_weight_p(p: int, n: int, rep: int) -> tuple[bool, list[str]]:
     d = normalize_weight_p(rep, p)
-    by_criterion = criterion_gapn(d, p, n).is_gapn
-    by_rank = circulant_rank(d, p, n) == n - 1
-    if by_criterion != by_rank:
-        raise DeciderDisagreement(
-            f"criterion and circulant rank disagree on d={d}, p={p}, n={n}"
-        )
-    return by_criterion, ["criterion", "circulant-rank"]
+    verdicts = {
+        CRITERION: criterion_gapn(d, p, n).is_gapn,
+        CIRCULANT_RANK: circulant_rank(d, p, n) == n - 1,
+    }
+    return _agree(verdicts, d, p, n), list(verdicts)
 
 
 def _decide_brute(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
-    return monomial_gapn_fast(ctx, d).is_gapn, ["monomial-fast"]
+    return monomial_gapn_fast(ctx, d).is_gapn, [MONOMIAL_FAST]
 
 
 _worker_state: dict = {}
@@ -90,13 +107,13 @@ def _init_worker(p: int, n: int) -> None:
     _worker_state["ctx"] = make_field(p, n)
 
 
-def _decide_candidate(candidate: tuple[int, int, bool], ctx: FieldCtx | None = None):
-    """(rep, weight, verdict, deciders) for one (rep, weight, algebraic)
-    candidate; pool workers pass no ctx and use their initializer's field."""
-    rep, weight, algebraic = candidate
+def _decide_candidate(candidate: tuple[int, int], ctx: FieldCtx | None = None):
+    """(rep, weight, verdict, deciders) for one (rep, weight) candidate;
+    pool workers pass no ctx and use their initializer's field."""
+    rep, weight = candidate
     if ctx is None:
         ctx = _worker_state["ctx"]
-    if algebraic:
+    if weight == ctx.p:
         verdict, deciders = _decide_weight_p(ctx.p, ctx.n, rep)
     else:
         verdict, deciders = _decide_brute(ctx, rep)
@@ -136,8 +153,6 @@ class SearchResult:
     filter_check: dict | None = None
 
     def to_dict(self) -> dict:
-        from . import __version__
-
         return {
             "p": self.p,
             "n": self.n,
@@ -157,7 +172,7 @@ def _enumerate(job: SearchJob):
     job's mode (every weight for exhaustive scans) into the default filters.
 
     Returns (scanned, filtered counts, filtered reps per filter, candidates),
-    reps ascending and each candidate (rep, weight, weight == p).  Every
+    reps ascending and each candidate (rep, weight).  Every
     coset outside the band counts as out_of_band.  Neither filter applies
     to digit sum p, which is odd whenever the even-weight filter is on.
     """
@@ -175,7 +190,7 @@ def _enumerate(job: SearchJob):
         elif skip_even and w % 2 == 0:
             stratum = "even_weight"
         else:
-            candidates.append((d, w, w == p))
+            candidates.append((d, w))
             continue
         filtered[stratum] += 1
         filtered_reps[stratum].append(d)
@@ -207,7 +222,7 @@ def run_search(job: SearchJob) -> SearchResult:
         cached = _load_cache(job.cache_dir, p, n)
     # Only this run's candidates: the cache may hold cosets that another
     # mode or filter setting decided and this run leaves out.
-    results = {rep: cached[rep] for rep, _, _ in candidates if rep in cached}
+    results = {rep: cached[rep] for rep, _ in candidates if rep in cached}
     todo = [c for c in candidates if c[0] not in results]
 
     def record(rep: int, w: int, verdict: bool, deciders: list[str]) -> None:
@@ -301,17 +316,16 @@ def _gather_verdicts(
         report = differential_spectrum(
             monomial_table(ctx, d), mode="full" if want_report else "verdict"
         )
-        verdicts["brute-force"] = report.is_gapn
+        verdicts[BRUTE_FORCE] = report.is_gapn
     fast = monomial_gapn_fast(ctx, d)
-    verdicts["monomial-fast"] = fast.is_gapn
+    verdicts[MONOMIAL_FAST] = fast.is_gapn
     if not full_ok:
         report = fast
     if p_weight(d, p) == p:
         by_pair, names = _decide_weight_p(p, n, d)
         verdicts.update(dict.fromkeys(names, by_pair))
-        verdicts["linearized-kernel"] = linearized_kernel_dim(ctx, normalize_weight_p(d, p)) == 1
-    if len(set(verdicts.values())) != 1:
-        raise DeciderDisagreement(f"deciders disagree on d={d}, p={p}, n={n}: {verdicts}")
+        verdicts[LINEARIZED_KERNEL] = linearized_kernel_dim(ctx, normalize_weight_p(d, p)) == 1
+    _agree(verdicts, d, p, n)
     report.deciders_agreed = sorted(verdicts)
     return report
 
@@ -421,19 +435,21 @@ def _cache_path(cache_dir, p: int, n: int) -> Path:
     return Path(cache_dir) / f"gapn_{p}_{n}.csv"
 
 
+def _record(p: int, n: int, rep: int, weight: int, verdict: bool, deciders: list[str], version: str) -> str:
+    """The cache line of one decided coset, without its newline."""
+    prefix = f"{p},{n},{rep},{weight},{int(verdict)},{'+'.join(deciders)},{version}"
+    return f"{prefix},{zlib.crc32(prefix.encode('utf-8'))}"
+
+
 def cache_store(
     cache_dir, key: tuple[int, int, int], weight: int, verdict: bool, deciders: list[str]
 ) -> None:
     """Append one decided coset to the cache (append-only)."""
-    from . import __version__
-
     p, n, rep = key
-    prefix = f"{p},{n},{rep},{weight},{int(verdict)},{'+'.join(deciders)},{__version__}"
-    crc = zlib.crc32(prefix.encode("utf-8"))
     path = _cache_path(cache_dir, p, n)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a") as fh:
-        fh.write(f"{prefix},{crc}\n")
+        fh.write(_record(p, n, rep, weight, verdict, deciders, __version__) + "\n")
 
 
 def _load_cache(cache_dir, p: int, n: int) -> dict[int, tuple[int, bool, list[str]]]:
@@ -455,13 +471,14 @@ def _load_cache(cache_dir, p: int, n: int) -> dict[int, tuple[int, bool, list[st
         parts = line.split(",")
         if len(parts) != 8:
             raise CacheCorrupt(f"{path}:{lineno}: malformed record")
-        prefix = ",".join(parts[:7])
-        if str(zlib.crc32(prefix.encode("utf-8"))) != parts[7]:
-            raise CacheCorrupt(f"{path}:{lineno}: checksum mismatch")
         try:
             rec_p, rec_n, rep, weight, verdict = (int(x) for x in parts[:5])
         except ValueError:
             raise CacheCorrupt(f"{path}:{lineno}: non-integer field") from None
+        deciders = parts[5].split("+")
+        # Checks the checksum, and that every number is canonical decimal.
+        if _record(rec_p, rec_n, rep, weight, verdict, deciders, parts[6]) != line:
+            raise CacheCorrupt(f"{path}:{lineno}: checksum mismatch or non-canonical number")
         if (rec_p, rec_n) != (p, n):
             raise CacheCorrupt(f"{path}:{lineno}: record for ({rec_p},{rec_n}) in ({p},{n}) cache")
         if not 1 <= rep < p**n - 1 or coset_rep(rep, p, n) != rep:
@@ -470,9 +487,10 @@ def _load_cache(cache_dir, p: int, n: int) -> dict[int, tuple[int, bool, list[st
             raise CacheCorrupt(f"{path}:{lineno}: weight {weight} is not the weight of {rep}")
         if verdict not in (0, 1):
             raise CacheCorrupt(f"{path}:{lineno}: verdict {verdict} is not 0 or 1")
-        deciders = parts[5].split("+")
-        if not all(deciders):
-            raise CacheCorrupt(f"{path}:{lineno}: empty decider name")
+        if not set(deciders) <= set(DECIDERS):
+            raise CacheCorrupt(f"{path}:{lineno}: unknown or empty decider name in {parts[5]!r}")
+        if rep in out and out[rep][1] != verdict:
+            raise CacheCorrupt(f"{path}:{lineno}: verdict {verdict} for {rep} conflicts with an earlier record")
         out[rep] = (weight, bool(verdict), deciders)
     return out
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gapnkit import (
     CacheCorrupt,
+    DeciderDisagreement,
     SearchFilters,
     SearchJob,
     __version__,
@@ -25,6 +26,7 @@ from gapnkit import (
     exact_verdict,
     exceptional_profile,
     identify_family,
+    monomial_gapn_fast,
     monomial_table,
     normalize_weight_p,
     p_weight,
@@ -357,6 +359,56 @@ class TestAnalyze:
         assert "brute-force" in report.deciders_agreed
 
 
+_PANEL_FIELDS = [(2, 5), (3, 4), (5, 2), (7, 2)]
+
+
+class TestDeciderPanel:
+    @pytest.mark.parametrize("p,n", _PANEL_FIELDS)
+    def test_every_exponent(self, field, p, n):
+        ctx = field(p, n)
+        algebraic = ["circulant-rank", "criterion", "linearized-kernel"]
+        for d in range(1, p**n - 1):
+            expected = ["brute-force", "monomial-fast", *(algebraic if p_weight(d, p) == p else [])]
+            assert exact_verdict(ctx, d)[1] == sorted(expected), d
+
+    @pytest.mark.parametrize("p,n", _PANEL_FIELDS)
+    def test_scan_route_agrees_with_panel(self, field, p, n):
+        ctx = field(p, n)
+        for rep, weight in zip(*coset_reps(p, n)):
+            names = ["criterion", "circulant-rank"] if weight == p else ["monomial-fast"]
+            decided = search._decide_candidate((rep, weight), ctx)
+            assert decided == (rep, weight, exact_verdict(ctx, rep)[0], names)
+            assert set(decided[3]) <= set(search.DECIDERS)
+
+    def test_report_labels_are_decider_names(self, field):
+        ctx = field(3, 2)
+        labels = differential_spectrum(monomial_table(ctx, 5)).deciders_agreed
+        labels += monomial_gapn_fast(ctx, 5).deciders_agreed
+        assert labels == ["brute-force", "monomial-fast"]
+        assert set(labels) <= set(search.DECIDERS)
+
+
+class TestCrossCheck:
+    """A decider that answers wrongly fails the request; no verdict wins."""
+
+    def test_scan_pair_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "circulant_rank", lambda d, p, n: n)
+        with pytest.raises(DeciderDisagreement):
+            run_search(SearchJob(3, 4, "weight-p-only"))
+
+    def test_panel_disagreement_raises(self, monkeypatch, field):
+        monkeypatch.setattr(search, "linearized_kernel_dim", lambda ctx, d: 2)
+        with pytest.raises(DeciderDisagreement):
+            analyze_exponent(field(3, 4), 5)
+
+    def test_cli_reports_disagreement(self, monkeypatch, capsys):
+        monkeypatch.setattr(search, "linearized_kernel_dim", lambda ctx, d: 2)
+        assert cli_main(["test", "-p", "3", "-n", "4", "-d", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DeciderDisagreement"
+
+
 class TestCosetPartition:
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 2), (3, 5)])
     def test_scan_covers_every_exponent_once(self, p, n):
@@ -398,7 +450,7 @@ def _reference_enumerate(job):
             filtered["even_weight"] += 1
             filtered_reps["even_weight"].append(d)
             continue
-        candidates.append((d, w, w == p))
+        candidates.append((d, w))
     return scanned, filtered, filtered_reps, candidates
 
 
@@ -455,9 +507,7 @@ def _coset_reps_weight_p(job):
         "out_of_band": int(reps.size - in_band.sum()),
     }
     filtered_reps = {"low_weight": reps[low].tolist(), "even_weight": reps[even].tolist()}
-    candidates = [
-        (d, w, w == p) for d, w in zip(reps[chosen].tolist(), weights[chosen].tolist())
-    ]
+    candidates = list(zip(reps[chosen].tolist(), weights[chosen].tolist()))
     return int(reps.size), filtered, filtered_reps, candidates
 
 
@@ -664,6 +714,15 @@ class TestCache:
             ("3,4,5,3,1,criterion+", "empty decider name"),
             ("3,4,5,3,1,+criterion", "empty decider name"),
             ("3,4,5,3,1,criterion++circulant-rank", "empty decider name"),
+            ("3,4,+5,3,1", "non-canonical"),
+            ("3,4, 5,3,1", "non-canonical"),
+            ("3,4,0_5,3,1", "non-canonical"),
+            ("3,4,05,3,1", "non-canonical"),
+            ("3,4,\u0665,3,1", "non-canonical"),  # ARABIC-INDIC DIGIT FIVE
+            ("3,4,5,3,01", "non-canonical"),
+            ("3,4,5,3,\u0661", "non-canonical"),  # ARABIC-INDIC DIGIT ONE
+            ("3,4,5,3,1,bogus", "unknown"),
+            ("3,4,5,3,1,criterion+bogus", "unknown"),
         ],
     )
     def test_untrusted_checksum_valid_record_raises(self, tmp_path, record, reason):
@@ -672,9 +731,40 @@ class TestCache:
         prefix = ",".join([*fields, __version__])
         crc = zlib.crc32(prefix.encode("utf-8"))
         path = tmp_path / "gapn_3_4.csv"
-        path.write_text(f"{prefix},{crc}\n")
+        path.write_text(f"{prefix},{crc}\n", encoding="utf-8")
         with pytest.raises(CacheCorrupt, match=f":1: .*{reason}"):
             search._load_cache(tmp_path, 3, 4)
+
+    @staticmethod
+    def _write_records(path, records):
+        """Write checksum-valid (rep, verdict, deciders) records of F_81."""
+        lines = []
+        for rep, verdict, deciders in records:
+            prefix = f"3,4,{rep},{p_weight(rep, 3)},{verdict},{deciders},{__version__}"
+            lines.append(f"{prefix},{zlib.crc32(prefix.encode('utf-8'))}\n")
+        path.write_text("".join(lines))
+
+    def test_conflicting_repeat_raises(self, tmp_path, capsys):
+        # Coset 5 is GAPN; a later record saying otherwise must not win.
+        self._write_records(tmp_path / "gapn_3_4.csv", [(5, 1, "criterion"), (5, 0, "criterion")])
+        with pytest.raises(CacheCorrupt, match=":2: .*conflicts"):
+            search._load_cache(tmp_path, 3, 4)
+        argv = ["search", "-p", "3", "-n", "4", "--mode", "weight-p-only", "--cache", str(tmp_path)]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "CacheCorrupt"
+
+    def test_agreeing_repeat_loads_last(self, tmp_path):
+        # Two runs sharing one cache directory can both store a coset.
+        self._write_records(
+            tmp_path / "gapn_3_4.csv",
+            [(5, 1, "brute-force"), (11, 0, "monomial-fast"), (5, 1, "criterion+circulant-rank")],
+        )
+        assert search._load_cache(tmp_path, 3, 4) == {
+            5: (3, True, ["criterion", "circulant-rank"]),
+            11: (3, False, ["monomial-fast"]),
+        }
 
     def test_foreign_record_raises(self, tmp_path):
         # A (3,5) record smuggled into the (3,4) file fails loudly even with
