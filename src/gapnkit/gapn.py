@@ -29,11 +29,20 @@ count above p.  For a power map f(x) = x**d,
 S_a f(x) = a**d * S_1 f(x / a): b -> a**d * b is a bijection, so every
 direction's count multiset equals direction 1's and monomial_gapn_fast is
 exact from that one direction, a batch holding a = 1 alone.
+
+When only the verdict is wanted, monomial_gapn_verdict first sums a fixed
+sample of about 4 * sqrt(p**n) rows of S_1: two rows with one sum already
+give a count of at least 2p, so x**d is not GAPN.  For a random-looking
+map that collision is all but certain, so the full pass runs only for
+the GAPN exponents and a few others.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +109,9 @@ def _derivative_values(ctx: FieldCtx, lanes: np.ndarray, index: np.ndarray) -> n
     {z + i : i in F_p} is row z // p of a (p**(n-1), p) reshape, and
     S_a f(a * z) is the digit-vector sum of that row of z -> f(a * z).
     Lanes never carry, so that sum is p - 1 integer adds; returns the
-    (B * p**(n-1),) row sums, direction-major.
+    (B * p**(n-1),) row sums, direction-major.  Any index whose size is a
+    multiple of p works the same way: every p consecutive entries are
+    one row.
     """
     p = ctx.p
     rows = lanes[index].reshape(-1, p)
@@ -267,6 +278,50 @@ def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
     )
 
 
+_SAMPLE_SEED = 20170101  # any fixed seed: which rows are drawn never changes a verdict
+
+
+def _sample_size(p: int, n: int) -> int:
+    """K = min(p**(n-1) - 1, ceil(4 * sqrt(p**n))) rows for the collision
+    certificate.  A random-looking map of p**n elements shows no repeated
+    row sum among K rows with chance about exp(-K**2 / (2 p**n)) = e**-8."""
+    order = p**n
+    return min(order // p - 1, math.isqrt(16 * order - 1) + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _sample_rows(p: int, n: int, k: int) -> np.ndarray:
+    """(k, p) read-only element indices: k distinct rows {z*p + i : i in F_p}
+    drawn with a fixed seed from 1 <= z < p**(n-1).  Row 0 holds x = 0,
+    which has no log.  Indices, not logs, so any modulus reads its own
+    log table."""
+    rows = random.Random(_SAMPLE_SEED).sample(range(1, p ** (n - 1)), k)
+    index = np.array(rows, dtype=np.int64).reshape(k, 1) * p + np.arange(p, dtype=np.int64)
+    index.setflags(write=False)
+    return index
+
+
+def monomial_gapn_verdict(ctx: FieldCtx, d: int) -> bool:
+    """monomial_gapn_fast(ctx, d).is_gapn, usually without the full pass.
+
+    S_1(x**d) is constant on each row {z + i : i in F_p}, so two distinct
+    rows with the same row sum give that value at least 2p solutions, an
+    exact proof that x**d is not GAPN.  The row sums of a fixed sample of
+    rows are compared first; only when they are all distinct, which
+    proves nothing, does the full single-direction pass decide.
+    """
+    if d < 1:
+        raise ValueError("need an exponent d >= 1")
+    ctx._require_tables("log table")
+    group = ctx.order - 1
+    logs = ctx.log_table[_sample_rows(ctx.p, ctx.n, _sample_size(ctx.p, ctx.n))]
+    values = ctx.antilog_table[logs * (d % group) % group]
+    sums = np.sort(_derivative_values(ctx, ctx.lane_table, values))
+    if (sums[1:] == sums[:-1]).any():
+        return False
+    return monomial_gapn_fast(ctx, d).is_gapn
+
+
 def linearized_kernel_dim(ctx: FieldCtx, d: int) -> int:
     """Kernel dimension over F_p of the derivative-sum map of x**d.
 
@@ -368,6 +423,7 @@ __all__ = [
     "load_table_csv",
     "load_table_raw",
     "monomial_gapn_fast",
+    "monomial_gapn_verdict",
     "monomial_table",
     "save_table_csv",
     "save_table_raw",

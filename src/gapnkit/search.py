@@ -15,16 +15,19 @@ against each other; they read no field table, so a weight-p-only scan
 never builds one.  All other cosets go to the
 single-direction monomial decider, which is exact for every power map:
 S_a(x**d)(x) = a**d * S_1(x**d)(x / a), so direction 1 has every
-direction's count multiset.
+direction's count multiset.  A scan needs only its verdict, so it asks
+gapn.monomial_gapn_verdict, which first looks for two sampled rows of
+S_1 with the same sum (an exact proof of non-GAPN) and runs the full
+pass only when it finds none.
 
 Default filters drop cosets that cannot be GAPN: digit sum below p
 (any characteristic), and even digit sum (odd characteristic only, where
 x -> -x pairs up solutions).  verify_filters re-checks a stratified
-sample of everything filtered by brute force.
+sample of everything filtered with the single-direction decider.
 
-Cache files hold one CSV record per decided coset, appended as soon as
-its verdict reaches the parent process, so a killed scan resumes from
-every coset it finished:
+Cache files hold one CSV record per decided coset, appended through one
+line-buffered handle per scan as soon as its verdict reaches the parent
+process, so a killed scan resumes from every coset it finished:
 
     p,n,coset_rep,weight,verdict,decider,version,checksum
 
@@ -45,6 +48,7 @@ again.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 import zlib
@@ -59,6 +63,7 @@ from .gapn import (
     differential_spectrum,
     linearized_kernel_dim,
     monomial_gapn_fast,
+    monomial_gapn_verdict,
     monomial_table,
 )
 from .monomial import (
@@ -97,7 +102,7 @@ def _decide_weight_p(p: int, n: int, rep: int) -> tuple[bool, list[str]]:
 
 
 def _decide_brute(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
-    return monomial_gapn_fast(ctx, d).is_gapn, [MONOMIAL_FAST]
+    return monomial_gapn_verdict(ctx, d), [MONOMIAL_FAST]
 
 
 _worker_state: dict = {}
@@ -225,21 +230,24 @@ def run_search(job: SearchJob) -> SearchResult:
     results = {rep: cached[rep] for rep, _ in candidates if rep in cached}
     todo = [c for c in candidates if c[0] not in results]
 
-    def record(rep: int, w: int, verdict: bool, deciders: list[str]) -> None:
-        # Stored as it arrives, so a killed scan resumes from what it finished.
-        results[rep] = (w, verdict, deciders)
-        if job.cache_dir is not None:
-            cache_store(job.cache_dir, (p, n, rep), w, verdict, deciders)
+    store = job.cache_dir is not None and bool(todo)
+    with _open_cache(job.cache_dir, p, n) if store else contextlib.nullcontext() as sink:
 
-    workers = min(job.jobs, len(todo))
-    if workers > 1:
-        chunk = max(1, len(todo) // (workers * 4))
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(p, n)) as pool:
-            for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
-                record(*result)
-    else:
-        for candidate in todo:
-            record(*_decide_candidate(candidate, ctx))
+        def record(rep: int, w: int, verdict: bool, deciders: list[str]) -> None:
+            # Stored as it arrives, so a killed scan resumes from what it finished.
+            results[rep] = (w, verdict, deciders)
+            if sink is not None:
+                sink.write(_record(p, n, rep, w, verdict, deciders, __version__) + "\n")
+
+        workers = min(job.jobs, len(todo))
+        if workers > 1:
+            chunk = max(1, len(todo) // (workers * 4))
+            with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(p, n)) as pool:
+                for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
+                    record(*result)
+        else:
+            for candidate in todo:
+                record(*_decide_candidate(candidate, ctx))
 
     gapn_cosets = [
         _coset_entry(rep, p, n, w, deciders)
@@ -278,8 +286,9 @@ def _coset_entry(rep: int, p: int, n: int, weight: int, deciders: list[str]) -> 
 
 
 def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]]) -> dict:
-    """Brute-force a stratified sample of filtered cosets; all must be
-    non-GAPN for the filters to be sound."""
+    """Decide a stratified sample of filtered cosets with the
+    single-direction decider; all must be non-GAPN for the filters to be
+    sound."""
     sampled = 0
     violations = []
     per_stratum = {}
@@ -441,14 +450,20 @@ def _record(p: int, n: int, rep: int, weight: int, verdict: bool, deciders: list
     return f"{prefix},{zlib.crc32(prefix.encode('utf-8'))}"
 
 
+def _open_cache(cache_dir, p: int, n: int):
+    """The (p, n) cache file for appending, line-buffered so that each
+    record reaches the OS as soon as it is written."""
+    path = _cache_path(cache_dir, p, n)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "a", buffering=1)
+
+
 def cache_store(
     cache_dir, key: tuple[int, int, int], weight: int, verdict: bool, deciders: list[str]
 ) -> None:
     """Append one decided coset to the cache (append-only)."""
     p, n, rep = key
-    path = _cache_path(cache_dir, p, n)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as fh:
+    with _open_cache(cache_dir, p, n) as fh:
         fh.write(_record(p, n, rep, weight, verdict, deciders, __version__) + "\n")
 
 

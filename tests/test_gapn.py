@@ -14,12 +14,21 @@ from gapnkit import (
     differential_spectrum,
     gen_derivative,
     linearized_kernel_dim,
+    PolyFp,
     make_field,
     monomial_gapn_fast,
     monomial_table,
 )
-from gapnkit.gapn import load_table_csv, load_table_raw, save_table_csv, save_table_raw
+from gapnkit import gapn
+from gapnkit.gapn import (
+    load_table_csv,
+    load_table_raw,
+    monomial_gapn_verdict,
+    save_table_csv,
+    save_table_raw,
+)
 from gapnkit.monomial import digits_of
+from gapnkit.polyfp import is_irreducible
 
 
 class TestFnTable:
@@ -378,6 +387,80 @@ class TestMonomialFastPath:
     def test_d_zero_rejected(self, field):
         with pytest.raises(ValueError):
             monomial_gapn_fast(field(3, 2), 0)
+
+
+class TestCollisionCertificate:
+    """monomial_gapn_verdict: a repeated row sum among the sampled rows of
+    S_1(x**d) proves non-GAPN; otherwise the full pass decides."""
+
+    FIELDS = [
+        (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (5, 4),
+        (7, 2), (7, 3), (11, 2), (13, 2), (2, 5), (2, 8),
+    ]  # fmt: skip
+
+    @staticmethod
+    def _verdicts(monkeypatch, ctx, k):
+        """{d: (verdict, fired)} over every d in [1, p**n - 2] with k sampled
+        rows; fired means the full pass never ran."""
+        monkeypatch.setattr(gapn, "_sample_size", lambda p, n: k)
+        passes = []
+
+        def full_pass(ctx, d):
+            passes.append(d)
+            return monomial_gapn_fast(ctx, d)
+
+        monkeypatch.setattr(gapn, "monomial_gapn_fast", full_pass)
+        out = {}
+        for d in range(1, ctx.order - 1):
+            passes.clear()
+            out[d] = monomial_gapn_verdict(ctx, d), not passes
+        return out
+
+    @pytest.mark.parametrize("rows", ["one", "three", "every"])
+    @pytest.mark.parametrize("p,n", FIELDS)
+    def test_matches_full_pass_and_never_fires_on_gapn(self, field, monkeypatch, p, n, rows):
+        ctx = field(p, n)
+        k = {"one": 1, "three": min(3, p ** (n - 1) - 1), "every": p ** (n - 1) - 1}[rows]
+        truth = {d: monomial_gapn_fast(ctx, d).is_gapn for d in range(1, ctx.order - 1)}
+        verdicts = self._verdicts(monkeypatch, ctx, k)
+        assert {d: v for d, (v, _) in verdicts.items()} == truth
+        fired = {d for d, (_, f) in verdicts.items() if f}
+        assert not {d for d in fired if truth[d]}
+        if k == 1:
+            assert not fired  # one row cannot collide
+        if rows == "every" and p > 2:
+            # x -> -x maps row z to row -z and S_1 to +-S_1, so a repeated
+            # value with row 0 among its rows also repeats on nonzero rows.
+            assert fired == {d for d, gapn_d in truth.items() if not gapn_d}
+
+    def test_sample_size_formula(self):
+        # min(p**(n-1) - 1, ceil(4 * sqrt(p**n)))
+        assert gapn._sample_size(3, 9) == 562
+        assert gapn._sample_size(5, 7) == 1119
+        assert gapn._sample_size(3, 4) == 26
+        assert gapn._sample_size(2, 1) == 0
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (3, 9), (5, 4), (2, 8)])
+    def test_sample_rows_are_distinct_nonzero_rows(self, p, n):
+        k = gapn._sample_size(p, n)
+        index = gapn._sample_rows(p, n, k)
+        assert index.shape == (k, p) and not index.flags.writeable
+        rows = index[:, 0] // p
+        assert len(set(rows.tolist())) == k and rows.min() >= 1 and rows.max() < p ** (n - 1)
+        assert (index == index[:, :1] + np.arange(p)).all()
+
+    def test_own_modulus(self):
+        default = make_field(3, 5)
+        monics = (PolyFp(3, digits_of(k, 3, 5) + (1,)) for k in reversed(range(3**5)))
+        modulus = next(f for f in monics if is_irreducible(f))
+        assert modulus.coeffs != default.modulus.coeffs
+        ctx = make_field(3, 5, modulus)
+        for d in range(1, ctx.order - 1):
+            assert monomial_gapn_verdict(ctx, d) == monomial_gapn_fast(ctx, d).is_gapn, f"d={d}"
+
+    def test_d_zero_rejected(self, field):
+        with pytest.raises(ValueError):
+            monomial_gapn_verdict(field(3, 2), 0)
 
 
 class TestLinearizedKernel:

@@ -5,6 +5,7 @@ import multiprocessing
 import tempfile
 import time
 import zlib
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -33,7 +34,7 @@ from gapnkit import (
     run_search,
     verify_families,
 )
-from gapnkit import FieldCtx, search
+from gapnkit import FieldCtx, gapn, search
 from gapnkit.cli import main as cli_main
 from gapnkit.search import SOFT_ORDER_BUDGET
 from numpy_cosets import coset_reps as numpy_coset_reps
@@ -174,6 +175,22 @@ class TestConjecture:
         assert result.conjecture_holds is True
         assert result.gapn_cosets == []
 
+    # The README census: in-band GAPN cosets of each field, tallied by
+    # weight.  (3, 12), which takes several seconds, is left out.
+    CENSUS = {
+        (3, 4): {}, (3, 5): {5: 3, 7: 1}, (3, 6): {}, (3, 7): {}, (3, 8): {},
+        (3, 9): {}, (3, 10): {}, (3, 11): {},
+        (5, 3): {7: 6, 9: 3}, (5, 4): {7: 3}, (5, 5): {7: 8, 9: 2, 15: 1, 17: 1},
+        (5, 6): {7: 1}, (5, 7): {7: 12, 25: 1},
+        (7, 3): {11: 8, 13: 4}, (7, 4): {11: 4, 13: 2}, (7, 5): {11: 15, 13: 2, 25: 1},
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("p,n", sorted(CENSUS))
+    def test_census(self, p, n):
+        result = run_search(SearchJob(p, n, mode="conjecture"))
+        assert Counter(e["weight"] for e in result.gapn_cosets) == self.CENSUS[p, n]
+        assert result.conjecture_holds is (not self.CENSUS[p, n])
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_result(self):
@@ -214,6 +231,52 @@ class TestDeterminism:
         result = run_search(SearchJob(p, n, jobs=jobs))
         assert started == workers
         assert _frozen(result) == _frozen(run_search(SearchJob(p, n)))
+
+
+class TestCollisionCertificate:
+    """Scans decide through gapn.monomial_gapn_verdict, whose row-sum
+    collision certificate skips most full single-direction passes."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched decider reaches pool workers only through fork",
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "mode,verify", [("conjecture", False), ("exhaustive", False), ("exhaustive", True)]
+    )
+    @pytest.mark.parametrize(
+        "p,n", [(3, 5), (3, 6), (3, 7), (3, 8), (5, 3), (5, 4), (7, 3), (2, 8)]
+    )
+    def test_same_documents_and_cache_bytes(self, tmp_path, monkeypatch, p, n, mode, verify, jobs):
+        monkeypatch.setattr(search.multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+
+        def run(cache):
+            job = SearchJob(p, n, mode, SearchFilters(verify_filters=verify), jobs, str(tmp_path / cache))
+            document = _frozen(run_search(job))
+            data = search._cache_path(job.cache_dir, p, n).read_bytes()
+            # Pool results arrive in any order.
+            return document, data if jobs == 1 else sorted(data.splitlines())
+
+        certified = run("certified")
+        monkeypatch.setattr(
+            search, "monomial_gapn_verdict", lambda ctx, d: monomial_gapn_fast(ctx, d).is_gapn
+        )
+        assert run("full-pass") == certified
+
+    def test_scan_skips_full_passes(self, monkeypatch):
+        passes = []
+
+        def full_pass(ctx, d, real=gapn.monomial_gapn_fast):
+            passes.append(d)
+            return real(ctx, d)
+
+        monkeypatch.setattr(gapn, "monomial_gapn_fast", full_pass)
+        result = run_search(SearchJob(3, 9, mode="conjecture"))
+        assert result.conjecture_holds is True
+        # 1,077 candidates; a random-looking map escapes the certificate
+        # with chance about e**-8.
+        assert len(passes) <= 10
 
 
 class TestVerifyFilters:
