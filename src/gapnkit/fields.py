@@ -10,8 +10,15 @@ not at construction, the default modulus included, so callers that never
 multiply (weight-p-only scans, the algebraic deciders) never pay for
 them.  The antilog build runs in numpy: multiplying by the generator is an
 F_p-linear map on digit vectors, so doubling the run of known powers is
-one matrix product.  Contexts are immutable apart from that one-time fill;
-every operation is a pure function of (context, arguments).
+one matrix product.  Contexts are immutable apart from that one-time fill,
+and every table is read-only once built; every operation is a pure
+function of (context, arguments).
+
+make_field shares one default-modulus context per (p, n) for the life of
+the interpreter when p**n <= SOFT_ORDER_BUDGET, so repeated requests on a
+small field build its tables once.  All of them held at once come to
+about 9 MiB.  An explicit modulus, a larger field and FieldCtx(...) called
+directly always give a new context.
 """
 
 from __future__ import annotations
@@ -27,10 +34,18 @@ from .polyfp import PolyFp, is_irreducible
 
 ORDER_CAP = 1 << 48
 TABLE_CAP = 1 << 24
+SOFT_ORDER_BUDGET = 3**7  # largest order shared by make_field and scanned by default
 
 _TABLE_SLOTS = ("generator", "log_table", "antilog_table")
 _BUILD_CHUNK = 1 << 15  # rows per block product; bounds the temporaries
 _LANE_LOOKUP_BITS = 12  # index width of one lane-reduction lookup table
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writable: a shared context's tables cannot be changed
+    in place by any one caller."""
+    a.setflags(write=False)
+    return a
 
 
 def _lane_layout(p: int) -> tuple[int, int]:
@@ -92,7 +107,7 @@ class FieldCtx:
         self.p = p
         self.n = n
         self.order = order
-        self._pow_vec = np.array([p**s for s in range(n)], dtype=np.int64)
+        self._pow_vec = _read_only(np.array([p**s for s in range(n)], dtype=np.int64))
         self._digits = None
         self._lanes = None
         if order > TABLE_CAP:
@@ -276,8 +291,8 @@ class FieldCtx:
         if (log[1:] < 0).any():
             raise AssertionError("antilog table misses an element (table build bug)")
         self.generator = gen
-        self.antilog_table = antilog
-        self.log_table = log
+        self.antilog_table = _read_only(antilog)
+        self.log_table = _read_only(log)
 
     @property
     def digit_table(self) -> np.ndarray:
@@ -290,7 +305,7 @@ class FieldCtx:
             for s in range(self.n):
                 ds[:, s] = idx % self.p
                 idx = idx // self.p
-            self._digits = ds
+            self._digits = _read_only(ds)
         return self._digits
 
     def _lane_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -312,7 +327,8 @@ class FieldCtx:
                 table = np.zeros(v.size, dtype=np.int64)
                 for l in range(k):
                     table += ((v >> (l * w)) & ((1 << w) - 1)) % p * p**l
-            self._lanes = (lanes, table)
+                _read_only(table)
+            self._lanes = (_read_only(lanes), table)
         return self._lanes
 
     @property
@@ -370,6 +386,24 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, n={self.n}, modulus={self.modulus})"
 
 
+_shared: dict[tuple[int, int], FieldCtx] = {}
+
+
 def make_field(p: int, n: int, modulus: PolyFp | None = None) -> FieldCtx:
-    """Build a field context; the modulus defaults to the canonical one."""
-    return FieldCtx(p, n, modulus)
+    """A field context; the modulus defaults to the canonical one.
+
+    With the default modulus, int arguments and p**n <= SOFT_ORDER_BUDGET,
+    every call returns the same shared context, so its tables are built
+    once per interpreter.  Otherwise each call builds a new context.
+    Invalid arguments raise on every call: a context is stored only once
+    it is built.
+    """
+    if modulus is not None or type(p) is not int or type(n) is not int:
+        return FieldCtx(p, n, modulus)
+    ctx = _shared.get((p, n))
+    if ctx is None:
+        ctx = FieldCtx(p, n)
+        if ctx.order <= SOFT_ORDER_BUDGET:
+            # setdefault: when two threads race, both get the one stored.
+            ctx = _shared.setdefault((p, n), ctx)
+    return ctx

@@ -57,7 +57,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CacheCorrupt, DeciderDisagreement
-from .fields import FieldCtx, make_field
+from .fields import SOFT_ORDER_BUDGET, FieldCtx, make_field
 from .gapn import (
     GapnReport,
     differential_spectrum,
@@ -77,8 +77,6 @@ from .monomial import (
     normalize_weight_p,
     p_weight,
 )
-
-SOFT_ORDER_BUDGET = 3**7
 
 # The names a cache record may give its deciders.
 DECIDERS = ("brute-force", "monomial-fast", "criterion", "circulant-rank", "linearized-kernel")

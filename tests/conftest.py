@@ -1,6 +1,6 @@
 import pytest
 
-from gapnkit import FieldCtx, make_field
+from gapnkit import FieldCtx, fields, make_field
 
 _cache = {}
 
@@ -16,6 +16,13 @@ def field():
         return _cache[key]
 
     return get
+
+
+@pytest.fixture(autouse=True)
+def fresh_shared_fields():
+    """Start every test with no shared field contexts, so a test that checks
+    how a context is built does not depend on which tests ran before it."""
+    fields._shared.clear()
 
 
 @pytest.fixture

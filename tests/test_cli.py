@@ -3,15 +3,18 @@
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gapnkit import __version__, cli, make_field, monomial_table, search
+from gapnkit import FieldCtx, __version__, cli, fields, make_field, monomial_table, search
 from gapnkit.cli import main
-from gapnkit.gapn import save_table_csv, save_table_raw
+from gapnkit.gapn import FnTable, save_table_csv, save_table_raw
 
 
 def run_cli(capsys, argv):
@@ -23,7 +26,7 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_cli_subprocess(argv, stdout=subprocess.PIPE, timeout=60):
+def run_cli_subprocess(argv, stdout=subprocess.PIPE, timeout=60, module="gapnkit.cli"):
     """Run the CLI in a fresh interpreter with a timeout and a 400 MB
     address-space cap, so a hang or a runaway allocation fails the test
     instead of stalling the suite."""
@@ -35,7 +38,7 @@ def run_cli_subprocess(argv, stdout=subprocess.PIPE, timeout=60):
     path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, "-m", "gapnkit.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout, env=env,
         preexec_fn=cap_memory,
     )
@@ -622,3 +625,75 @@ class TestVersion:
         code, out, _ = run_cli(capsys, ["--version"])
         assert code == 0
         assert out == f"gapnkit {__version__}\n"
+
+
+class TestModuleEntryPoint:
+    """python -m gapnkit runs the same command line as cli.main."""
+
+    def test_prints_what_main_prints(self, capsys):
+        argv = ["test", "-p", "3", "-n", "2", "-d", "5", "--format", "json"]
+        proc = run_cli_subprocess(argv, module="gapnkit")
+        code, out, err = run_cli(capsys, argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
+
+    def test_domain_error_exits_1(self):
+        proc = run_cli_subprocess(["test", "-p", "4", "-n", "2", "-d", "5"], module="gapnkit")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {"error": "NotPrime", "message": "4 is not prime"}
+
+    def test_usage_error_exits_2(self):
+        proc = run_cli_subprocess(["test", "-p", "3", "-n", "2"], module="gapnkit")
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr
+
+
+_SHARED_FIELDS = [(3, 4), (3, 5), (3, 6), (3, 7), (5, 3), (5, 4), (7, 2), (7, 3), (2, 8), (2, 9), (2, 10)]
+
+
+def _mixed_requests(tmp_path, seed):
+    """A seeded, shuffled list of argvs: every request kind on every field
+    of _SHARED_FIELDS, scans on the smaller ones."""
+    rng = random.Random(seed)
+    requests = []
+    for p, n in _SHARED_FIELDS:
+        order = p**n
+        weight_p = 1 + (p - 1) * p ** rng.randrange(1, n)  # digit sum p
+        field = ["-p", str(p), "-n", str(n)]
+        table = tmp_path / f"t_{p}_{n}.csv"
+        save_table_csv(FnTable(FieldCtx(p, n), np.array([rng.randrange(order) for _ in range(order)])), table)
+        requests += [
+            ["test", *field, "-d", str(rng.randrange(1, order - 1))],
+            ["test", *field, "-d", str(weight_p)],
+            ["test", *field, "-d", str(order)],  # out of range: a domain error
+            ["families", *field],
+            ["spectrum", *field, "-d", str(rng.randrange(1, order - 1))],
+            ["spectrum", *field, "--table", str(table)],
+            ["criterion", *field, "-d", str(weight_p)],
+            ["profile", "-p", str(p), "-d", str(weight_p)],
+        ]
+        if order <= 3**5:
+            requests += [["search", *field], ["conjecture", *field]]
+    rng.shuffle(requests)
+    return [argv + ["--format", rng.choice(["json", "human"])] for argv in requests]
+
+
+class TestSharedFieldsKeepOutputs:
+    def test_warm_memo_matches_fresh_fields(self, capsys, tmp_path):
+        requests = _mixed_requests(tmp_path, seed=13)
+
+        def outputs(clear_before_each):
+            got = []
+            for argv in requests:
+                if clear_before_each:
+                    fields._shared.clear()
+                code, out, err = run_cli(capsys, argv)
+                got.append((code, re.sub(r'(elapsed"?: )[0-9.e+-]+', r"\1", out), err))
+            return got
+
+        fresh = outputs(clear_before_each=True)
+        fields._shared.clear()
+        warm = outputs(clear_before_each=False)
+        assert sorted(fields._shared) == sorted(_SHARED_FIELDS)
+        assert warm == fresh
+        assert {code for code, _, _ in fresh} == {0, 1}

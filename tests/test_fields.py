@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from gapnkit import (
+    SOFT_ORDER_BUDGET,
     DivisionByZero,
     FieldCtx,
     NotIrreducible,
     NotPrime,
     OrderTooLarge,
     PolyFp,
+    SearchJob,
+    fields,
     find_irreducible,
     make_field,
+    run_search,
+    search,
 )
+from gapnkit.cli import main as cli_main
 
 
 # Naive irreducibility oracle, independent of the library's irreducibility test:
@@ -91,12 +97,13 @@ class TestFindIrreducible:
 
         monkeypatch.setattr(fields, "is_irreducible", counting)
         find_irreducible.cache_clear()
-        first = make_field(5, 3)
+        # FieldCtx directly: make_field would hand back one shared context
+        first = FieldCtx(5, 3)
         assert calls == []  # the modulus is found on its first read
         first.modulus
         assert calls
         calls.clear()
-        second = make_field(5, 3)
+        second = FieldCtx(5, 3)
         second.modulus
         assert calls == []
         assert second.modulus.coeffs == first.modulus.coeffs
@@ -321,7 +328,7 @@ class TestTables:
         built = []
         build = FieldCtx._build_tables
         monkeypatch.setattr(FieldCtx, "_build_tables", lambda ctx: built.append(build(ctx)))
-        ctx = make_field(3, 4)
+        ctx = FieldCtx(3, 4)
         assert ctx.add(4, 5) == ctx.add(5, 4)
         assert built == []
         assert ctx.mul(3, 3) == ctx._mul_reduce(3, 3)
@@ -392,3 +399,80 @@ class TestEncoding:
         # x * x^2 = x^3 = -(2x + c) in each representation
         assert a.mul(3, 9) == a.neg(a.element_from_coeffs((1, 2, 0)))
         assert b.mul(3, 9) == b.neg(b.element_from_coeffs((2, 2, 0)))
+
+
+class TestSharedFields:
+    """make_field shares one default-modulus context per small field."""
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 4), (3, 7), (2, 11), (5, 4), (43, 2), (67, 1)])
+    def test_repeated_calls_share_one_context(self, p, n):
+        ctx = make_field(p, n)
+        assert make_field(p, n) is ctx
+        assert make_field(p, n).log_table is ctx.log_table
+        assert FieldCtx(p, n) is not ctx  # the class itself never shares
+
+    def test_explicit_modulus_gets_a_new_context(self):
+        shared = make_field(3, 4)
+        canonical = find_irreducible(3, 4)
+        own = make_field(3, 4, canonical)
+        assert own is not shared
+        assert make_field(3, 4, canonical) is not own
+        assert fields._shared == {(3, 4): shared}
+
+    @pytest.mark.parametrize("p,n", [(3, 8), (47, 2)])
+    def test_above_budget_gets_a_new_context(self, p, n):
+        assert p**n > SOFT_ORDER_BUDGET
+        assert make_field(p, n) is not make_field(p, n)
+        assert fields._shared == {}
+
+    def test_non_int_arguments_get_a_new_context(self):
+        ctx = make_field(np.int64(3), 4)
+        assert make_field(np.int64(3), 4) is not ctx
+        assert fields._shared == {}
+
+    def test_scan_above_budget_builds_its_own_field(self, monkeypatch):
+        real = search.make_field
+        built = []
+
+        def recording(p, n):
+            built.append(real(p, n))
+            return built[-1]
+
+        monkeypatch.setattr(search, "make_field", recording)
+        for _ in range(2):
+            run_search(SearchJob(3, 9, "conjecture"))
+        assert len(built) == 2 and built[0] is not built[1]
+        assert (3, 9) not in fields._shared
+        assert all(ctx.order <= SOFT_ORDER_BUDGET for ctx in fields._shared.values())
+
+    @pytest.mark.parametrize(
+        "p,n,error", [(4, 2, NotPrime), (1, 3, NotPrime), (3, 0, ValueError), (2, 49, OrderTooLarge)]
+    )
+    def test_errors_raise_on_every_call(self, p, n, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                make_field(p, n)
+        assert fields._shared == {}
+
+    def test_tables_are_read_only(self, capsys):
+        argv = ["test", "-p", "3", "-n", "4", "-d", "5", "--format", "json"]
+        assert cli_main(argv) == 0
+        before = capsys.readouterr().out
+        ctx = make_field(3, 4)
+        lanes, lookup = ctx._lane_tables()
+        tables = {
+            "log_table": ctx.log_table,
+            "antilog_table": ctx.antilog_table,
+            "lane_table": lanes,
+            "lane lookup": lookup,
+            "digit_table": ctx.digit_table,
+            "_pow_vec": ctx._pow_vec,
+        }
+        for name, table in tables.items():
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                table += 1
+        assert make_field(3, 4) is ctx
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == before
