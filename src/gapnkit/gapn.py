@@ -337,16 +337,16 @@ def linearized_kernel_dim(ctx: FieldCtx, d: int) -> int:
         raise WrongWeight(f"digit sum of {d} is {w}, need exactly {p}")
     if d % p == 0:
         raise WrongWeight(f"{d} is divisible by {p}; normalize first")
-    columns = []
+    images = []
     for t in range(n):
         basis_el = p**t
         y = 0
         for s, a_s in enumerate(digs):
             if a_s:
                 y = ctx.add(y, ctx.mul(ctx.embed_prime(a_s), ctx.frobenius(basis_el, s % n)))
-        columns.append(ctx.coeffs_of(y))
-    matrix = np.array(columns, dtype=np.int64).T
-    return n - rank_mod_p(matrix, p)
+        images.append(ctx.coeffs_of(y))
+    # The images are the matrix's columns; a matrix and its transpose have one rank.
+    return n - rank_mod_p(images, p)
 
 
 # ---- import / export -------------------------------------------------------

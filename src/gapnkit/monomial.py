@@ -25,11 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EvenCharacteristic, NotNormalized, NotPrime, WrongWeight
 from .numtheory import is_prime, primes
-from .polyfp import PolyFp, factorize, poly_gcd, root_order, x_pow_mod
+from .polyfp import PolyFp, _order_of_x, factorize, poly_gcd, x_pow_mod
 
 
 def digits_of(d: int, p: int, n: int | None = None) -> tuple[int, ...]:
@@ -231,25 +229,31 @@ def criterion_gapn(d: int, p: int, n: int) -> CriterionReport:
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank of an integer matrix over F_p by Gaussian elimination."""
-    a = np.array(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivots = np.nonzero(a[r:, c])[0]
-        if pivots.size == 0:
+    """Rank of an integer matrix over F_p by Gaussian elimination.
+
+    matrix is any 2-D sequence of integers, numpy arrays included; a matrix
+    with no rows has rank 0, and rows of unequal length raise ValueError.
+    The sides here are at most a few dozen, where Python int lists beat
+    numpy's per-call overhead.
+    """
+    rows = [[int(v) % p for v in row] for row in matrix]
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("matrix rows differ in length")
+    rank = 0
+    for c in range(width):
+        # rows holds the rows not yet used as pivots; all are 0 before column c.
+        i = next((i for i, row in enumerate(rows) if row[c]), None)
+        if i is None:
             continue
-        i = r + int(pivots[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        below = np.nonzero(a[r + 1 :, c])[0] + r + 1
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
-        r += 1
-    return r
+        pivot = rows.pop(i)
+        inv = pow(pivot[c], -1, p)
+        for j, row in enumerate(rows):
+            if row[c]:
+                f = row[c] * inv % p
+                rows[j] = [(a - f * b) % p for a, b in zip(row, pivot)]
+        rank += 1
+    return rank
 
 
 def circulant_rank(d: int, p: int, n: int) -> int:
@@ -332,7 +336,9 @@ def exceptional_profile(d: int, p: int) -> ExceptionalProfile:
         if factor == x_minus_1:
             unit_mult = mult
         else:
-            orders.add(root_order(factor))
+            # factorize proves each factor irreducible and monic, and the
+            # constant digit keeps x out, so root_order's checks are skipped.
+            orders.add(_order_of_x(factor))
     if unit_mult < 1:
         raise AssertionError("the digit polynomial always vanishes at 1")
     root_orders = tuple(sorted(orders))

@@ -74,65 +74,91 @@ class PolyFp:
 
     def __add__(self, other: "PolyFp") -> "PolyFp":
         self._check_same_field(other)
+        p = self.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return PolyFp(self.p, out)
+            out[i] = (out[i] + c) % p
+        return _reduced(p, out)
 
     def __neg__(self) -> "PolyFp":
-        return PolyFp(self.p, [-c for c in self.coeffs])
+        p = self.p
+        return _reduced(p, [-c % p for c in self.coeffs])
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
-        return self + (-other)
+        self._check_same_field(other)
+        p = self.p
+        a, b = self.coeffs, other.coeffs
+        out = list(a)
+        if len(a) < len(b):
+            out += [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = (out[i] - c) % p
+        return _reduced(p, out)
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         self._check_same_field(other)
-        if self.is_zero or other.is_zero:
-            return PolyFp.zero(self.p)
+        p = self.p
         a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _reduced(p, [])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return PolyFp(self.p, out)
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return _reduced(p, [c % p for c in out])
 
     def scale(self, c: int) -> "PolyFp":
         """Multiply by the constant c."""
-        return PolyFp(self.p, [c * v for v in self.coeffs])
+        p = self.p
+        return _reduced(p, [c * v % p for v in self.coeffs])
 
     def shift(self, k: int) -> "PolyFp":
         """Multiply by x**k."""
         if self.is_zero:
             return self
-        return PolyFp(self.p, (0,) * k + self.coeffs)
+        return _reduced(self.p, [0] * k + list(self.coeffs))
 
-    def __divmod__(self, other: "PolyFp"):
+    def _remainder(self, other: "PolyFp", quotient: list | None = None) -> "PolyFp":
+        """self mod other by schoolbook long division; each quotient
+        coefficient is also stored in quotient when one is given (a list
+        of zeros, one per quotient degree)."""
         self._check_same_field(other)
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
         p = self.p
-        db = other.degree
-        inv_lc = pow(other.lc, -1, p)
+        b = other.coeffs
+        db = len(b) - 1
+        if len(self.coeffs) <= db:
+            return self
+        inv_lc = pow(b[-1], -1, p)
+        low = b[:db]
         rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - db, 1)
+        # Step k clears rem[k]; it is never read again, so it is not written.
         for k in range(len(rem) - 1, db - 1, -1):
             c = rem[k]
             if c:
                 q = c * inv_lc % p
-                quo[k - db] = q
-                for s, mc in enumerate(other.coeffs):
-                    rem[k - db + s] = (rem[k - db + s] - q * mc) % p
-        return PolyFp(p, quo), PolyFp(p, rem[:db] if db > 0 else [])
+                if quotient is not None:
+                    quotient[k - db] = q
+                for s, mc in enumerate(low, k - db):
+                    rem[s] = (rem[s] - q * mc) % p
+        del rem[db:]
+        return _reduced(p, rem)
+
+    def __divmod__(self, other: "PolyFp"):
+        quotient = [0] * max(len(self.coeffs) - other.degree, 1)
+        rem = self._remainder(other, quotient)
+        return _reduced(self.p, quotient), rem
 
     def __floordiv__(self, other: "PolyFp") -> "PolyFp":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "PolyFp") -> "PolyFp":
-        return divmod(self, other)[1]
+        return self._remainder(other)
 
     def monic(self) -> "PolyFp":
         """Scale so the leading coefficient is 1 (zero stays zero)."""
@@ -148,7 +174,8 @@ class PolyFp:
         return acc
 
     def derivative(self) -> "PolyFp":
-        return PolyFp(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
+        p = self.p
+        return _reduced(p, [i * c % p for i, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other) -> bool:
         return (
@@ -180,6 +207,18 @@ class PolyFp:
         return " + ".join(terms)
 
 
+def _reduced(p: int, cs: list) -> PolyFp:
+    """PolyFp(p, cs) for coefficients already in [0, p): only trailing
+    zeros are stripped, so results of the ring operations skip
+    __init__'s per-coefficient reduction."""
+    while cs and not cs[-1]:
+        cs.pop()
+    poly = object.__new__(PolyFp)
+    poly.p = p
+    poly.coeffs = tuple(cs)
+    return poly
+
+
 def poly_gcd(a: PolyFp, b: PolyFp) -> PolyFp:
     """Monic greatest common divisor."""
     if a.is_zero and b.is_zero:
@@ -193,7 +232,7 @@ def pow_mod(base: PolyFp, e: int, mod: PolyFp) -> PolyFp:
     """base**e reduced modulo mod, for e >= 0."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = PolyFp.one(base.p)
+    result = PolyFp.one(base.p) % mod  # 0 when mod is a constant
     base = base % mod
     while e:
         if e & 1:
@@ -300,9 +339,10 @@ def _random_poly(p: int, deg_below: int, rng: random.Random) -> PolyFp:
     return PolyFp(p, [rng.randrange(p) for _ in range(deg_below)])
 
 
-def _equal_degree_split(f: PolyFp, d: int, rng: random.Random) -> list[PolyFp]:
+def _equal_degree_split(f: PolyFp, d: int, rng: random.Random | None) -> list[PolyFp]:
     """Cantor-Zassenhaus: split a monic square-free f whose irreducible
-    factors all have degree d into those factors."""
+    factors all have degree d into those factors.  rng may be None only
+    when f has degree d, which needs no draw."""
     if f.degree == d:
         return [f]
     p = f.p
@@ -355,10 +395,14 @@ def factorize(f: PolyFp) -> Factorization:
     fm = f.monic()
     if fm.degree == 0:
         return Factorization(p, unit, ())
-    rng = random.Random(f"edf:{p}:" + ",".join(map(str, fm.coeffs)))
+    rng = None
     parts: list[tuple[PolyFp, int]] = []
     for sq, mult in _squarefree_parts(fm):
         for prod, d in _distinct_degree_parts(sq):
+            if rng is None and prod.degree > d:
+                # Seeding costs more than a small factorization, so the
+                # stream starts at the first split that draws from it.
+                rng = random.Random(f"edf:{p}:" + ",".join(map(str, fm.coeffs)))
             for irr in _equal_degree_split(prod, d, rng):
                 parts.append((irr, mult))
     parts.sort(key=lambda it: (it[0].degree, it[0].coeffs))
@@ -372,16 +416,24 @@ def root_order(h: PolyFp) -> int:
     root beta of h satisfying beta**N = 1.  Degrees above 24 would force
     factoring p**m - 1 beyond the budget and raise FactorizationTooLarge.
     """
+    if h == PolyFp.x(h.p):
+        raise RootIsZero("the root of x is 0; it has no multiplicative order")
+    if h.degree < 1:
+        raise ValueError("need a polynomial of degree >= 1")
+    # Above the cap, _order_of_x raises FactorizationTooLarge before any test.
+    if h.degree <= _ROOT_ORDER_DEG_CAP and (h.lc != 1 or not is_irreducible(h)):
+        raise ValueError("root_order needs a monic irreducible polynomial")
+    return _order_of_x(h)
+
+
+def _order_of_x(h: PolyFp) -> int:
+    """The order walk of root_order, for an h already known to be monic
+    irreducible and not x, such as a factor from factorize: the group
+    order p**m - 1 divided by each prime q while x**(e/q) is still 1."""
     p = h.p
     m = h.degree
-    if h == PolyFp.x(p):
-        raise RootIsZero("the root of x is 0; it has no multiplicative order")
-    if m < 1:
-        raise ValueError("need a polynomial of degree >= 1")
     if m > _ROOT_ORDER_DEG_CAP:
         raise FactorizationTooLarge(f"degree {m} exceeds the cap of {_ROOT_ORDER_DEG_CAP}")
-    if h.lc != 1 or not is_irreducible(h):
-        raise ValueError("root_order needs a monic irreducible polynomial")
     n_group = p**m - 1
     e = n_group
     for q in factorint(n_group):

@@ -1,7 +1,9 @@
+import itertools
 import random
 import time
 from math import gcd
 
+import numpy as np
 import pytest
 
 from gapnkit import (
@@ -10,6 +12,7 @@ from gapnkit import (
     NotNormalized,
     NotPrime,
     PolyFp,
+    SOFT_ORDER_BUDGET,
     WrongWeight,
     circulant_rank,
     coset_count,
@@ -33,9 +36,10 @@ from gapnkit import (
     welch_exponent,
 )
 from gapnkit.monomial import rank_mod_p
-from gapnkit.numtheory import is_prime
-from gapnkit.polyfp import factorize, poly_gcd
+from gapnkit.numtheory import is_prime, primes
+from gapnkit.polyfp import factorize, poly_gcd, root_order
 from numpy_cosets import coset_reps as numpy_coset_reps
+from numpy_rank import rank_mod_p as numpy_rank_mod_p
 
 
 def _normalized_weight_p_exponents(p, n):
@@ -310,6 +314,73 @@ class TestCirculantRank:
                     assert (circulant_rank(d, p, n) == n - 1) == expected, (p, n, d)
 
 
+def _random_matrix(rng, p, rows, cols):
+    """A seeded matrix with entries in [-2p, 2p), often of deficient rank:
+    a product of random factors through a narrower inner side, with some
+    rows and columns then set to zero."""
+    inner = rng.randint(0, max(rows, cols))
+    if inner < min(rows, cols):
+        left = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+        m = [[sum(row[k] * right[k][j] for k in range(inner)) % p for j in range(cols)] for row in left]
+    else:
+        m = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    # Shift entries out of [0, p) by multiples of p; the rank mod p stays.
+    m = [[v + p * rng.randint(-2, 1) for v in row] for row in m]
+    for i in rng.sample(range(rows), rng.randint(0, rows // 4)):
+        m[i] = [0] * cols
+    for j in rng.sample(range(cols), rng.randint(0, cols // 4)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+class TestRankModP:
+    """rank_mod_p against the numpy elimination it replaced."""
+
+    def test_no_rows(self):
+        assert rank_mod_p([], 3) == 0
+        assert rank_mod_p(np.zeros((0, 4), dtype=np.int64), 5) == 0
+
+    def test_no_columns(self):
+        assert rank_mod_p([[], [], []], 3) == 0
+
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError):
+            rank_mod_p([[1, 2], [1]], 3)
+        with pytest.raises(ValueError):
+            rank_mod_p([[1], [1, 2, 0]], 3)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_numpy_on_random_matrices(self, p):
+        rng = random.Random(f"rank:{p}")
+        shapes = [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(60)]
+        shapes += [(60, 60), (60, 17), (17, 60), (1, 60), (60, 1), (40, 40)]
+        for rows, cols in shapes:
+            m = _random_matrix(rng, p, rows, cols)
+            expected = numpy_rank_mod_p(m, p)
+            assert rank_mod_p(m, p) == expected, (p, rows, cols)
+            assert rank_mod_p(np.array(m, dtype=np.int64), p) == expected, (p, rows, cols)
+
+    def test_rank_deficient_by_construction(self):
+        # Row 2 is 2 * row 0 + row 1, and row 3 is 8 * row 1 - row 0.
+        m = [[1, 2, 3, 4], [0, 1, 4, 2], [2, 5, 10, 10], [-1, 6, 29, 12]]
+        assert rank_mod_p(m, 7) == numpy_rank_mod_p(m, 7) == 2
+
+    def test_every_weight_p_circulant_of_the_small_fields(self):
+        checked = 0
+        for p in itertools.takewhile(lambda q: q * q <= SOFT_ORDER_BUDGET, primes()):
+            n = 2
+            while p**n <= SOFT_ORDER_BUDGET:
+                for d in _normalized_weight_p_exponents(p, n):
+                    digs = digits_of(d, p, n)
+                    m = [[digs[(i - j) % n] for j in range(n)] for i in range(n)]
+                    assert circulant_rank(d, p, n) == numpy_rank_mod_p(m, p), (p, n, d)
+                    checked += 1
+                n += 1
+        assert checked > 500
+
+
 class TestDeciderEquivalence:
     @pytest.mark.parametrize("p,n_max", [(3, 5), (5, 3)])
     def test_four_way_agreement(self, field, p, n_max):
@@ -348,6 +419,23 @@ class TestExceptionalProfile:
         assert dims == list(range(3, 20001, 2))
         # a bigint p**n fit check per n makes this take seconds, not milliseconds
         assert elapsed < 0.5
+
+    def test_factors_are_not_retested_for_irreducibility(self, monkeypatch):
+        # factorize already proves its factors irreducible; the order walk
+        # must take them as they are, with the same orders root_order gives.
+        cases = [(d, p) for p, n in ((3, 6), (5, 4), (7, 3)) for d in _normalized_weight_p_exponents(p, n)]
+        expected = {}
+        for d, p in cases:
+            digit_poly = digit_polynomial(d, p)
+            orders = {root_order(f) for f, _ in factorize(digit_poly).factors if f != PolyFp(p, (-1, 1))}
+            expected[d, p] = tuple(sorted(orders))
+
+        def refuse(f):
+            raise AssertionError("the profile path re-tested a factor for irreducibility")
+
+        monkeypatch.setattr("gapnkit.polyfp.is_irreducible", refuse)
+        for d, p in cases:
+            assert exceptional_profile(d, p).root_orders == expected[d, p], (d, p)
 
     def test_trace_exponent_excludes_multiples_of_p(self):
         profile = exceptional_profile(13, 3)

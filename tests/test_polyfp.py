@@ -103,6 +103,102 @@ class TestDivrem:
             assert r.degree < b.degree
 
 
+def _trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_mul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def _ref_divmod(a, b, p):
+    """Schoolbook long division on coefficient lists, lowest degree first."""
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p)
+    while len(_trim(rem)) >= len(b):
+        shift = len(rem) - len(b)
+        q = rem[-1] * inv % p
+        quo[shift] = q
+        for i, c in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - q * c) % p
+    return _trim(quo), rem
+
+
+def _ref_gcd(a, b, p):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _ref_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _ref_pow_mod(a, e, m, p):
+    out = _ref_divmod([1], m, p)[1]
+    for _ in range(e):
+        out = _ref_divmod(_ref_mul(out, a, p), m, p)[1]
+    return out
+
+
+class TestCanonicalForm:
+    """Every operation returns a canonical polynomial (coefficients in
+    [0, p), no trailing zero) equal, with an equal hash, to the one
+    PolyFp.__init__ builds from the same coefficients, and matches a
+    schoolbook reference on plain lists."""
+
+    @staticmethod
+    def check(f, p, expected):
+        assert f.p == p
+        assert type(f.coeffs) is tuple
+        assert all(type(c) is int and 0 <= c < p for c in f.coeffs)
+        assert not f.coeffs or f.coeffs[-1] != 0
+        rebuilt = PolyFp(p, f.coeffs)
+        assert f == rebuilt and rebuilt == f and hash(f) == hash(rebuilt)
+        assert list(f.coeffs) == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_every_operation(self, p):
+        rng = random.Random(f"canonical:{p}")
+        check = self.check
+        for _ in range(300):
+            # Raw coefficients may be negative or >= p and may end in zeros.
+            a = PolyFp(p, [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(12))])
+            b = PolyFp(p, [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(8))])
+            ra, rb = list(a.coeffs), list(b.coeffs)
+            check(a + b, p, _trim([(x + y) % p for x, y in itertools.zip_longest(ra, rb, fillvalue=0)]))
+            check(a - b, p, _trim([(x - y) % p for x, y in itertools.zip_longest(ra, rb, fillvalue=0)]))
+            check(a - a, p, [])
+            check(-a, p, [-x % p for x in ra])
+            check(a * b, p, _ref_mul(ra, rb, p))
+            c = rng.randrange(-2 * p, 2 * p)
+            check(a.scale(c), p, _trim([c * x % p for x in ra]))
+            k = rng.randrange(5)
+            check(a.shift(k), p, [0] * k + ra if ra else [])
+            check(a.derivative(), p, _trim([i * x % p for i, x in enumerate(ra)][1:]))
+            check(a.monic(), p, [x * pow(ra[-1], -1, p) % p for x in ra] if ra else [])
+            if not a.is_zero or not b.is_zero:
+                check(poly_gcd(a, b), p, _ref_gcd(ra, rb, p))
+            if b.is_zero:
+                continue
+            ref_q, ref_r = _ref_divmod(ra, rb, p)
+            q, r = divmod(a, b)
+            check(q, p, ref_q)
+            check(r, p, ref_r)
+            check(a // b, p, ref_q)
+            check(a % b, p, ref_r)
+            assert a == (a // b) * b + a % b
+            assert (a % b).degree < b.degree
+            e = rng.randrange(7)
+            check(pow_mod(a, e, b), p, _ref_pow_mod(ra, e, rb, p))
+            check(x_pow_mod(e, b), p, _ref_pow_mod([0, 1], e, rb, p))
+
+
 class TestGcd:
     def test_common_factor(self):
         g = poly_gcd(P(3, 2, 0, 1), P(3, 2, 1))
@@ -209,6 +305,11 @@ class TestXPowMod:
 
     def test_constant_modulus(self):
         assert x_pow_mod(10**6, P(3, 2)).is_zero
+
+    def test_pow_mod_constant_modulus(self):
+        # Modulo a nonzero constant every residue is 0, the zeroth power too.
+        assert pow_mod(P(3, 1, 1), 0, P(3, 2)).is_zero
+        assert x_pow_mod(0, P(3, 2)).is_zero
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
