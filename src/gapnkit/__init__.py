@@ -8,6 +8,55 @@ exponent space one cyclotomic coset at a time.
 
 __version__ = "0.1.0"
 
+import importlib.util
+import sys
+import threading
+import types
+
+_run_lock = threading.RLock()
+_running: set[str] = set()  # deferred modules whose code is running now
+
+
+class _Deferred(types.ModuleType):
+    """A submodule whose code runs when one of its attributes is first read.
+
+    The thread that runs it holds _run_lock until it has run, so a thread
+    reading it meanwhile waits rather than seeing it half-run, while the
+    module's own reads of itself pass through.  Once run, it is a plain
+    module, and reads cost nothing extra.
+    """
+
+    def __getattribute__(self, attr):
+        name = object.__getattribute__(self, "__name__")
+        with _run_lock:
+            if type(self) is _Deferred and name not in _running:
+                _running.add(name)
+                try:
+                    object.__getattribute__(self, "__spec__").loader.exec_module(self)
+                    self.__class__ = types.ModuleType
+                finally:
+                    _running.discard(name)
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+def _defer(name: str) -> types.ModuleType:
+    """The submodule gapnkit.<name>, deferred.  It is registered in
+    sys.modules like any import, so ``from . import gapn``, ``import
+    gapnkit.gapn`` and tools that look modules up there all get this one
+    module."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    module = importlib.util.module_from_spec(spec)
+    module.__class__ = _Deferred
+    sys.modules[spec.name] = module
+    return module
+
+
+# gapn builds and reads field tables with numpy.  Deferred, it leaves
+# numpy unloaded for every command that reads no table (profile,
+# criterion, a weight-p-only scan).  Registered before the submodules
+# that import it.
+gapn = _defer("gapn")
+
 from .errors import (
     BothZero,
     BudgetExceeded,
@@ -27,15 +76,6 @@ from .errors import (
 )
 from .fields import FieldCtx, find_irreducible, make_field
 from .polyfp import Factorization, PolyFp, factorize, poly_gcd, root_order
-from .gapn import (
-    FnTable,
-    GapnReport,
-    differential_spectrum,
-    gen_derivative,
-    linearized_kernel_dim,
-    monomial_gapn_fast,
-    monomial_table,
-)
 from .monomial import (
     CriterionReport,
     ExceptionalProfile,
@@ -132,3 +172,25 @@ __all__ = [
     "verify_families",
     "welch_exponent",
 ]
+
+# gapn's exports, read from it on access so that importing the package
+# does not run it.
+_FROM_GAPN = (
+    "FnTable",
+    "GapnReport",
+    "differential_spectrum",
+    "gen_derivative",
+    "linearized_kernel_dim",
+    "monomial_gapn_fast",
+    "monomial_table",
+)
+
+
+def __getattr__(name: str):
+    if name in _FROM_GAPN:
+        return getattr(gapn, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_FROM_GAPN})

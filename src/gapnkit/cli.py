@@ -15,10 +15,9 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, gapn
 from .errors import BudgetExceeded, GapnkitError
 from .fields import make_field
-from .gapn import differential_spectrum, load_table_csv, load_table_raw, monomial_table
 from .monomial import (
     describe_exponent,
     criterion_gapn,
@@ -228,15 +227,15 @@ def _cmd_spectrum(args):
     _budget_gate(args)
     if args.table is not None:
         if str(args.table).endswith(".csv"):
-            table = load_table_csv(ctx, args.table)
+            table = gapn.load_table_csv(ctx, args.table)
         else:
-            table = load_table_raw(ctx, args.table)
+            table = gapn.load_table_raw(ctx, args.table)
         source = str(args.table)
     else:
         _check_exponent_range(args.d, args.p, args.n)
-        table = monomial_table(ctx, args.d)
+        table = gapn.monomial_table(ctx, args.d)
         source = f"x^{args.d}"
-    report = differential_spectrum(table, mode="full")
+    report = gapn.differential_spectrum(table, mode="full")
     rows = [[c, report.spectrum[c]] for c in sorted(report.spectrum)]
     pairs_total = sum(r[1] for r in rows)
     doc = {

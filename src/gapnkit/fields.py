@@ -12,7 +12,9 @@ them.  The antilog build runs in numpy: multiplying by the generator is an
 F_p-linear map on digit vectors, so doubling the run of known powers is
 one matrix product.  Contexts are immutable apart from that one-time fill,
 and every table is read-only once built; every operation is a pure
-function of (context, arguments).
+function of (context, arguments).  numpy is imported where tables are
+built or read, not with this module, so constructing a context (which
+validates p and n) and the table-free operations never load it.
 
 make_field shares one default-modulus context per (p, n) for the life of
 the interpreter when p**n <= SOFT_ORDER_BUDGET, so repeated requests on a
@@ -24,19 +26,23 @@ directly always give a new context.
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DivisionByZero, NotIrreducible, NotPrime, OrderTooLarge
 from .monomial import digits_of
 from .numtheory import factorint, is_prime
 from .polyfp import PolyFp, is_irreducible
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ORDER_CAP = 1 << 48
 TABLE_CAP = 1 << 24
 SOFT_ORDER_BUDGET = 3**7  # largest order shared by make_field and scanned by default
 
-_TABLE_SLOTS = ("generator", "log_table", "antilog_table")
+# Built together by _build_tables; _pow_vec (p**s for each digit position s)
+# packs digit rows into indices.
+_TABLE_SLOTS = ("generator", "log_table", "antilog_table", "_pow_vec")
 _BUILD_CHUNK = 1 << 15  # rows per block product; bounds the temporaries
 _LANE_LOOKUP_BITS = 12  # index width of one lane-reduction lookup table
 
@@ -107,13 +113,13 @@ class FieldCtx:
         self.p = p
         self.n = n
         self.order = order
-        self._pow_vec = _read_only(np.array([p**s for s in range(n)], dtype=np.int64))
         self._digits = None
         self._lanes = None
         if order > TABLE_CAP:
             self.generator = None
             self.log_table = None
             self.antilog_table = None
+            self._pow_vec = None
 
     def __getattr__(self, name):
         # Reached only for a slot never assigned: the default modulus, and
@@ -257,7 +263,10 @@ class FieldCtx:
         return (digits @ matrix) % self.p @ self._pow_vec
 
     def _build_tables(self) -> None:
+        import numpy as np
+
         p, n, order = self.p, self.n, self.order
+        self._pow_vec = _read_only(np.array([p**s for s in range(n)], dtype=np.int64))
         group = order - 1
         cofactors = [group // q for q in factorint(group)] if group > 1 else []
         start = p if n > 1 else 1
@@ -299,6 +308,8 @@ class FieldCtx:
         """(order, n) array of base-p digits for every element index."""
         if self._digits is None:
             self._require_tables("digit table")
+            import numpy as np
+
             dtype = np.uint8 if self.p <= 256 else np.int64
             ds = np.empty((self.order, self.n), dtype=dtype)
             idx = np.arange(self.order, dtype=np.int64)
@@ -313,6 +324,8 @@ class FieldCtx:
         lane sums, or None when one lane is wider than _LANE_LOOKUP_BITS."""
         if self._lanes is None:
             self._require_tables("lane table")
+            import numpy as np
+
             p = self.p
             w, k = _lane_layout(p)
             lanes = np.zeros(self.order, dtype=np.int64)
@@ -365,13 +378,17 @@ class FieldCtx:
 
     def add_array(self, a, b):
         """Elementwise field addition of index arrays (or array + scalar)."""
+        import numpy as np
+
         d = self.digit_table
         s = d[a].astype(np.int64) + d[b]
-        return (s % self.p) @ self._pow_vec
+        return (s % self.p) @ (self.p ** np.arange(self.n, dtype=np.int64))
 
     def mul_array(self, a, b):
         """Elementwise field multiplication of index arrays via log tables."""
         self._require_tables("log table")
+        import numpy as np
+
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         a, b = np.broadcast_arrays(a, b)

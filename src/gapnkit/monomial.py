@@ -139,6 +139,8 @@ def normalize_weight_p(d: int, p: int) -> int:
     field automorphism; the returned exponent has a nonzero constant digit
     and the same behaviour everywhere.
     """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     w = p_weight(d, p)
     if w != p:
         raise WrongWeight(f"digit sum of {d} is {w}, need exactly {p}")

@@ -12,7 +12,8 @@ costs polynomially many steps in n.
 
 Weight-p cosets are decided by the two algebraic deciders cross-checked
 against each other; they read no field table, so a weight-p-only scan
-never builds one.  All other cosets go to the
+never builds one, and never runs gapn or imports numpy.  All other
+cosets go to the
 single-direction monomial decider, which is exact for every power map:
 S_a(x**d)(x) = a**d * S_1(x**d)(x / a), so direction 1 has every
 direction's count multiset.  A scan needs only its verdict, so it asks
@@ -49,23 +50,15 @@ again.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
+import importlib
 import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__
+from . import __version__, gapn
 from .errors import CacheCorrupt, DeciderDisagreement
 from .fields import SOFT_ORDER_BUDGET, FieldCtx, make_field
-from .gapn import (
-    GapnReport,
-    differential_spectrum,
-    linearized_kernel_dim,
-    monomial_gapn_fast,
-    monomial_gapn_verdict,
-    monomial_table,
-)
 from .monomial import (
     circulant_rank,
     classical_families,
@@ -77,6 +70,22 @@ from .monomial import (
     normalize_weight_p,
     p_weight,
 )
+
+
+class _ImportOnUse:
+    """Stands in for a module that is imported on its first attribute read."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# Only a worker pool needs multiprocessing, so a serial scan never imports
+# it.  The name stays a module attribute: tests and perfbench's tracer
+# replace it to observe pools.
+multiprocessing = _ImportOnUse("multiprocessing")
 
 # The names a cache record may give its deciders.
 DECIDERS = ("brute-force", "monomial-fast", "criterion", "circulant-rank", "linearized-kernel")
@@ -100,7 +109,7 @@ def _decide_weight_p(p: int, n: int, rep: int) -> tuple[bool, list[str]]:
 
 
 def _decide_brute(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
-    return monomial_gapn_verdict(ctx, d), [MONOMIAL_FAST]
+    return gapn.monomial_gapn_verdict(ctx, d), [MONOMIAL_FAST]
 
 
 _worker_state: dict = {}
@@ -239,6 +248,11 @@ def run_search(job: SearchJob) -> SearchResult:
 
         workers = min(job.jobs, len(todo))
         if workers > 1:
+            if job.mode != "weight-p-only":
+                # Load gapn, and numpy with it, once here: forked workers
+                # inherit it rather than each importing it.  Reading any
+                # attribute of the deferred module runs it.
+                gapn.monomial_gapn_verdict  # noqa: B018
             chunk = max(1, len(todo) // (workers * 4))
             with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(p, n)) as pool:
                 for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
@@ -310,7 +324,7 @@ def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]]) -> dict
 
 def _gather_verdicts(
     ctx: FieldCtx, d: int, want_report: bool, long_running: bool = False
-) -> GapnReport:
+) -> gapn.GapnReport:
     """Run every decider that applies to (ctx, d); outcomes must agree.
 
     The report is the full spectrum when brute force runs, else the
@@ -320,24 +334,24 @@ def _gather_verdicts(
     verdicts: dict[str, bool] = {}
     full_ok = ctx.order <= SOFT_ORDER_BUDGET or long_running
     if full_ok:
-        report = differential_spectrum(
-            monomial_table(ctx, d), mode="full" if want_report else "verdict"
+        report = gapn.differential_spectrum(
+            gapn.monomial_table(ctx, d), mode="full" if want_report else "verdict"
         )
         verdicts[BRUTE_FORCE] = report.is_gapn
-    fast = monomial_gapn_fast(ctx, d)
+    fast = gapn.monomial_gapn_fast(ctx, d)
     verdicts[MONOMIAL_FAST] = fast.is_gapn
     if not full_ok:
         report = fast
     if p_weight(d, p) == p:
         by_pair, names = _decide_weight_p(p, n, d)
         verdicts.update(dict.fromkeys(names, by_pair))
-        verdicts[LINEARIZED_KERNEL] = linearized_kernel_dim(ctx, normalize_weight_p(d, p)) == 1
+        verdicts[LINEARIZED_KERNEL] = gapn.linearized_kernel_dim(ctx, normalize_weight_p(d, p)) == 1
     _agree(verdicts, d, p, n)
     report.deciders_agreed = sorted(verdicts)
     return report
 
 
-def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> GapnReport:
+def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> gapn.GapnReport:
     """Full report for one exponent with every applicable decider agreeing.
 
     Above the soft order budget the full spectrum is skipped unless opted

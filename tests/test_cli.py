@@ -425,6 +425,21 @@ class TestErrorHandling:
         assert set(json.loads(proc.stderr)) == {"error", "message"}
 
     @pytest.mark.parametrize(
+        "argv,p",
+        [
+            # 9 = 100_3 has digit sum 1, not 9; 1 is below every base.
+            (["criterion", "-p", "9", "-n", "3", "-d", "9"], 9),
+            (["profile", "-p", "1", "-d", "1"], 1),
+        ],
+    )
+    def test_non_prime_p_reported_before_the_weight(self, argv, p):
+        # These once failed with WrongWeight and ValueError: the digit sum
+        # was checked before the prime.
+        proc = run_cli_subprocess(argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {"error": "NotPrime", "message": f"{p} is not prime"}
+
+    @pytest.mark.parametrize(
         "argv,error,order",
         [
             (["test", "-p", "3", "-n", "100000000", "-d", "5"], "OrderTooLarge", "3**100000000"),

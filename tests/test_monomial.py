@@ -248,6 +248,12 @@ class TestCriterion:
         with pytest.raises(NotPrime):
             exceptional_profile(d, p)
 
+    @pytest.mark.parametrize("d,p", [(9, 9), (5, 4), (1, 1), (6, 0)])
+    def test_prime_checked_before_weight(self, d, p):
+        # None of these d has digit sum p; the prime is still what fails.
+        with pytest.raises(NotPrime, match=f"^{p} is not prime$"):
+            normalize_weight_p(d, p)
+
     @pytest.mark.parametrize("p,n", [(2, 7), (3, 5), (5, 3), (7, 2)])
     def test_matches_gcd_with_full_x_n_minus_1(self, p, n):
         # Reference: gcd(C, x**n - 1) with x**n - 1 built in full.  Every

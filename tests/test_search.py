@@ -260,7 +260,7 @@ class TestCollisionCertificate:
 
         certified = run("certified")
         monkeypatch.setattr(
-            search, "monomial_gapn_verdict", lambda ctx, d: monomial_gapn_fast(ctx, d).is_gapn
+            gapn, "monomial_gapn_verdict", lambda ctx, d: monomial_gapn_fast(ctx, d).is_gapn
         )
         assert run("full-pass") == certified
 
@@ -460,12 +460,12 @@ class TestCrossCheck:
             run_search(SearchJob(3, 4, "weight-p-only"))
 
     def test_panel_disagreement_raises(self, monkeypatch, field):
-        monkeypatch.setattr(search, "linearized_kernel_dim", lambda ctx, d: 2)
+        monkeypatch.setattr(gapn, "linearized_kernel_dim", lambda ctx, d: 2)
         with pytest.raises(DeciderDisagreement):
             analyze_exponent(field(3, 4), 5)
 
     def test_cli_reports_disagreement(self, monkeypatch, capsys):
-        monkeypatch.setattr(search, "linearized_kernel_dim", lambda ctx, d: 2)
+        monkeypatch.setattr(gapn, "linearized_kernel_dim", lambda ctx, d: 2)
         assert cli_main(["test", "-p", "3", "-n", "4", "-d", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
