@@ -266,7 +266,10 @@ def _add_format(sub) -> None:
 
 
 def _add_search_flags(sub) -> None:
-    sub.add_argument("--jobs", type=_positive, default=1, help="worker processes")
+    sub.add_argument(
+        "--jobs", type=_positive, default=1,
+        help="at most this many worker processes; a pool starts only when it saves more than its start-up",
+    )
     sub.add_argument("--cache", default=None, metavar="DIR", help="verdict cache directory")
     sub.add_argument("--no-skip-even", action="store_true", help="disable the even-weight filter")
     sub.add_argument("--no-skip-low", action="store_true", help="disable the low-weight filter")

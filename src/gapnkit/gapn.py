@@ -30,9 +30,13 @@ S_a f(x) = a**d * S_1 f(x / a): b -> a**d * b is a bijection, so every
 direction's count multiset equals direction 1's and monomial_gapn_fast is
 exact from that one direction, a batch holding a = 1 alone.
 
-When only the verdict is wanted, monomial_gapn_verdict first sums a fixed
-sample of about 4 * sqrt(p**n) rows of S_1: two rows with one sum already
-give a count of at least 2p, so x**d is not GAPN.  For a random-looking
+When only the verdict is wanted, monomial_gapn_verdict tries two exact
+certificates of non-GAPN before the full pass.  First the subfields: for
+m | n with 1 < m < n, F_(p^m) lies inside F_(p^n), and with x and a in it
+every point x + i*a is too, so a count above p for y -> y**r on F_(p^m),
+r = d mod (p**m - 1), is one for x**d as well.  Then the collision: it
+sums a fixed sample of about 4 * sqrt(p**n) rows of S_1, and two rows
+with one sum already give a count of at least 2p.  For a random-looking
 map that collision is all but certain, so the full pass runs only for
 the GAPN exponents and a few others.
 """
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WrongWeight, ZeroDirection
-from .fields import FieldCtx
+from .fields import FieldCtx, make_field
 from .monomial import digits_of, rank_mod_p
 
 
@@ -301,18 +305,71 @@ def _sample_rows(p: int, n: int, k: int) -> np.ndarray:
     return index
 
 
+@functools.lru_cache(maxsize=256)
+def _subfield_verdicts(p: int, m: int) -> bytes:
+    """verdicts[r % (p**m - 1)] = 1 when y -> y**r is GAPN on F_(p^m), for
+    1 <= r <= p**m - 1, so entry 0 stands for r = p**m - 1.  The verdict is
+    shared by the cyclotomic coset of r, so it is decided once per coset.
+    A proper subfield of a field within TABLE_CAP has at most 2**12
+    elements, so each entry is at most 4 KiB."""
+    sub = make_field(p, m)
+    q = sub.order - 1
+    verdicts = [None] * q
+    for r in range(1, q + 1):
+        e = r % q
+        if verdicts[e] is None:
+            verdict = monomial_gapn_verdict(sub, r)
+            for _ in range(m):
+                verdicts[e] = verdict
+                e = e * p % q
+    return bytes(verdicts)
+
+
+@functools.lru_cache(maxsize=256)
+def _subfields(p: int, n: int) -> tuple[tuple[int, bytes], ...]:
+    """(p**m - 1, _subfield_verdicts(p, m)) for every m | n, 1 < m < n.
+    F_p is left out: there S_a f is constant, so every map is GAPN."""
+    return tuple((p**m - 1, _subfield_verdicts(p, m)) for m in range(2, n) if n % m == 0)
+
+
+def subfield_settles(p: int, n: int, d: int) -> bool:
+    """True when y -> y**r with r = d mod (p**m - 1) is not GAPN on some
+    proper subfield F_(p^m), 1 < m < n, which proves x**d not GAPN on
+    F_(p^n)."""
+    for q, verdicts in _subfields(p, n):
+        if not verdicts[d % q]:
+            return True
+    return False
+
+
+def prepare_verdicts(ctx: FieldCtx) -> None:
+    """Build everything monomial_gapn_verdict reads on this field: its log
+    and lane tables, the sampled rows and the subfield verdicts.  A process
+    forked afterwards inherits them instead of building its own."""
+    ctx._require_tables("log table")
+    ctx.log_table, ctx.lane_table  # noqa: B018
+    _sample_rows(ctx.p, ctx.n, _sample_size(ctx.p, ctx.n))
+    _subfields(ctx.p, ctx.n)
+
+
 def monomial_gapn_verdict(ctx: FieldCtx, d: int) -> bool:
     """monomial_gapn_fast(ctx, d).is_gapn, usually without the full pass.
 
-    S_1(x**d) is constant on each row {z + i : i in F_p}, so two distinct
-    rows with the same row sum give that value at least 2p solutions, an
-    exact proof that x**d is not GAPN.  The row sums of a fixed sample of
-    rows are compared first; only when they are all distinct, which
-    proves nothing, does the full single-direction pass decide.
+    A non-GAPN verdict for y -> y**r on a proper subfield F_(p^m),
+    r = d mod (p**m - 1) (r = 0 standing for p**m - 1), is exact proof
+    that x**d is not GAPN: its solutions over F_(p^m) are solutions over
+    F_(p^n).  S_1(x**d) is constant on each row {z + i : i in F_p}, so
+    two distinct rows with the same row sum give that value at least 2p
+    solutions, another exact proof.  The subfield verdicts are looked up
+    first, then the row sums of a fixed sample of rows are compared; only
+    when neither proves anything does the full single-direction pass
+    decide.
     """
     if d < 1:
         raise ValueError("need an exponent d >= 1")
     ctx._require_tables("log table")
+    if subfield_settles(ctx.p, ctx.n, d):
+        return False
     group = ctx.order - 1
     logs = ctx.log_table[_sample_rows(ctx.p, ctx.n, _sample_size(ctx.p, ctx.n))]
     values = ctx.antilog_table[logs * (d % group) % group]
@@ -425,6 +482,8 @@ __all__ = [
     "monomial_gapn_fast",
     "monomial_gapn_verdict",
     "monomial_table",
+    "prepare_verdicts",
     "save_table_csv",
     "save_table_raw",
+    "subfield_settles",
 ]

@@ -17,9 +17,18 @@ cosets go to the
 single-direction monomial decider, which is exact for every power map:
 S_a(x**d)(x) = a**d * S_1(x**d)(x / a), so direction 1 has every
 direction's count multiset.  A scan needs only its verdict, so it asks
-gapn.monomial_gapn_verdict, which first looks for two sampled rows of
-S_1 with the same sum (an exact proof of non-GAPN) and runs the full
-pass only when it finds none.
+gapn.monomial_gapn_verdict, which first looks up the verdicts of the
+proper subfields and then looks for two sampled rows of S_1 with the same
+sum (each an exact proof of non-GAPN), and runs the full pass only when
+neither proves anything.
+
+A scan with jobs > 1 starts a worker pool only when one repays its
+start-up: _pool_workers predicts the serial seconds of the candidates
+left to decide from their count on each route (weight-p deciders,
+subfield lookup, collision sample) and starts at most jobs workers, one
+per CPU this process may run on and per candidate, when their saving
+exceeds POOL_START_S.  The parent builds the field's tables before it
+forks, so forked workers share them.
 
 Default filters drop cosets that cannot be GAPN: digit sum below p
 (any characteristic), and even digit sum (odd characteristic only, where
@@ -51,6 +60,8 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import math
+import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -112,11 +123,56 @@ def _decide_brute(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
     return gapn.monomial_gapn_verdict(ctx, d), [MONOMIAL_FAST]
 
 
+# Seconds a two-worker pool adds to a fresh CLI scan (importing
+# multiprocessing, forking, joining), and the serial seconds a + b * size
+# per candidate on each route, size being n for the weight-p deciders and
+# p * isqrt(p**n) for the collision sample.  Measured on a 2-vCPU Intel
+# Xeon with Python 3.11.7 and numpy 2.4.6 (README, "How a search runs").
+POOL_START_S = 0.03
+_ROUTE_S = {"weight-p": (15e-6, 10e-6), "subfield": (1e-6, 0.0), "collision": (15e-6, 0.06e-6)}
+
+
+def _cpu_limit() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _routes(p: int, n: int, todo: list[tuple[int, int]]) -> dict[str, int]:
+    """How many of the (rep, weight) candidates each route decides."""
+    table = [rep for rep, w in todo if w != p]
+    settled = sum(gapn.subfield_settles(p, n, rep) for rep in table)
+    return {"weight-p": len(todo) - len(table), "subfield": settled, "collision": len(table) - settled}
+
+
+def _serial_seconds(p: int, n: int, routes: dict[str, int]) -> float:
+    """Predicted serial seconds to decide routes[r] candidates on route r."""
+    size = {"weight-p": n, "subfield": 0, "collision": p * math.isqrt(p**n)}
+    return sum(count * (_ROUTE_S[r][0] + _ROUTE_S[r][1] * size[r]) for r, count in routes.items())
+
+
+def _pool_workers(p: int, n: int, todo: list[tuple[int, int]], jobs: int) -> int:
+    """Workers for the candidates left to decide: at most jobs, the CPUs
+    this process may run on and the candidates, and 1 (no pool) unless
+    their saving on the predicted serial seconds exceeds POOL_START_S."""
+    workers = min(jobs, _cpu_limit(), len(todo))
+    if workers < 2:
+        return 1
+    saving = _serial_seconds(p, n, _routes(p, n, todo)) * (1 - 1 / workers)
+    return workers if saving > POOL_START_S else 1
+
+
 _worker_state: dict = {}
 
 
 def _init_worker(p: int, n: int) -> None:
-    _worker_state["ctx"] = make_field(p, n)
+    # A forked worker inherits the parent's context, tables and all; a
+    # spawned one starts empty and builds its own, and so does one that
+    # inherits another field, left there by a scan in another thread.
+    ctx = _worker_state.get("ctx")
+    if ctx is None or (ctx.p, ctx.n) != (p, n):
+        _worker_state["ctx"] = make_field(p, n)
 
 
 def _decide_candidate(candidate: tuple[int, int], ctx: FieldCtx | None = None):
@@ -246,17 +302,22 @@ def run_search(job: SearchJob) -> SearchResult:
             if sink is not None:
                 sink.write(_record(p, n, rep, w, verdict, deciders, __version__) + "\n")
 
-        workers = min(job.jobs, len(todo))
+        workers = _pool_workers(p, n, todo, job.jobs)
         if workers > 1:
-            if job.mode != "weight-p-only":
-                # Load gapn, and numpy with it, once here: forked workers
-                # inherit it rather than each importing it.  Reading any
-                # attribute of the deferred module runs it.
-                gapn.monomial_gapn_verdict  # noqa: B018
+            if any(w != p for _, w in todo):
+                # Built once here, numpy import included: forked workers
+                # inherit them rather than each building its own.
+                gapn.prepare_verdicts(ctx)
             chunk = max(1, len(todo) // (workers * 4))
-            with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(p, n)) as pool:
-                for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
-                    record(*result)
+            _worker_state["ctx"] = ctx
+            try:
+                with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(p, n)) as pool:
+                    for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
+                        record(*result)
+            finally:
+                # Not kept past the scan, which would keep a large
+                # field's tables alive.
+                _worker_state.pop("ctx", None)
         else:
             for candidate in todo:
                 record(*_decide_candidate(candidate, ctx))

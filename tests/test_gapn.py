@@ -27,7 +27,7 @@ from gapnkit.gapn import (
     save_table_csv,
     save_table_raw,
 )
-from gapnkit.monomial import digits_of
+from gapnkit.monomial import coset_rep, digits_of
 from gapnkit.polyfp import is_irreducible
 
 
@@ -401,7 +401,9 @@ class TestCollisionCertificate:
     @staticmethod
     def _verdicts(monkeypatch, ctx, k):
         """{d: (verdict, fired)} over every d in [1, p**n - 2] with k sampled
-        rows; fired means the full pass never ran."""
+        rows; fired means the full pass never ran.  The subfield
+        certificate is switched off, so only the sample can fire."""
+        monkeypatch.setattr(gapn, "_subfields", lambda p, n: ())
         monkeypatch.setattr(gapn, "_sample_size", lambda p, n: k)
         passes = []
 
@@ -461,6 +463,55 @@ class TestCollisionCertificate:
     def test_d_zero_rejected(self, field):
         with pytest.raises(ValueError):
             monomial_gapn_verdict(field(3, 2), 0)
+
+
+class TestSubfieldCertificate:
+    """monomial_gapn_verdict: a non-GAPN verdict for y -> y**(d mod (p**m - 1))
+    on a proper subfield F_(p^m) proves x**d non-GAPN on F_(p^n)."""
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (3, 6), (3, 8), (5, 4), (7, 4), (2, 8), (2, 10)])
+    def test_every_exponent_matches_full_pass(self, field, p, n):
+        ctx = field(p, n)
+        truth: dict[int, bool] = {}  # per coset representative
+        settled = set()
+        for d in range(1, ctx.order - 1):
+            rep = coset_rep(d, p, n)
+            if rep not in truth:
+                truth[rep] = monomial_gapn_fast(ctx, rep).is_gapn
+            assert monomial_gapn_verdict(ctx, d) == truth[rep], f"d={d}"
+            if gapn.subfield_settles(p, n, d):
+                settled.add(d)
+        assert settled, "the subfield certificate never fired"
+        assert not any(truth[coset_rep(d, p, n)] for d in settled)
+
+    @pytest.mark.parametrize(
+        "p,n,orders",
+        [(3, 12, [8, 26, 80, 728]), (2, 6, [3, 7]), (5, 4, [24]), (2, 9, [7]),
+         (3, 7, []), (3, 2, []), (5, 1, [])],
+    )  # fmt: skip
+    def test_subfields_are_the_proper_divisors(self, p, n, orders):
+        # F_p (m = 1) never fires and F_(p^n) itself (m = n) is the field.
+        assert [q for q, _ in gapn._subfields(p, n)] == orders
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (2, 4), (2, 5)])
+    def test_subfield_verdicts_are_exact(self, p, m):
+        sub = make_field(p, m)
+        q = p**m - 1
+        verdicts = gapn._subfield_verdicts(p, m)
+        assert len(verdicts) == q
+        for r in range(1, q + 1):  # entry 0 stands for r = q
+            assert verdicts[r % q] == monomial_gapn_fast(sub, r).is_gapn, f"r={r}"
+
+    def test_own_modulus(self):
+        # Subfield verdicts are taken on the default modulus; any modulus
+        # gives an isomorphic field, so the same verdicts.
+        default = make_field(3, 4)
+        monics = (PolyFp(3, digits_of(k, 3, 4) + (1,)) for k in reversed(range(3**4)))
+        modulus = next(f for f in monics if is_irreducible(f))
+        assert modulus.coeffs != default.modulus.coeffs
+        ctx = make_field(3, 4, modulus)
+        for d in range(1, ctx.order - 1):
+            assert monomial_gapn_verdict(ctx, d) == monomial_gapn_fast(ctx, d).is_gapn, f"d={d}"
 
 
 class TestLinearizedKernel:

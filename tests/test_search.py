@@ -1,12 +1,13 @@
 """Search orchestration: enumeration, filters, deciders, caching, families."""
 
+import functools
 import json
 import multiprocessing
 import tempfile
 import time
 import zlib
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from gapnkit import (
     run_search,
     verify_families,
 )
-from gapnkit import FieldCtx, gapn, search
+from gapnkit import FieldCtx, gapn, make_field, search
 from gapnkit.cli import main as cli_main
 from gapnkit.search import SOFT_ORDER_BUDGET
 from numpy_cosets import coset_reps as numpy_coset_reps
@@ -176,10 +177,10 @@ class TestConjecture:
         assert result.gapn_cosets == []
 
     # The README census: in-band GAPN cosets of each field, tallied by
-    # weight.  (3, 12), which takes several seconds, is left out.
+    # weight.
     CENSUS = {
         (3, 4): {}, (3, 5): {5: 3, 7: 1}, (3, 6): {}, (3, 7): {}, (3, 8): {},
-        (3, 9): {}, (3, 10): {}, (3, 11): {},
+        (3, 9): {}, (3, 10): {}, (3, 11): {}, (3, 12): {},
         (5, 3): {7: 6, 9: 3}, (5, 4): {7: 3}, (5, 5): {7: 8, 9: 2, 15: 1, 17: 1},
         (5, 6): {7: 1}, (5, 7): {7: 12, 25: 1},
         (7, 3): {11: 8, 13: 4}, (7, 4): {11: 4, 13: 2}, (7, 5): {11: 15, 13: 2, 25: 1},
@@ -192,8 +193,47 @@ class TestConjecture:
         assert result.conjecture_holds is (not self.CENSUS[p, n])
 
 
+def _force_pool(monkeypatch):
+    """Start a pool whatever the predicted work, as long as there are two
+    CPUs and two candidates."""
+    monkeypatch.setattr(search, "POOL_START_S", 0.0)
+
+
+def _stand_in_pool(monkeypatch) -> list[int]:
+    """Replace multiprocessing with a stand-in that records each pool's
+    worker count and decides in this process, so no worker is started."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items, chunksize):
+            return map(fn, items)
+
+    class SerialMultiprocessing:
+        Pool = SerialPool
+
+    monkeypatch.setattr(search, "_worker_state", {})
+    monkeypatch.setattr(search, "multiprocessing", SerialMultiprocessing)
+    return started
+
+
+def _cpus(monkeypatch, count):
+    """Let this process run on count CPUs, as far as search can tell."""
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 class TestDeterminism:
-    def test_worker_count_does_not_change_result(self):
+    def test_worker_count_does_not_change_result(self, monkeypatch):
+        _force_pool(monkeypatch)
         serial = run_search(SearchJob(3, 5, jobs=1))
         parallel = run_search(SearchJob(3, 5, jobs=2))
         assert _frozen(serial) == _frozen(parallel)
@@ -205,32 +245,149 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("p,n,jobs,workers", [(3, 4, 64, [9]), (3, 4, 2, [2]), (3, 2, 64, [])])
     def test_pool_never_exceeds_candidates(self, monkeypatch, p, n, jobs, workers):
-        # A stand-in for multiprocessing that records each pool's worker
-        # count and decides in this process, so no worker is started.
-        started = []
-
-        class SerialPool:
-            def __init__(self, processes, initializer, initargs):
-                started.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, fn, items, chunksize):
-                return map(fn, items)
-
-        class SerialMultiprocessing:
-            Pool = SerialPool
-
-        monkeypatch.setattr(search, "_worker_state", {})
-        monkeypatch.setattr(search, "multiprocessing", SerialMultiprocessing)
+        _force_pool(monkeypatch)
+        _cpus(monkeypatch, 64)
+        started = _stand_in_pool(monkeypatch)
         result = run_search(SearchJob(p, n, jobs=jobs))
         assert started == workers
         assert _frozen(result) == _frozen(run_search(SearchJob(p, n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _full_pass_gapn(p, n, d):
+    return monomial_gapn_fast(make_field(p, n), d).is_gapn
+
+
+def _subfield_oracle(p, n, d):
+    """Whether y -> y**r, r = d mod (p**m - 1) (0 read as p**m - 1), is
+    non-GAPN by a full pass on some F_(p^m), 1 < m < n."""
+    for m in range(2, n):
+        if n % m == 0:
+            q = p**m - 1
+            if not _full_pass_gapn(p, m, d % q or q):
+                return True
+    return False
+
+
+class TestPoolRule:
+    """A pool starts only when its saving on the predicted serial seconds,
+    at most min(jobs, CPUs, candidates) workers, exceeds its start-up."""
+
+    @staticmethod
+    def _documented_workers(p, n, todo, jobs, cpus):
+        # README, "How a search runs": microseconds per candidate on each route.
+        weight_p = sum(w == p for _, w in todo)
+        subfield = sum(w != p and _subfield_oracle(p, n, d) for d, w in todo)
+        collision = len(todo) - weight_p - subfield
+        seconds = 1e-6 * (
+            weight_p * (15 + 10 * n) + subfield * 1 + collision * (15 + 0.06 * p * isqrt(p**n))
+        )
+        workers = min(jobs, cpus, len(todo))
+        if workers >= 2 and seconds * (1 - 1 / workers) > 0.03:
+            return workers
+        return 1
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "conjecture", "weight-p-only"])
+    @pytest.mark.parametrize("p,n", [(3, 4), (3, 8), (3, 9), (3, 11), (5, 6), (7, 4), (2, 12)])
+    def test_worker_count_is_the_documented_formula(self, monkeypatch, p, n, mode):
+        *_, candidates = search._enumerate(SearchJob(p, n, mode))
+        # All candidates left to decide, or only some, as after a cache load.
+        for todo in (candidates, candidates[:40], candidates[-3:]):
+            for cpus in (1, 2, 4):
+                _cpus(monkeypatch, cpus)
+                for jobs in (1, 2, 3, 16):
+                    expected = self._documented_workers(p, n, todo, jobs, cpus)
+                    assert search._pool_workers(p, n, todo, jobs) == expected, (len(todo), cpus, jobs)
+
+    @pytest.mark.parametrize("p,n", [(3, 30), (5, 12)])
+    def test_weight_p_formula_beyond_tables(self, monkeypatch, p, n):
+        *_, candidates = search._enumerate(SearchJob(p, n, "weight-p-only"))
+        _cpus(monkeypatch, 2)
+        for jobs in (1, 2, 16):
+            expected = self._documented_workers(p, n, candidates, jobs, 2)
+            assert search._pool_workers(p, n, candidates, jobs) == expected
+
+    def test_formula_both_ways(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        big = search._enumerate(SearchJob(3, 11, "conjecture"))[3]
+        small = search._enumerate(SearchJob(3, 8, "exhaustive"))[3]
+        assert search._pool_workers(3, 11, big, 2) == 2
+        assert search._pool_workers(3, 8, small, 2) == 1
+
+    @pytest.mark.parametrize("cpus,jobs,workers", [(2, 16, [2]), (2, 2, [2]), (4, 3, [3]), (1, 16, [])])
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, cpus, jobs, workers):
+        _force_pool(monkeypatch)
+        _cpus(monkeypatch, cpus)
+        started = _stand_in_pool(monkeypatch)
+        result = run_search(SearchJob(3, 6, "conjecture", jobs=jobs))
+        assert started == workers
+        assert _frozen(result) == _frozen(run_search(SearchJob(3, 6, "conjecture")))
+
+    def test_worker_keeps_only_its_own_field(self, monkeypatch):
+        own, other = make_field(3, 5), make_field(3, 4)
+        monkeypatch.setattr(search, "_worker_state", {"ctx": own})
+        search._init_worker(3, 5)
+        assert search._worker_state["ctx"] is own
+        search._worker_state["ctx"] = other
+        search._init_worker(3, 5)
+        assert (search._worker_state["ctx"].p, search._worker_state["ctx"].n) == (3, 5)
+        search._worker_state.clear()
+        search._init_worker(3, 5)
+        assert search._worker_state["ctx"] is own  # shared by make_field
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        assert search._cpu_limit() == 3
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert search._cpu_limit() == 1
+
+    def test_small_scan_starts_no_pool(self, monkeypatch):
+        # The benchmark's search: its predicted work does not repay a pool.
+        _cpus(monkeypatch, 2)
+        started = _stand_in_pool(monkeypatch)
+        filters = SearchFilters(verify_filters=True)
+        assert _frozen(run_search(SearchJob(3, 8, filters=filters, jobs=2))) == _frozen(
+            run_search(SearchJob(3, 8, filters=filters))
+        )
+        assert started == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="only forked workers inherit the parent's tables",
+    )
+    def test_forked_workers_build_no_tables(self, monkeypatch):
+        # Once the pool starts, building any table or subfield verdict
+        # raises: forked workers must use what the parent built before it
+        # forked, and the filter check what the scan built.
+        _force_pool(monkeypatch)
+        fork_pool = multiprocessing.get_context("fork").Pool
+        real_lanes = FieldCtx._lane_tables
+
+        def refuse(*args):
+            raise AssertionError("a table was built after the pool started")
+
+        def lanes_once_built(ctx):
+            if ctx._lanes is None:
+                refuse()
+            return real_lanes(ctx)
+
+        def pool_after_build(*args, **kwargs):
+            started.append(args[0])
+            monkeypatch.setattr(FieldCtx, "_build_tables", refuse)
+            monkeypatch.setattr(FieldCtx, "_lane_tables", lanes_once_built)
+            monkeypatch.setattr(gapn, "_subfield_verdicts", refuse)
+            return fork_pool(*args, **kwargs)
+
+        started = []
+        _cpus(monkeypatch, 2)
+        serial = _frozen(run_search(SearchJob(3, 8, filters=SearchFilters(verify_filters=True))))
+        gapn._subfields.cache_clear()
+        monkeypatch.setattr(search.multiprocessing, "Pool", pool_after_build)
+        job = SearchJob(3, 8, filters=SearchFilters(verify_filters=True), jobs=2)
+        assert 3**8 > SOFT_ORDER_BUDGET  # each make_field(3, 8) is a new context
+        assert _frozen(run_search(job)) == serial
+        assert started == [2]
 
 
 class TestCollisionCertificate:
@@ -249,6 +406,7 @@ class TestCollisionCertificate:
         "p,n", [(3, 5), (3, 6), (3, 7), (3, 8), (5, 3), (5, 4), (7, 3), (2, 8)]
     )
     def test_same_documents_and_cache_bytes(self, tmp_path, monkeypatch, p, n, mode, verify, jobs):
+        _force_pool(monkeypatch)
         monkeypatch.setattr(search.multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
 
         def run(cache):
@@ -277,6 +435,37 @@ class TestCollisionCertificate:
         # 1,077 candidates; a random-looking map escapes the certificate
         # with chance about e**-8.
         assert len(passes) <= 10
+
+
+class TestSubfieldCertificate:
+    """Scans settle most composite-n candidates by a non-GAPN verdict on a
+    proper subfield; switching that off changes no output."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched certificate reaches pool workers only through fork",
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode,verify", [("conjecture", False), ("exhaustive", True)])
+    @pytest.mark.parametrize("p,n", [(3, 4), (3, 6), (3, 8), (5, 4), (7, 4), (2, 8), (2, 10)])
+    def test_same_documents_and_cache_bytes(self, tmp_path, monkeypatch, p, n, mode, verify, jobs):
+        _force_pool(monkeypatch)
+        monkeypatch.setattr(search.multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+
+        def run(cache):
+            job = SearchJob(p, n, mode, SearchFilters(verify_filters=verify), jobs, str(tmp_path / cache))
+            document = _frozen(run_search(job))
+            data = search._cache_path(job.cache_dir, p, n).read_bytes()
+            return document, data if jobs == 1 else sorted(data.splitlines())
+
+        with_subfields = run("subfields")
+        monkeypatch.setattr(gapn, "_subfields", lambda p, n: ())
+        assert run("no-subfields") == with_subfields
+
+    def test_settles_most_composite_candidates(self):
+        *_, candidates = search._enumerate(SearchJob(3, 12, "conjecture"))
+        settled = sum(gapn.subfield_settles(3, 12, d) for d, _ in candidates)
+        assert (settled, len(candidates)) == (20673, 22118)
 
 
 class TestVerifyFilters:
@@ -931,6 +1120,7 @@ class TestCache:
         # scheduling; whatever was stored must not be decided again.  Forked
         # workers inherit the patched decider whatever the default start
         # method is.
+        _force_pool(monkeypatch)
         fork_pool = multiprocessing.get_context("fork").Pool
         monkeypatch.setattr(search.multiprocessing, "Pool", fork_pool)
         real = search._decide_brute

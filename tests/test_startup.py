@@ -46,11 +46,11 @@ with open(report, "w") as fh:
 """
 
 
-def _fresh(tmp_path, argv, flags):
+def _fresh(tmp_path, argv, flags, runner=_RUNNER):
     report = tmp_path / "report.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", _RUNNER, str(report), *argv],
+        [sys.executable, *flags, "-c", runner, str(report), *argv],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -115,11 +115,20 @@ class TestFieldFreeStartUp:
             assert set(json.loads(err)) == {"error", "message"}
 
 
+# _RUNNER with a pool started whatever the predicted work, on two CPUs
+# whatever the machine has.
+_POOL_RUNNER = (
+    "import gapnkit.search\n"
+    "gapnkit.search.POOL_START_S = 0.0\n"
+    "gapnkit.search._cpu_limit = lambda: 2\n"
+) + _RUNNER
+
+
 class TestPoolLoadsMultiprocessing:
     @pytest.mark.parametrize("flags", FLAGS)
     def test_weight_p_pool_loads_no_numpy(self, tmp_path, capsys, flags):
         argv = ["search", "-p", "3", "-n", "6", "--mode", "weight-p-only", "--jobs", "2", "--format", "json"]
-        report, out, err = _fresh(tmp_path, argv, flags)
+        report, out, err = _fresh(tmp_path, argv, flags, _POOL_RUNNER)
         assert report == {"code": 0, "optimize": len(flags), "loaded": ["multiprocessing"]}
         _, expected, _ = _in_process(capsys, argv)
         assert (_mask_elapsed(out), err) == (_mask_elapsed(expected), "")
@@ -215,6 +224,7 @@ class TestPackageExports:
     def test_spawned_workers_decide(self, monkeypatch):
         # Spawned workers start from a fresh interpreter, so they import
         # search, and through it gapn, themselves.
+        monkeypatch.setattr(search, "POOL_START_S", 0.0)
         monkeypatch.setattr(search.multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
         for mode in ("exhaustive", "weight-p-only"):
             serial = run_search(SearchJob(3, 5, mode))
