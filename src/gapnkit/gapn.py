@@ -48,12 +48,14 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import WrongWeight, ZeroDirection
 from .fields import FieldCtx, make_field
 from .monomial import digits_of, rank_mod_p
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -64,6 +66,8 @@ class FnTable:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         vals = np.asarray(self.values, dtype=np.int64)
         if vals.shape != (self.ctx.order,):
             raise ValueError(f"value table must have length {self.ctx.order}")
@@ -140,6 +144,8 @@ def _direction_lanes(ctx: FieldCtx, values: np.ndarray) -> tuple[np.ndarray, np.
     entries so that t + log z needs no reduction, then M copies of f(0);
     index is the log table with log 0 pointing at those copies.
     """
+    import numpy as np
+
     group, m = ctx.order - 1, _projective_count(ctx)
     packed = ctx.lane_table[values]
     lanes = np.empty(group + 2 * m, dtype=np.int64)
@@ -154,6 +160,8 @@ def _direction_lanes(ctx: FieldCtx, values: np.ndarray) -> tuple[np.ndarray, np.
 def _row_counts(ctx: FieldCtx, sums: np.ndarray) -> np.ndarray:
     """(B, p**n) array: how many rows of each direction sum to each b.
     S_a f(x) = b has p times as many solutions, one per member of a row."""
+    import numpy as np
+
     order = ctx.order
     size = sums.size * ctx.p // order
     if size > 1:  # direction j counts into bins [j * order, (j + 1) * order)
@@ -166,6 +174,8 @@ def _row_counts(ctx: FieldCtx, sums: np.ndarray) -> np.ndarray:
 
 def gen_derivative(f: FnTable, a: int) -> FnTable:
     """The derivative sum S_a f as a new table; a must be nonzero."""
+    import numpy as np
+
     if a == 0:
         raise ZeroDirection("derivative direction must be nonzero")
     ctx = f.ctx
@@ -189,6 +199,8 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     class's smallest member.  Each direction's counts must sum to p**n,
     which is checked for every batch.
     """
+    import numpy as np
+
     if mode not in ("full", "verdict"):
         raise ValueError(f"unknown mode {mode!r}")
     ctx = f.ctx
@@ -244,6 +256,8 @@ def monomial_table(ctx: FieldCtx, d: int) -> FnTable:
     Raises OrderTooLarge above fields.TABLE_CAP, where the field has no
     tables: every consumer of a value table needs them too.
     """
+    import numpy as np
+
     if d < 0:
         raise ValueError("negative exponent")
     ctx._require_tables("log table")
@@ -263,6 +277,8 @@ def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
     count multiset equals direction 1's, so the spectrum is the
     single-direction histogram scaled by the number of directions.
     """
+    import numpy as np
+
     if d < 1:
         raise ValueError("need an exponent d >= 1")
     order, p = ctx.order, ctx.p
@@ -299,6 +315,8 @@ def _sample_rows(p: int, n: int, k: int) -> np.ndarray:
     drawn with a fixed seed from 1 <= z < p**(n-1).  Row 0 holds x = 0,
     which has no log.  Indices, not logs, so any modulus reads its own
     log table."""
+    import numpy as np
+
     rows = random.Random(_SAMPLE_SEED).sample(range(1, p ** (n - 1)), k)
     index = np.array(rows, dtype=np.int64).reshape(k, 1) * p + np.arange(p, dtype=np.int64)
     index.setflags(write=False)
@@ -373,7 +391,8 @@ def monomial_gapn_verdict(ctx: FieldCtx, d: int) -> bool:
     group = ctx.order - 1
     logs = ctx.log_table[_sample_rows(ctx.p, ctx.n, _sample_size(ctx.p, ctx.n))]
     values = ctx.antilog_table[logs * (d % group) % group]
-    sums = np.sort(_derivative_values(ctx, ctx.lane_table, values))
+    sums = _derivative_values(ctx, ctx.lane_table, values)
+    sums.sort()
     if (sums[1:] == sums[:-1]).any():
         return False
     return monomial_gapn_fast(ctx, d).is_gapn
@@ -418,6 +437,8 @@ def save_table_raw(table: FnTable, path) -> None:
 
 def load_table_raw(ctx: FieldCtx, path) -> FnTable:
     """Read a save_table_raw file: exactly p**n entries, no stray bytes."""
+    import numpy as np
+
     ctx._require_tables("value table")
     with open(path, "rb") as fh:
         data = fh.read()
@@ -446,6 +467,8 @@ def load_table_csv(ctx: FieldCtx, path) -> FnTable:
     row that is not two integers in [0, p**n), or repeats an x, raises
     ValueError naming its line.  OrderTooLarge comes before any allocation.
     """
+    import numpy as np
+
     ctx._require_tables("value table")
     values = np.full(ctx.order, -1, dtype=np.int64)
     with open(path, newline="") as fh:

@@ -12,15 +12,14 @@ costs polynomially many steps in n.
 
 Weight-p cosets are decided by the two algebraic deciders cross-checked
 against each other; they read no field table, so a weight-p-only scan
-never builds one, and never runs gapn or imports numpy.  All other
-cosets go to the
-single-direction monomial decider, which is exact for every power map:
-S_a(x**d)(x) = a**d * S_1(x**d)(x / a), so direction 1 has every
-direction's count multiset.  A scan needs only its verdict, so it asks
-gapn.monomial_gapn_verdict, which first looks up the verdicts of the
-proper subfields and then looks for two sampled rows of S_1 with the same
-sum (each an exact proof of non-GAPN), and runs the full pass only when
-neither proves anything.
+never builds one, calls no gapn function and imports no numpy.  All
+other cosets go to the single-direction monomial decider, which is exact
+for every power map: S_a(x**d)(x) = a**d * S_1(x**d)(x / a), so
+direction 1 has every direction's count multiset.  A scan needs only
+its verdict, so it asks gapn.monomial_gapn_verdict, which first looks up
+the verdicts of the proper subfields and then looks for two sampled rows
+of S_1 with the same sum (each an exact proof of non-GAPN), and runs the
+full pass only when neither proves anything.
 
 A scan with jobs > 1 starts a worker pool only when one repays its
 start-up: _pool_workers predicts the serial seconds of the candidates
@@ -44,16 +43,17 @@ process, so a killed scan resumes from every coset it finished:
 with verdict 0/1, deciders joined by '+', and checksum the decimal CRC-32
 of the preceding text.  A line loads only if writing its parsed fields
 back gives that same line, so its checksum holds and every number is in
-canonical decimal; version is recorded but not checked.  CacheCorrupt,
-rather than a silent recompute, is raised by any other line and by any
-record from another field, whose coset_rep is not its coset's
-representative, whose weight is not its digit sum, whose verdict is not
-0 or 1, whose decider list names anything outside DECIDERS (an empty
-name included), or whose verdict contradicts an earlier record of the
-same coset.  Repeats that agree load, the last one winning.  The one
-exception is an unterminated last line, which a scan killed mid-append
-leaves: it is dropped and cut from the file, and its coset is decided
-again.
+canonical decimal; version is recorded but not checked.  Empty lines are
+skipped, and one trailing carriage return is ignored.  CacheCorrupt,
+rather than a silent recompute, is raised by any other line (one padded
+with blanks or not UTF-8 included) and by any record from another field,
+whose coset_rep is not its coset's representative, whose weight is not
+its digit sum, whose verdict is not 0 or 1, whose decider list names
+anything outside DECIDERS (an empty name included), or whose verdict
+contradicts an earlier record of the same coset.  Repeats that agree
+load, the last one winning.  The one exception is an unterminated last
+line, which a scan killed mid-append leaves: it is dropped and cut from
+the file, and its coset is decided again.
 """
 
 from __future__ import annotations
@@ -531,15 +531,6 @@ def _open_cache(cache_dir, p: int, n: int):
     return open(path, "a", buffering=1)
 
 
-def cache_store(
-    cache_dir, key: tuple[int, int, int], weight: int, verdict: bool, deciders: list[str]
-) -> None:
-    """Append one decided coset to the cache (append-only)."""
-    p, n, rep = key
-    with _open_cache(cache_dir, p, n) as fh:
-        fh.write(_record(p, n, rep, weight, verdict, deciders, __version__) + "\n")
-
-
 def _load_cache(cache_dir, p: int, n: int) -> dict[int, tuple[int, bool, list[str]]]:
     path = _cache_path(cache_dir, p, n)
     out: dict[int, tuple[int, bool, list[str]]] = {}
@@ -552,10 +543,15 @@ def _load_cache(cache_dir, p: int, n: int) -> dict[int, tuple[int, bool, list[st
         # the next append starts a fresh line.
         with open(path, "r+b") as fh:
             fh.truncate(end)
-    for lineno, line in enumerate(data[:end].decode("utf-8").split("\n"), 1):
-        line = line.strip()
-        if not line:
+    for lineno, raw in enumerate(data[:end].split(b"\n"), 1):
+        # One trailing \r is what a text-mode append on Windows adds.
+        raw = raw.removesuffix(b"\r")
+        if not raw:
             continue
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CacheCorrupt(f"{path}:{lineno}: not UTF-8") from None
         parts = line.split(",")
         if len(parts) != 8:
             raise CacheCorrupt(f"{path}:{lineno}: malformed record")
@@ -591,7 +587,6 @@ __all__ = [
     "SearchResult",
     "SOFT_ORDER_BUDGET",
     "analyze_exponent",
-    "cache_store",
     "exact_verdict",
     "run_search",
     "verify_families",

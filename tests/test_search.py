@@ -20,7 +20,6 @@ from gapnkit import (
     SearchJob,
     __version__,
     analyze_exponent,
-    cache_store,
     coset_members,
     coset_rep,
     coset_reps,
@@ -876,8 +875,14 @@ class TestWeightPOnlyLargeFields:
 
 
 class TestCache:
+    @staticmethod
+    def _store(cache_dir, p, n, rep, weight, verdict, deciders):
+        """Append one record as a scan does, through the scan's own writer."""
+        with search._open_cache(cache_dir, p, n) as fh:
+            fh.write(search._record(p, n, rep, weight, verdict, deciders, __version__) + "\n")
+
     def test_store_lookup_roundtrip(self, tmp_path):
-        cache_store(tmp_path, (3, 4, 5), 3, True, ["criterion", "circulant-rank"])
+        self._store(tmp_path, 3, 4, 5, 3, True, ["criterion", "circulant-rank"])
         assert search._load_cache(tmp_path, 3, 4).get(5) == (
             3,
             True,
@@ -888,7 +893,7 @@ class TestCache:
         assert search._load_cache(tmp_path, 3, 4).get(5) is None
 
     def test_record_format(self, tmp_path):
-        cache_store(tmp_path, (3, 4, 5), 3, True, ["criterion", "circulant-rank"])
+        self._store(tmp_path, 3, 4, 5, 3, True, ["criterion", "circulant-rank"])
         line = (tmp_path / "gapn_3_4.csv").read_text().splitlines()[0]
         parts = line.split(",")
         assert parts[:6] == ["3", "4", "5", "3", "1", "criterion+circulant-rank"]
@@ -1028,7 +1033,65 @@ class TestCache:
         with pytest.raises(CacheCorrupt):
             search._load_cache(tmp_path, 3, 4)
 
-    _FIELDS = [(2, 3), (2, 5), (3, 2), (3, 4), (5, 2), (7, 2)]
+    @staticmethod
+    def _cached_conjecture(cache_dir, capsys):
+        argv = ["conjecture", "-p", "3", "-n", "5", "--cache", str(cache_dir), "--format", "json"]
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("pad", [(" ", ""), ("", " "), ("\t", ""), ("", "\t"), ("  ", "\t ")])
+    def test_padded_record_raises(self, tmp_path, capsys, pad):
+        # _record never writes blanks, so a padded line is not one of its lines.
+        code, _, _ = self._cached_conjecture(tmp_path, capsys)
+        assert code == 0
+        path = search._cache_path(tmp_path, 3, 5)
+        lines = path.read_text().splitlines()
+        lines[0] = pad[0] + lines[0] + pad[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheCorrupt, match=r":1: checksum mismatch or non-canonical number"):
+            search._load_cache(tmp_path, 3, 5)
+        code, out, err = self._cached_conjecture(tmp_path, capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "CacheCorrupt",
+            "message": f"{path}:1: checksum mismatch or non-canonical number",
+        }
+
+    def test_blank_only_line_raises(self, tmp_path):
+        self._store(tmp_path, 3, 4, 5, 3, True, ["criterion"])
+        path = search._cache_path(tmp_path, 3, 4)
+        with open(path, "a") as fh:
+            fh.write(" \t\n")
+        with pytest.raises(CacheCorrupt, match=":2: malformed record"):
+            search._load_cache(tmp_path, 3, 4)
+
+    def test_empty_lines_and_one_carriage_return_load(self, tmp_path):
+        self._store(tmp_path, 3, 4, 5, 3, True, ["criterion"])
+        self._store(tmp_path, 3, 4, 11, 3, False, ["monomial-fast"])
+        path = search._cache_path(tmp_path, 3, 4)
+        expected = search._load_cache(tmp_path, 3, 4)
+        first, second = path.read_bytes().splitlines()
+        path.write_bytes(b"\n" + first + b"\r\n\r\n\n" + second + b"\r\n")
+        assert search._load_cache(tmp_path, 3, 4) == expected
+        path.write_bytes(first + b"\r\r\n")
+        with pytest.raises(CacheCorrupt, match=":1: checksum mismatch"):
+            search._load_cache(tmp_path, 3, 4)
+
+    def test_non_utf8_line_raises(self, tmp_path, capsys):
+        code, _, _ = self._cached_conjecture(tmp_path, capsys)
+        assert code == 0
+        path = search._cache_path(tmp_path, 3, 5)
+        count = len(path.read_bytes().splitlines())
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        with pytest.raises(CacheCorrupt, match=f":{count + 1}: not UTF-8"):
+            search._load_cache(tmp_path, 3, 5)
+        code, out, err = self._cached_conjecture(tmp_path, capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "CacheCorrupt", "message": f"{path}:{count + 1}: not UTF-8"}
+
+    _FIELDS =[(2, 3), (2, 5), (3, 2), (3, 4), (5, 2), (7, 2)]
     _DECIDERS = ["brute-force", "monomial-fast", "criterion", "circulant-rank", "linearized-kernel"]
 
     @classmethod
@@ -1045,7 +1108,7 @@ class TestCache:
         p, n, records = self._records(data)
         with tempfile.TemporaryDirectory() as tmp:
             for rep, (weight, verdict, deciders) in records.items():
-                cache_store(tmp, (p, n, rep), weight, verdict, deciders)
+                self._store(tmp, p, n, rep, weight, verdict, deciders)
             assert search._load_cache(tmp, p, n) == records
 
     @settings(max_examples=100, deadline=None)
@@ -1054,7 +1117,7 @@ class TestCache:
         p, n, records = self._records(data)
         with tempfile.TemporaryDirectory() as tmp:
             for rep, (weight, verdict, deciders) in records.items():
-                cache_store(tmp, (p, n, rep), weight, verdict, deciders)
+                self._store(tmp, p, n, rep, weight, verdict, deciders)
             path = search._cache_path(tmp, p, n)
             lines = path.read_text().splitlines()
             row = data.draw(st.integers(0, len(lines) - 1))

@@ -185,11 +185,44 @@ assert len(found) == 8 and all(v == found[0] for v in found), found
 """
 
 
-class TestDeferredGapn:
-    def test_concurrent_first_reads_wait_for_it_to_run(self):
-        # Threads that read gapn while another runs it must wait, not see
-        # a half-run module, as importlib's LazyLoader lets them on 3.11.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+# Imports gapn as a plain module and reads a table, reporting after each
+# step whether numpy is loaded.
+_PLAIN_GAPN_RUNNER = """
+import json, sys, types
+report = sys.argv[1]
+steps = {}
+import gapnkit
+steps["import gapnkit"] = "numpy" in sys.modules
+plain = type(sys.modules["gapnkit.gapn"]) is types.ModuleType
+from gapnkit.gapn import differential_spectrum, monomial_gapn_verdict
+gapnkit.FnTable
+steps["gapn names"] = "numpy" in sys.modules
+ctx = gapnkit.make_field(3, 2)
+steps["make_field"] = "numpy" in sys.modules
+verdict = monomial_gapn_verdict(ctx, 5)
+steps["table read"] = "numpy" in sys.modules
+with open(report, "w") as fh:
+    json.dump({"plain": plain, "steps": steps, "verdict": verdict,
+               "optimize": sys.flags.optimize}, fh)
+"""
+
+
+class TestPlainGapn:
+    @pytest.mark.parametrize("flags", FLAGS)
+    def test_numpy_loads_at_the_first_table_read(self, tmp_path, flags):
+        report, out, err = _fresh(tmp_path, [], flags, _PLAIN_GAPN_RUNNER)
+        assert report == {
+            "plain": True,
+            "steps": {"import gapnkit": False, "gapn names": False, "make_field": False, "table read": True},
+            "verdict": True,
+            "optimize": len(flags),
+        }
+        assert (out, err) == ("", "")
+
+    def test_concurrent_first_table_reads(self):
+        # Eight threads make the process's first table reads together, through
+        # every name the package binds gapn to.
+        env ={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
         for _ in range(3):
             proc = subprocess.run(
                 [sys.executable, "-c", _CONCURRENT_FIRST_READS],
@@ -197,7 +230,7 @@ class TestDeferredGapn:
             )
             assert (proc.returncode, proc.stderr) == (0, "")
 
-    def test_becomes_a_plain_module_once_read(self):
+    def test_is_one_plain_module(self):
         assert gapnkit.gapn.FnTable is gapnkit.FnTable
         assert type(gapnkit.gapn) is types.ModuleType
         assert sys.modules["gapnkit.gapn"] is gapnkit.gapn is search.gapn
