@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__, gapn
-from .errors import BudgetExceeded, GapnkitError
+from .errors import BudgetExceeded, GapnkitError, NotPrime
 from .fields import make_field
 from .monomial import (
     describe_exponent,
@@ -25,6 +25,7 @@ from .monomial import (
     identify_family,
     normalize_weight_p,
 )
+from .numtheory import is_prime
 from .search import (
     SOFT_ORDER_BUDGET,
     SearchFilters,
@@ -162,6 +163,10 @@ def _budget_gate(args, limit: int = SOFT_ORDER_BUDGET) -> None:
 
 
 def _search_result(args, mode: str):
+    # The prime first, as make_field reports it for the other commands:
+    # the budget gate's advice to pass --long-running would only lead there.
+    if not is_prime(args.p):
+        raise NotPrime(f"{args.p} is not prime")
     # families-only decides a handful of exponents, so no budget applies.
     if mode != "families-only":
         _budget_gate(args, SOFT_ORDER_BUDGET**2 if mode == "weight-p-only" else SOFT_ORDER_BUDGET)

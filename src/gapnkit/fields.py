@@ -5,16 +5,18 @@ coefficients (c_0, ..., c_(n-1)) is the plain integer sum c_s * p**s, so
 element indices run over [0, p**n).  A FieldCtx carries the modulus and,
 for orders up to 2**24, discrete log / antilog tables over a fixed
 primitive element, a digit table that backs the vectorized helpers and a
-lane table that backs the derivative kernel.  All are built on first use,
-not at construction, the default modulus included, so callers that never
-multiply (weight-p-only scans, the algebraic deciders) never pay for
-them.  The antilog build runs in numpy: multiplying by the generator is an
-F_p-linear map on digit vectors, so doubling the run of known powers is
-one matrix product.  Contexts are immutable apart from that one-time fill,
-and every table is read-only once built; every operation is a pure
-function of (context, arguments).  numpy is imported where tables are
-built or read, not with this module, so constructing a context (which
-validates p and n) and the table-free operations never load it.
+lane table that backs the derivative kernel.  Each is a slot filled on
+its first read by the one builder _BUILDERS names for it, the default
+modulus included, so callers that never multiply (weight-p-only scans,
+the algebraic deciders) never pay for them.  The antilog build runs in
+numpy: multiplying by the generator is an F_p-linear map on digit
+vectors, so doubling the run of known powers is one matrix product.
+Contexts are immutable apart from that one-time fill, every table is
+read-only once built, and a context pickles and copies as the arguments
+it was built from, so neither builds a table.  numpy is imported where
+tables are built or read, not with this module, so constructing a
+context (which validates p and n) and the table-free operations never
+load it.
 
 make_field shares one default-modulus context per (p, n) for the life of
 the interpreter when p**n <= SOFT_ORDER_BUDGET, so repeated requests on a
@@ -40,9 +42,15 @@ ORDER_CAP = 1 << 48
 TABLE_CAP = 1 << 24
 SOFT_ORDER_BUDGET = 3**7  # largest order shared by make_field and scanned by default
 
-# Built together by _build_tables; _pow_vec (p**s for each digit position s)
-# packs digit rows into indices.
-_TABLE_SLOTS = ("generator", "log_table", "antilog_table", "_pow_vec")
+# Each derived slot of a FieldCtx and the method that fills it on first
+# read.  _pow_vec (p**s for each digit position s) packs digit rows into
+# indices.
+_BUILDERS = {
+    "modulus": "_build_modulus",
+    **dict.fromkeys(("generator", "log_table", "antilog_table", "_pow_vec"), "_build_tables"),
+    "_digits": "_build_digits",
+    **dict.fromkeys(("lane_table", "_lane_lookup"), "_build_lanes"),
+}
 _BUILD_CHUNK = 1 << 15  # rows per block product; bounds the temporaries
 _LANE_LOOKUP_BITS = 12  # index width of one lane-reduction lookup table
 
@@ -82,18 +90,7 @@ def find_irreducible(p: int, n: int) -> PolyFp:
 class FieldCtx:
     """Field context: modulus, lazily built tables, and the arithmetic on indices."""
 
-    __slots__ = (
-        "p",
-        "n",
-        "modulus",
-        "order",
-        "generator",
-        "log_table",
-        "antilog_table",
-        "_digits",
-        "_lanes",
-        "_pow_vec",
-    )
+    __slots__ = ("p", "n", "order", "_modulus_arg", *_BUILDERS)
 
     def __init__(self, p: int, n: int, modulus: PolyFp | None = None):
         if not is_prime(p):
@@ -103,7 +100,6 @@ class FieldCtx:
         # p >= 2, so n > 48 is above the cap without forming p**n.
         if n > 48 or p**n > ORDER_CAP:
             raise OrderTooLarge(f"{p}**{n} exceeds the cap 2**48")
-        order = p**n
         if modulus is not None:
             if modulus.p != p:
                 raise NotIrreducible("modulus is over the wrong prime field")
@@ -112,25 +108,25 @@ class FieldCtx:
             self.modulus = modulus
         self.p = p
         self.n = n
-        self.order = order
-        self._digits = None
-        self._lanes = None
-        if order > TABLE_CAP:
-            self.generator = None
-            self.log_table = None
-            self.antilog_table = None
-            self._pow_vec = None
+        self.order = p**n
+        self._modulus_arg = modulus
 
     def __getattr__(self, name):
-        # Reached only for a slot never assigned: the default modulus, and
-        # the tables of a field within TABLE_CAP, before their first read.
-        if name == "modulus":
-            self.modulus = find_irreducible(self.p, self.n)
-            return self.modulus
-        if name not in _TABLE_SLOTS:
+        # Reached only for a slot never assigned: a derived slot before its
+        # first read, which its builder fills.
+        builder = _BUILDERS.get(name)
+        if builder is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._build_tables()
+        getattr(self, builder)()
         return object.__getattribute__(self, name)
+
+    def __reduce__(self):
+        # The arguments, not the slots: pickling or copying a context
+        # builds no table and searches for no default modulus.
+        return type(self), (self.p, self.n, self._modulus_arg)
+
+    def _build_modulus(self) -> None:
+        self.modulus = find_irreducible(self.p, self.n)
 
     # ---- encoding ----------------------------------------------------
 
@@ -263,6 +259,10 @@ class FieldCtx:
         return (digits @ matrix) % self.p @ self._pow_vec
 
     def _build_tables(self) -> None:
+        if self.order > TABLE_CAP:
+            # Up here only the table-free scalar operations work.
+            self.generator = self.log_table = self.antilog_table = self._pow_vec = None
+            return
         import numpy as np
 
         p, n, order = self.p, self.n, self.order
@@ -303,55 +303,51 @@ class FieldCtx:
         self.antilog_table = _read_only(antilog)
         self.log_table = _read_only(log)
 
+    def _build_digits(self) -> None:
+        self._require_tables("digit table")
+        import numpy as np
+
+        dtype = np.uint8 if self.p <= 256 else np.int64
+        ds = np.empty((self.order, self.n), dtype=dtype)
+        idx = np.arange(self.order, dtype=np.int64)
+        for s in range(self.n):
+            ds[:, s] = idx % self.p
+            idx = idx // self.p
+        self._digits = _read_only(ds)
+
     @property
     def digit_table(self) -> np.ndarray:
         """(order, n) array of base-p digits for every element index."""
-        if self._digits is None:
-            self._require_tables("digit table")
-            import numpy as np
-
-            dtype = np.uint8 if self.p <= 256 else np.int64
-            ds = np.empty((self.order, self.n), dtype=dtype)
-            idx = np.arange(self.order, dtype=np.int64)
-            for s in range(self.n):
-                ds[:, s] = idx % self.p
-                idx = idx // self.p
-            self._digits = _read_only(ds)
         return self._digits
 
-    def _lane_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The lane table and the lookup table that reduces groups of its
-        lane sums, or None when one lane is wider than _LANE_LOOKUP_BITS."""
-        if self._lanes is None:
-            self._require_tables("lane table")
-            import numpy as np
+    def _build_lanes(self) -> None:
+        """lane_table: (order,) int64 array, digit s of every element index
+        in bits [s*w, (s+1)*w), w = bit_length(p(p-1)).  A sum of p entries
+        keeps every lane below 2**w, so the digit-vector sum of p elements
+        is one integer sum; lanes_to_index reduces it.  Below TABLE_CAP,
+        n*w is at most 50 bits, so such sums never reach the int64 sign
+        bit.  _lane_lookup: the lookup table that reduces groups of k lane
+        sums, or None when one lane is wider than _LANE_LOOKUP_BITS."""
+        self._require_tables("lane table")
+        import numpy as np
 
-            p = self.p
-            w, k = _lane_layout(p)
-            lanes = np.zeros(self.order, dtype=np.int64)
-            idx = np.arange(self.order, dtype=np.int64)
-            for s in range(self.n):
-                lanes |= (idx % p) << (s * w)
-                idx //= p
-            table = None
-            if k * w <= _LANE_LOOKUP_BITS:
-                # table[v] = sum_l (lane l of v mod p) * p**l over k lanes
-                v = np.arange(1 << (k * w), dtype=np.int64)
-                table = np.zeros(v.size, dtype=np.int64)
-                for l in range(k):
-                    table += ((v >> (l * w)) & ((1 << w) - 1)) % p * p**l
-                _read_only(table)
-            self._lanes = (_read_only(lanes), table)
-        return self._lanes
-
-    @property
-    def lane_table(self) -> np.ndarray:
-        """(order,) int64 array: digit s of every element index in bits
-        [s*w, (s+1)*w), w = bit_length(p(p-1)).  A sum of p entries keeps
-        every lane below 2**w, so the digit-vector sum of p elements is one
-        integer sum; lanes_to_index reduces it.  Below TABLE_CAP, n*w is at
-        most 50 bits, so such sums never reach the int64 sign bit."""
-        return self._lane_tables()[0]
+        p = self.p
+        w, k = _lane_layout(p)
+        lanes = np.zeros(self.order, dtype=np.int64)
+        idx = np.arange(self.order, dtype=np.int64)
+        for s in range(self.n):
+            lanes |= (idx % p) << (s * w)
+            idx //= p
+        table = None
+        if k * w <= _LANE_LOOKUP_BITS:
+            # table[v] = sum_l (lane l of v mod p) * p**l over k lanes
+            v = np.arange(1 << (k * w), dtype=np.int64)
+            table = np.zeros(v.size, dtype=np.int64)
+            for l in range(k):
+                table += ((v >> (l * w)) & ((1 << w) - 1)) % p * p**l
+            _read_only(table)
+        self._lane_lookup = table
+        self.lane_table = _read_only(lanes)
 
     def lanes_to_index(self, sums: np.ndarray) -> np.ndarray:
         """Element indices of lane-packed digit sums: every lane mod p.
@@ -362,7 +358,7 @@ class FieldCtx:
         """
         p = self.p
         w, k = _lane_layout(p)
-        table = self._lane_tables()[1]
+        table = self._lane_lookup
         mask = (1 << (k * w)) - 1
         out = None
         for s0 in range(0, self.n, k):

@@ -202,9 +202,11 @@ class CriterionReport:
 def criterion_gapn(d: int, p: int, n: int) -> CriterionReport:
     """Decide GAPN for a normalized weight-p exponent on F_(p^n).
 
-    x - 1 divides gcd(C, x**n - 1) exactly once when the map is GAPN; every
-    additional irreducible factor (a second copy of x - 1 included, which
-    can only occur when p divides n) is reported as offending.
+    x - 1 always divides g = gcd(C, x**n - 1): C(1) is the digit sum p,
+    which is 0 in F_p, and x**n - 1 vanishes at 1 too.  The map is GAPN
+    exactly when g is x - 1, so the offending factors are those of
+    g / (x - 1), a second copy of x - 1 included (which can only occur
+    when p divides n).
 
     Digits are taken from d itself, so d may exceed p**n; the gcd against
     x**n - 1 folds digit positions modulo n exactly as x**(p**s) collapses
@@ -217,17 +219,8 @@ def criterion_gapn(d: int, p: int, n: int) -> CriterionReport:
         raise ValueError("extension degree must be at least 1")
     digit_poly = digit_polynomial(d, p)
     g = poly_gcd(digit_poly, x_pow_mod(n, digit_poly) - PolyFp.one(p))
-    x_minus_1 = PolyFp(p, (-1, 1))
-    offending = []
-    for factor, mult in factorize(g).factors:
-        if factor == x_minus_1:
-            mult -= 1
-        if mult > 0:
-            offending.append((factor, mult))
-    is_gapn = not offending
-    if is_gapn != (g.degree == 1):
-        raise AssertionError(f"offending factors disagree with deg gcd = {g.degree}")
-    return CriterionReport(d, p, n, digit_poly, g, is_gapn, tuple(offending))
+    offending = factorize(g // PolyFp(p, (-1, 1))).factors
+    return CriterionReport(d, p, n, digit_poly, g, not offending, offending)
 
 
 def rank_mod_p(matrix, p: int) -> int:

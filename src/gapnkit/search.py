@@ -26,8 +26,9 @@ start-up: _pool_workers predicts the serial seconds of the candidates
 left to decide from their count on each route (weight-p deciders,
 subfield lookup, collision sample) and starts at most jobs workers, one
 per CPU this process may run on and per candidate, when their saving
-exceeds POOL_START_S.  The parent builds the field's tables before it
-forks, so forked workers share them.
+exceeds POOL_START_S.  The pool hands each worker the scan's context:
+the parent builds its tables before it forks, so forked workers share
+them, and a spawned worker unpickles only (p, n, modulus).
 
 Default filters drop cosets that cannot be GAPN: digit sum below p
 (any characteristic), and even digit sum (odd characteristic only, where
@@ -163,16 +164,13 @@ def _pool_workers(p: int, n: int, todo: list[tuple[int, int]], jobs: int) -> int
     return workers if saving > POOL_START_S else 1
 
 
-_worker_state: dict = {}
+_worker_state: dict = {}  # written only inside pool workers
 
 
-def _init_worker(p: int, n: int) -> None:
-    # A forked worker inherits the parent's context, tables and all; a
-    # spawned one starts empty and builds its own, and so does one that
-    # inherits another field, left there by a scan in another thread.
-    ctx = _worker_state.get("ctx")
-    if ctx is None or (ctx.p, ctx.n) != (p, n):
-        _worker_state["ctx"] = make_field(p, n)
+def _init_worker(ctx: FieldCtx) -> None:
+    # A forked worker inherits the scan's context, tables and all; a
+    # spawned one unpickles only its arguments and builds what it reads.
+    _worker_state["ctx"] = ctx
 
 
 def _decide_candidate(candidate: tuple[int, int], ctx: FieldCtx | None = None):
@@ -309,15 +307,9 @@ def run_search(job: SearchJob) -> SearchResult:
                 # inherit them rather than each building its own.
                 gapn.prepare_verdicts(ctx)
             chunk = max(1, len(todo) // (workers * 4))
-            _worker_state["ctx"] = ctx
-            try:
-                with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(p, n)) as pool:
-                    for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
-                        record(*result)
-            finally:
-                # Not kept past the scan, which would keep a large
-                # field's tables alive.
-                _worker_state.pop("ctx", None)
+            with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx,)) as pool:
+                for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
+                    record(*result)
         else:
             for candidate in todo:
                 record(*_decide_candidate(candidate, ctx))

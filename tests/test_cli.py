@@ -430,11 +430,15 @@ class TestErrorHandling:
             # 9 = 100_3 has digit sum 1, not 9; 1 is below every base.
             (["criterion", "-p", "9", "-n", "3", "-d", "9"], 9),
             (["profile", "-p", "1", "-d", "1"], 1),
+            # Above the soft budget: the prime is checked before the budget.
+            (["search", "-p", "4", "-n", "20"], 4),
+            (["conjecture", "-p", "9", "-n", "10"], 9),
+            (["search", "-p", "1000000", "-n", "2", "--mode", "weight-p-only"], 1000000),
         ],
     )
     def test_non_prime_p_reported_before_the_weight(self, argv, p):
-        # These once failed with WrongWeight and ValueError: the digit sum
-        # was checked before the prime.
+        # These once failed with WrongWeight, ValueError and BudgetExceeded:
+        # the digit sum or the budget was checked before the prime.
         proc = run_cli_subprocess(argv)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert json.loads(proc.stderr) == {"error": "NotPrime", "message": f"{p} is not prime"}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -381,6 +383,51 @@ class TestTables:
             assert value == expected
 
 
+class TestPickling:
+    """A context pickles and copies as the arguments it was built from, and
+    the copy builds its own tables on first read."""
+
+    _TABLES = ("log_table", "antilog_table", "_pow_vec", "digit_table", "lane_table", "_lane_lookup")
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 8), (3, 9), (67, 2)])
+    def test_copies_build_equal_tables(self, p, n):
+        ctx = make_field(p, n)
+        data = pickle.dumps(ctx)
+        for name in self._TABLES:
+            getattr(ctx, name)
+        assert pickle.dumps(ctx) == data and len(data) < 100
+        for back in (pickle.loads(data), copy.copy(ctx), copy.deepcopy(ctx)):
+            assert back is not ctx and type(back) is FieldCtx
+            assert (back.p, back.n, back.order, back.modulus) == (p, n, ctx.order, ctx.modulus)
+            assert back.generator == ctx.generator
+            for name in self._TABLES:
+                mine, theirs = getattr(back, name), getattr(ctx, name)
+                assert (mine is None and theirs is None) or np.array_equal(mine, theirs), name
+
+    def test_explicit_modulus_round_trips(self):
+        modulus = PolyFp(3, (2, 2, 0, 1))  # not the canonical x^3 + 2x + 1
+        ctx = make_field(3, 3, modulus)
+        assert modulus != find_irreducible(3, 3)
+        for back in (pickle.loads(pickle.dumps(ctx)), copy.copy(ctx), copy.deepcopy(ctx)):
+            assert back.modulus == modulus
+            assert [back.mul(3, b) for b in range(27)] == [ctx.mul(3, b) for b in range(27)]
+            assert pickle.dumps(back) == pickle.dumps(ctx)
+
+    def test_default_modulus_is_not_sent(self):
+        ctx = make_field(3, 4)
+        assert ctx.modulus == find_irreducible(3, 4)
+        assert pickle.dumps(ctx) == pickle.dumps(FieldCtx(3, 4))
+
+    def test_above_the_table_cap(self):
+        back = pickle.loads(pickle.dumps(make_field(4099, 2)))
+        assert back.order > 1 << 24
+        assert (back.generator, back.log_table, back.antilog_table) == (None, None, None)
+        with pytest.raises(OrderTooLarge, match="lane table requested"):
+            back.lane_table
+        with pytest.raises(OrderTooLarge, match="digit table requested"):
+            back.digit_table
+
+
 class TestEncoding:
     def test_coeff_round_trip(self, field):
         ctx = field(3, 3)
@@ -459,7 +506,7 @@ class TestSharedFields:
         assert cli_main(argv) == 0
         before = capsys.readouterr().out
         ctx = make_field(3, 4)
-        lanes, lookup = ctx._lane_tables()
+        lanes, lookup = ctx.lane_table, ctx._lane_lookup
         tables = {
             "log_table": ctx.log_table,
             "antilog_table": ctx.antilog_table,

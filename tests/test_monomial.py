@@ -35,7 +35,7 @@ from gapnkit import (
     p_weight,
     welch_exponent,
 )
-from gapnkit.monomial import rank_mod_p
+from gapnkit.monomial import CriterionReport, rank_mod_p
 from gapnkit.numtheory import is_prime, primes
 from gapnkit.polyfp import factorize, poly_gcd, root_order
 from numpy_cosets import coset_reps as numpy_coset_reps
@@ -48,6 +48,21 @@ def _normalized_weight_p_exponents(p, n):
         for d in range(1, p**n)
         if d % p != 0 and p_weight(d, p) == p
     ]
+
+
+def _criterion_by_full_gcd(d, p, n):
+    """The criterion as first derived: g = gcd(C, x**n - 1) with x**n - 1
+    built in full, factored whole, and one copy of x - 1 taken out of its
+    factors."""
+    c = PolyFp(p, digits_of(d, p))
+    g = poly_gcd(c, PolyFp.x_pow(p, n) - PolyFp.one(p))
+    x_minus_1 = PolyFp(p, (-1, 1))
+    offending = []
+    for f, k in factorize(g).factors:
+        k -= f == x_minus_1
+        if k:
+            offending.append((f, k))
+    return CriterionReport(d, p, n, c, g, not offending, tuple(offending))
 
 
 class TestDigits:
@@ -254,25 +269,16 @@ class TestCriterion:
         with pytest.raises(NotPrime, match=f"^{p} is not prime$"):
             normalize_weight_p(d, p)
 
-    @pytest.mark.parametrize("p,n", [(2, 7), (3, 5), (5, 3), (7, 2)])
+    @pytest.mark.parametrize("p,n", [(2, 7), (2, 12), (3, 5), (3, 8), (5, 3), (5, 5), (7, 2), (7, 4)])
     def test_matches_gcd_with_full_x_n_minus_1(self, p, n):
-        # Reference: gcd(C, x**n - 1) with x**n - 1 built in full.  Every
-        # normalized weight-p exponent of F_(p^n), in dimensions 1..2n so
-        # that p divides some of them.
-        x_minus_1 = PolyFp(p, (-1, 1))
+        # Every normalized weight-p exponent of F_(p^n), in dimensions 1..2n
+        # so that p divides some of them and some d have digits beyond the
+        # dimension.
         for d in _normalized_weight_p_exponents(p, n):
-            c = PolyFp(p, digits_of(d, p))
             for m in range(1, 2 * n + 1):
-                g = poly_gcd(c, PolyFp.x_pow(p, m) - PolyFp.one(p))
-                offending = []
-                for f, k in factorize(g).factors:
-                    k -= f == x_minus_1
-                    if k:
-                        offending.append((f, k))
-                report = criterion_gapn(d, p, m)
-                assert report.gcd == g, (d, m)
-                assert list(report.offending_factors) == offending, (d, m)
-                assert report.is_gapn == (not offending)
+                expected = _criterion_by_full_gcd(d, p, m)
+                assert criterion_gapn(d, p, m) == expected, (d, m)
+                assert expected.is_gapn == (expected.gcd.degree == 1), (d, m)
 
     def test_cost_grows_with_log_n(self):
         # x**n - 1 is never built: 10**18 would not fit in memory.

@@ -322,17 +322,39 @@ class TestPoolRule:
         assert started == workers
         assert _frozen(result) == _frozen(run_search(SearchJob(3, 6, "conjecture")))
 
-    def test_worker_keeps_only_its_own_field(self, monkeypatch):
-        own, other = make_field(3, 5), make_field(3, 4)
-        monkeypatch.setattr(search, "_worker_state", {"ctx": own})
-        search._init_worker(3, 5)
-        assert search._worker_state["ctx"] is own
-        search._worker_state["ctx"] = other
-        search._init_worker(3, 5)
-        assert (search._worker_state["ctx"].p, search._worker_state["ctx"].n) == (3, 5)
-        search._worker_state.clear()
-        search._init_worker(3, 5)
-        assert search._worker_state["ctx"] is own  # shared by make_field
+    @pytest.mark.parametrize("mode", ["exhaustive", "weight-p-only"])
+    def test_workers_get_the_scans_own_field(self, monkeypatch, mode):
+        _force_pool(monkeypatch)
+        _cpus(monkeypatch, 2)
+        real = search.make_field
+        built = []
+        monkeypatch.setattr(search, "make_field", lambda p, n: built.append(real(p, n)) or built[-1])
+        started = _stand_in_pool(monkeypatch)
+        result = run_search(SearchJob(3, 8, mode, jobs=2))
+        assert started == [2] and len(built) == 1
+        # The stand-in runs the initializer in this process.
+        assert search._worker_state["ctx"] is built[0]
+        assert _frozen(result) == _frozen(run_search(SearchJob(3, 8, mode)))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="a forked pool is what this scan starts",
+    )
+    def test_parent_keeps_no_worker_state(self, monkeypatch):
+        _force_pool(monkeypatch)
+        _cpus(monkeypatch, 2)
+        fork_pool = multiprocessing.get_context("fork").Pool
+        states = []
+
+        def pool(*args, **kwargs):
+            states.append(dict(search._worker_state))
+            return fork_pool(*args, **kwargs)
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", pool)
+        result = run_search(SearchJob(3, 5, jobs=2))
+        assert states == [{}]
+        assert search._worker_state == {}
+        assert _frozen(result) == _frozen(run_search(SearchJob(3, 5)))
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
@@ -361,20 +383,14 @@ class TestPoolRule:
         # forked, and the filter check what the scan built.
         _force_pool(monkeypatch)
         fork_pool = multiprocessing.get_context("fork").Pool
-        real_lanes = FieldCtx._lane_tables
 
         def refuse(*args):
             raise AssertionError("a table was built after the pool started")
 
-        def lanes_once_built(ctx):
-            if ctx._lanes is None:
-                refuse()
-            return real_lanes(ctx)
-
         def pool_after_build(*args, **kwargs):
             started.append(args[0])
             monkeypatch.setattr(FieldCtx, "_build_tables", refuse)
-            monkeypatch.setattr(FieldCtx, "_lane_tables", lanes_once_built)
+            monkeypatch.setattr(FieldCtx, "_build_lanes", refuse)
             monkeypatch.setattr(gapn, "_subfield_verdicts", refuse)
             return fork_pool(*args, **kwargs)
 

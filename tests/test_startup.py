@@ -236,6 +236,41 @@ class TestPlainGapn:
         assert sys.modules["gapnkit.gapn"] is gapnkit.gapn is search.gapn
 
 
+# Pickles and copies a 3^9 context, reporting whether that loaded numpy or
+# searched for the default modulus.
+_PICKLE_RUNNER = """
+import copy, json, pickle, sys
+from gapnkit import fields
+searched = []
+find = fields.find_irreducible
+fields.find_irreducible = lambda p, n: searched.append([p, n]) or find(p, n)
+ctx = fields.make_field(3, 9)
+data = pickle.dumps(ctx)
+copies = [pickle.loads(data), copy.copy(ctx), copy.deepcopy(ctx)]
+report = {"bytes": len(data), "searched": list(searched), "numpy": "numpy" in sys.modules,
+          "copies": [[c.p, c.n, type(c) is fields.FieldCtx] for c in copies]}
+copies[0].modulus
+report["searched on read"] = searched
+with open(sys.argv[1], "w") as fh:
+    json.dump(report, fh)
+"""
+
+
+class TestPickledFields:
+    @pytest.mark.parametrize("flags", FLAGS)
+    def test_pickle_and_copy_build_nothing(self, tmp_path, flags):
+        report, out, err = _fresh(tmp_path, [], flags, _PICKLE_RUNNER)
+        assert report["bytes"] < 100
+        assert report == {
+            "bytes": report["bytes"],
+            "searched": [],
+            "numpy": False,
+            "copies": [[3, 9, True]] * 3,
+            "searched on read": [[3, 9]],
+        }
+        assert (out, err) == ("", "")
+
+
 class TestPackageExports:
     def test_every_export_resolves(self):
         star: dict = {}
