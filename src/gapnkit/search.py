@@ -21,14 +21,13 @@ the verdicts of the proper subfields and then looks for two sampled rows
 of S_1 with the same sum (each an exact proof of non-GAPN), and runs the
 full pass only when neither proves anything.
 
-A scan with jobs > 1 starts a worker pool only when one repays its
-start-up: _pool_workers predicts the serial seconds of the candidates
-left to decide from their count on each route (weight-p deciders,
-subfield lookup, collision sample) and starts at most jobs workers, one
-per CPU this process may run on and per candidate, when their saving
-exceeds POOL_START_S.  The pool hands each worker the scan's context:
-the parent builds its tables before it forks, so forked workers share
-them, and a spawned worker unpickles only (p, n, modulus).
+A scan with jobs > 1 decides serially until its decide time passes
+POOL_START_S, then checks once: it hands the candidates left to a pool
+of at most jobs workers, one per CPU this process may run on and per
+candidate, when their extrapolated serial time, cut by the workers,
+saves more than POOL_START_S.  The pool hands each worker the scan's
+context: the parent builds its tables before it forks, so forked
+workers share them, and a spawned worker unpickles only (p, n, modulus).
 
 Default filters drop cosets that cannot be GAPN: digit sum below p
 (any characteristic), and even digit sum (odd characteristic only, where
@@ -61,7 +60,6 @@ from __future__ import annotations
 
 import contextlib
 import importlib
-import math
 import os
 import time
 import zlib
@@ -125,12 +123,8 @@ def _decide_brute(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
 
 
 # Seconds a two-worker pool adds to a fresh CLI scan (importing
-# multiprocessing, forking, joining), and the serial seconds a + b * size
-# per candidate on each route, size being n for the weight-p deciders and
-# p * isqrt(p**n) for the collision sample.  Measured on a 2-vCPU Intel
-# Xeon with Python 3.11.7 and numpy 2.4.6 (README, "How a search runs").
+# multiprocessing, forking, joining), measured on a 2-vCPU Intel Xeon.
 POOL_START_S = 0.03
-_ROUTE_S = {"weight-p": (15e-6, 10e-6), "subfield": (1e-6, 0.0), "collision": (15e-6, 0.06e-6)}
 
 
 def _cpu_limit() -> int:
@@ -138,30 +132,6 @@ def _cpu_limit() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _routes(p: int, n: int, todo: list[tuple[int, int]]) -> dict[str, int]:
-    """How many of the (rep, weight) candidates each route decides."""
-    table = [rep for rep, w in todo if w != p]
-    settled = sum(gapn.subfield_settles(p, n, rep) for rep in table)
-    return {"weight-p": len(todo) - len(table), "subfield": settled, "collision": len(table) - settled}
-
-
-def _serial_seconds(p: int, n: int, routes: dict[str, int]) -> float:
-    """Predicted serial seconds to decide routes[r] candidates on route r."""
-    size = {"weight-p": n, "subfield": 0, "collision": p * math.isqrt(p**n)}
-    return sum(count * (_ROUTE_S[r][0] + _ROUTE_S[r][1] * size[r]) for r, count in routes.items())
-
-
-def _pool_workers(p: int, n: int, todo: list[tuple[int, int]], jobs: int) -> int:
-    """Workers for the candidates left to decide: at most jobs, the CPUs
-    this process may run on and the candidates, and 1 (no pool) unless
-    their saving on the predicted serial seconds exceeds POOL_START_S."""
-    workers = min(jobs, _cpu_limit(), len(todo))
-    if workers < 2:
-        return 1
-    saving = _serial_seconds(p, n, _routes(p, n, todo)) * (1 - 1 / workers)
-    return workers if saving > POOL_START_S else 1
 
 
 _worker_state: dict = {}  # written only inside pool workers
@@ -300,19 +270,26 @@ def run_search(job: SearchJob) -> SearchResult:
             if sink is not None:
                 sink.write(_record(p, n, rep, w, verdict, deciders, __version__) + "\n")
 
-        workers = _pool_workers(p, n, todo, job.jobs)
-        if workers > 1:
-            if any(w != p for _, w in todo):
-                # Built once here, numpy import included: forked workers
-                # inherit them rather than each building its own.
-                gapn.prepare_verdicts(ctx)
-            chunk = max(1, len(todo) // (workers * 4))
-            with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx,)) as pool:
-                for result in pool.imap_unordered(_decide_candidate, todo, chunksize=chunk):
-                    record(*result)
-        else:
-            for candidate in todo:
-                record(*_decide_candidate(candidate, ctx))
+        workers = min(job.jobs, _cpu_limit(), len(todo))
+        if workers > 1 and any(w != p for _, w in todo):
+            # Built once here, numpy import included: forked workers
+            # inherit them, and the clock below does not count them.
+            gapn.prepare_verdicts(ctx)
+        start = time.perf_counter()
+        for done, candidate in enumerate(todo, 1):
+            record(*_decide_candidate(candidate, ctx))
+            if workers > 1 and (seconds := time.perf_counter() - start) > POOL_START_S:
+                # The one check: pool what is left if its serial time at
+                # the rate so far, cut by the workers, repays their start-up.
+                left = len(todo) - done
+                workers = min(workers, left)
+                if workers > 1 and seconds * left / done * (1 - 1 / workers) > POOL_START_S:
+                    chunk = max(1, left // (workers * 4))
+                    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx,)) as pool:
+                        for result in pool.imap_unordered(_decide_candidate, todo[done:], chunksize=chunk):
+                            record(*result)
+                    break
+                workers = 1  # no second check: finish serially
 
     gapn_cosets = [
         _coset_entry(rep, p, n, w, deciders)

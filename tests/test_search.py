@@ -1,13 +1,14 @@
 """Search orchestration: enumeration, filters, deciders, caching, families."""
 
-import functools
+import itertools
 import json
 import multiprocessing
+import os
 import tempfile
 import time
 import zlib
 from collections import Counter
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -193,14 +194,15 @@ class TestConjecture:
 
 
 def _force_pool(monkeypatch):
-    """Start a pool whatever the predicted work, as long as there are two
-    CPUs and two candidates."""
+    """Start a pool after the first candidate, as long as two CPUs and two
+    candidates are left: every decide time exceeds 0 s."""
     monkeypatch.setattr(search, "POOL_START_S", 0.0)
 
 
-def _stand_in_pool(monkeypatch) -> list[int]:
+def _stand_in_pool(monkeypatch, handed=None) -> list[int]:
     """Replace multiprocessing with a stand-in that records each pool's
-    worker count and decides in this process, so no worker is started."""
+    worker count, and the candidates it is handed in handed, and decides
+    in this process, so no worker is started."""
     started = []
 
     class SerialPool:
@@ -215,6 +217,8 @@ def _stand_in_pool(monkeypatch) -> list[int]:
             return False
 
         def imap_unordered(self, fn, items, chunksize):
+            if handed is not None:
+                handed.extend(items)
             return map(fn, items)
 
     class SerialMultiprocessing:
@@ -230,6 +234,15 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def _scan_seconds(monkeypatch, candidates, pool_starts):
+    """Make search's clock, which a scan reads once per candidate while it
+    may still start a pool, say that deciding all candidates serially
+    takes pool_starts * POOL_START_S seconds."""
+    step = pool_starts * search.POOL_START_S / candidates
+    reads = itertools.count()
+    monkeypatch.setattr(search.time, "perf_counter", lambda: next(reads) * step)
+
+
 class TestDeterminism:
     def test_worker_count_does_not_change_result(self, monkeypatch):
         _force_pool(monkeypatch)
@@ -242,7 +255,8 @@ class TestDeterminism:
         b = run_search(SearchJob(3, 4))
         assert _frozen(a) == _frozen(b)
 
-    @pytest.mark.parametrize("p,n,jobs,workers", [(3, 4, 64, [9]), (3, 4, 2, [2]), (3, 2, 64, [])])
+    # A forced pool starts after the first candidate, with one worker per candidate left.
+    @pytest.mark.parametrize("p,n,jobs,workers", [(3, 4, 64, [8]), (3, 4, 2, [2]), (3, 2, 64, [])])
     def test_pool_never_exceeds_candidates(self, monkeypatch, p, n, jobs, workers):
         _force_pool(monkeypatch)
         _cpus(monkeypatch, 64)
@@ -252,66 +266,79 @@ class TestDeterminism:
         assert _frozen(result) == _frozen(run_search(SearchJob(p, n)))
 
 
-@functools.lru_cache(maxsize=None)
-def _full_pass_gapn(p, n, d):
-    return monomial_gapn_fast(make_field(p, n), d).is_gapn
-
-
-def _subfield_oracle(p, n, d):
-    """Whether y -> y**r, r = d mod (p**m - 1) (0 read as p**m - 1), is
-    non-GAPN by a full pass on some F_(p^m), 1 < m < n."""
-    for m in range(2, n):
-        if n % m == 0:
-            q = p**m - 1
-            if not _full_pass_gapn(p, m, d % q or q):
-                return True
-    return False
-
-
 class TestPoolRule:
-    """A pool starts only when its saving on the predicted serial seconds,
-    at most min(jobs, CPUs, candidates) workers, exceeds its start-up."""
+    """A scan decides serially until its decide time passes POOL_START_S,
+    then pools the candidates left, with min(jobs, CPUs, left) workers,
+    only when their serial time at the rate so far, cut by the workers,
+    saves more than POOL_START_S."""
 
     @staticmethod
-    def _documented_workers(p, n, todo, jobs, cpus):
-        # README, "How a search runs": microseconds per candidate on each route.
-        weight_p = sum(w == p for _, w in todo)
-        subfield = sum(w != p and _subfield_oracle(p, n, d) for d, w in todo)
-        collision = len(todo) - weight_p - subfield
-        seconds = 1e-6 * (
-            weight_p * (15 + 10 * n) + subfield * 1 + collision * (15 + 0.06 * p * isqrt(p**n))
-        )
-        workers = min(jobs, cpus, len(todo))
-        if workers >= 2 and seconds * (1 - 1 / workers) > 0.03:
-            return workers
-        return 1
+    def _timed_scan(monkeypatch, mode, cpus, jobs, pool_starts):
+        """Scan F_(3^6) on the patched clock; returns the candidates, the
+        worker count of each pool and the candidates handed to it."""
+        _cpus(monkeypatch, cpus)
+        handed = []
+        started = _stand_in_pool(monkeypatch, handed)
+        reference = _frozen(run_search(SearchJob(3, 6, mode)))
+        job = SearchJob(3, 6, mode, jobs=jobs)
+        todo = search._enumerate(job)[3]
+        _scan_seconds(monkeypatch, len(todo), pool_starts)
+        assert _frozen(run_search(job)) == reference
+        return todo, started, handed
+
+    # 0.9 POOL_START_S of serial work never reaches the check; after 1.5,
+    # the check comes two thirds of the way and the rest takes half of one.
+    @pytest.mark.parametrize("pool_starts", [0.9, 1.5])
+    @pytest.mark.parametrize("mode", ["exhaustive", "conjecture", "weight-p-only"])
+    @pytest.mark.parametrize("cpus,jobs", [(2, 2), (4, 3), (64, 64)])
+    def test_no_pool_unless_the_rest_repays_it(self, monkeypatch, mode, cpus, jobs, pool_starts):
+        _, started, handed = self._timed_scan(monkeypatch, mode, cpus, jobs, pool_starts)
+        assert (started, handed) == ([], [])
 
     @pytest.mark.parametrize("mode", ["exhaustive", "conjecture", "weight-p-only"])
-    @pytest.mark.parametrize("p,n", [(3, 4), (3, 8), (3, 9), (3, 11), (5, 6), (7, 4), (2, 12)])
-    def test_worker_count_is_the_documented_formula(self, monkeypatch, p, n, mode):
-        *_, candidates = search._enumerate(SearchJob(p, n, mode))
-        # All candidates left to decide, or only some, as after a cache load.
-        for todo in (candidates, candidates[:40], candidates[-3:]):
-            for cpus in (1, 2, 4):
-                _cpus(monkeypatch, cpus)
-                for jobs in (1, 2, 3, 16):
-                    expected = self._documented_workers(p, n, todo, jobs, cpus)
-                    assert search._pool_workers(p, n, todo, jobs) == expected, (len(todo), cpus, jobs)
+    @pytest.mark.parametrize("cpus,jobs", [(2, 2), (2, 16), (4, 3), (64, 64)])
+    def test_saving_above_pool_start_pools_the_rest(self, monkeypatch, mode, cpus, jobs):
+        # After 4 POOL_START_S of serial work the check comes a quarter of
+        # the way, and the rest saves well over one.
+        todo, started, handed = self._timed_scan(monkeypatch, mode, cpus, jobs, 4)
+        done = len(todo) - len(handed)
+        assert 0 < done < len(todo) / 2
+        assert handed == todo[done:]
+        assert started == [min(jobs, cpus, len(handed))]
 
-    @pytest.mark.parametrize("p,n", [(3, 30), (5, 12)])
-    def test_weight_p_formula_beyond_tables(self, monkeypatch, p, n):
-        *_, candidates = search._enumerate(SearchJob(p, n, "weight-p-only"))
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched deciders reach pool workers only through fork",
+    )
+    @pytest.mark.parametrize("mode", ["exhaustive", "conjecture", "weight-p-only"])
+    def test_pool_takes_over_the_undecided_rest(self, tmp_path, monkeypatch, mode):
+        # Each decision, in the parent or in a worker, appends its process
+        # and exponent to one log.
         _cpus(monkeypatch, 2)
-        for jobs in (1, 2, 16):
-            expected = self._documented_workers(p, n, candidates, jobs, 2)
-            assert search._pool_workers(p, n, candidates, jobs) == expected
+        serial = SearchJob(3, 6, mode, cache_dir=str(tmp_path / "serial"))
+        reference = _frozen(run_search(serial))
+        todo = search._enumerate(serial)[3]
+        log = tmp_path / "decided"
+        for name in ("_decide_brute", "_decide_weight_p"):
 
-    def test_formula_both_ways(self, monkeypatch):
-        _cpus(monkeypatch, 2)
-        big = search._enumerate(SearchJob(3, 11, "conjecture"))[3]
-        small = search._enumerate(SearchJob(3, 8, "exhaustive"))[3]
-        assert search._pool_workers(3, 11, big, 2) == 2
-        assert search._pool_workers(3, 8, small, 2) == 1
+            def logged(*args, real=getattr(search, name)):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {args[-1]}\n")
+                return real(*args)
+
+            monkeypatch.setattr(search, name, logged)
+        monkeypatch.setattr(search.multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+        _scan_seconds(monkeypatch, len(todo), 4)
+        job = SearchJob(3, 6, mode, jobs=2, cache_dir=str(tmp_path / "pooled"))
+        assert _frozen(run_search(job)) == reference
+        decisions = [line.split() for line in log.read_text().splitlines()]
+        parent = [int(d) for pid, d in decisions if int(pid) == os.getpid()]
+        assert 0 < len(parent) < len(todo) / 2
+        assert parent == [rep for rep, _ in todo[: len(parent)]]
+        assert sorted(int(d) for _, d in decisions) == sorted(rep for rep, _ in todo)
+        pooled = search._cache_path(job.cache_dir, 3, 6).read_bytes().splitlines()
+        assert len(pooled) == len(todo)
+        assert set(pooled) == set(search._cache_path(serial.cache_dir, 3, 6).read_bytes().splitlines())
 
     @pytest.mark.parametrize("cpus,jobs,workers", [(2, 16, [2]), (2, 2, [2]), (4, 3, [3]), (1, 16, [])])
     def test_workers_capped_at_usable_cpus(self, monkeypatch, cpus, jobs, workers):
@@ -364,7 +391,8 @@ class TestPoolRule:
         assert search._cpu_limit() == 1
 
     def test_small_scan_starts_no_pool(self, monkeypatch):
-        # The benchmark's search: its predicted work does not repay a pool.
+        # The benchmark's search, on the real clock: its decide time (about
+        # 11 ms on a 2-vCPU Xeon) stays within POOL_START_S.
         _cpus(monkeypatch, 2)
         started = _stand_in_pool(monkeypatch)
         filters = SearchFilters(verify_filters=True)

@@ -115,7 +115,7 @@ class TestFieldFreeStartUp:
             assert set(json.loads(err)) == {"error", "message"}
 
 
-# _RUNNER with a pool started whatever the predicted work, on two CPUs
+# _RUNNER with a pool started after the first candidate, on two CPUs
 # whatever the machine has.
 _POOL_RUNNER = (
     "import gapnkit.search\n"
