@@ -27,6 +27,7 @@ from .monomial import (
 )
 from .numtheory import is_prime
 from .search import (
+    _MODES,
     SOFT_ORDER_BUDGET,
     SearchFilters,
     SearchJob,
@@ -154,9 +155,9 @@ def _cmd_families(args):
 def _budget_gate(args, limit: int = SOFT_ORDER_BUDGET) -> None:
     if args.long_running:
         return
-    # For p >= 2, an n of limit's bit length or more is above the limit
-    # without forming p**n.
-    if (args.p > 1 and args.n >= limit.bit_length()) or args.p**args.n > limit:
+    # Both callers have checked that p is prime, so p >= 2 and an n of
+    # limit's bit length or more is above the limit without forming p**n.
+    if args.n >= limit.bit_length() or args.p**args.n > limit:
         raise BudgetExceeded(
             f"order {args.p}**{args.n} exceeds the soft budget {limit}; pass --long-running to proceed"
         )
@@ -321,11 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("search", help="scan coset space for GAPN exponents")
     sub.add_argument("-p", type=_positive, required=True)
     sub.add_argument("-n", type=_positive, required=True)
-    sub.add_argument(
-        "--mode",
-        choices=["exhaustive", "weight-p-only", "families-only", "conjecture"],
-        default="exhaustive",
-    )
+    sub.add_argument("--mode", choices=_MODES, default="exhaustive")
     _add_search_flags(sub)
     _add_format(sub)
     sub.set_defaults(func=_cmd_search)

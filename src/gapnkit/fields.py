@@ -3,20 +3,22 @@
 A field element is its packed index: the element with polynomial-basis
 coefficients (c_0, ..., c_(n-1)) is the plain integer sum c_s * p**s, so
 element indices run over [0, p**n).  A FieldCtx carries the modulus and,
-for orders up to 2**24, discrete log / antilog tables over a fixed
-primitive element, a digit table that backs the vectorized helpers and a
-lane table that backs the derivative kernel.  Each is a slot filled on
-its first read by the one builder _BUILDERS names for it, the default
-modulus included, so callers that never multiply (weight-p-only scans,
-the algebraic deciders) never pay for them.  The antilog build runs in
-numpy: multiplying by the generator is an F_p-linear map on digit
-vectors, so doubling the run of known powers is one matrix product.
-Contexts are immutable apart from that one-time fill, every table is
-read-only once built, and a context pickles and copies as the arguments
-it was built from, so neither builds a table.  numpy is imported where
-tables are built or read, not with this module, so constructing a
-context (which validates p and n) and the table-free operations never
-load it.
+for orders up to TABLE_CAP = 2**24, three tables: log and antilog tables
+over a fixed primitive element, and a lane table (every element's digits
+packed into one int64) that backs the derivative kernel and add_array.
+Each is a slot filled on its first read by the one builder _BUILDERS
+names for it, the default modulus included, so callers that never
+multiply (weight-p-only scans, the algebraic deciders) never pay for
+them.  That first read is the one table gate: above TABLE_CAP it raises
+OrderTooLarge before anything is built or imported.  The antilog build
+runs in numpy: multiplying by the generator is an F_p-linear map on
+digit vectors, so doubling the run of known powers is one matrix
+product.  Contexts are immutable apart from that one-time fill, every
+table is read-only once built, and a context pickles and copies as the
+arguments it was built from, so neither builds a table.  numpy is
+imported where tables are built or read, not with this module, so
+constructing a context, the table-free operations and a refused table
+request never load it.
 
 make_field shares one default-modulus context per (p, n) for the life of
 the interpreter when p**n <= SOFT_ORDER_BUDGET, so repeated requests on a
@@ -43,12 +45,10 @@ TABLE_CAP = 1 << 24
 SOFT_ORDER_BUDGET = 3**7  # largest order shared by make_field and scanned by default
 
 # Each derived slot of a FieldCtx and the method that fills it on first
-# read.  _pow_vec (p**s for each digit position s) packs digit rows into
-# indices.
+# read.  Every slot but the modulus is a table.
 _BUILDERS = {
     "modulus": "_build_modulus",
-    **dict.fromkeys(("generator", "log_table", "antilog_table", "_pow_vec"), "_build_tables"),
-    "_digits": "_build_digits",
+    **dict.fromkeys(("generator", "log_table", "antilog_table"), "_build_tables"),
     **dict.fromkeys(("lane_table", "_lane_lookup"), "_build_lanes"),
 }
 _BUILD_CHUNK = 1 << 15  # rows per block product; bounds the temporaries
@@ -113,10 +113,13 @@ class FieldCtx:
 
     def __getattr__(self, name):
         # Reached only for a slot never assigned: a derived slot before its
-        # first read, which its builder fills.
+        # first read, which its builder fills.  A table slot is refused
+        # above TABLE_CAP first, so nothing is built or imported.
         builder = _BUILDERS.get(name)
         if builder is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if name != "modulus":
+            self._require_tables(name.strip("_").replace("_", " "))
         getattr(self, builder)()
         return object.__getattribute__(self, name)
 
@@ -196,7 +199,7 @@ class FieldCtx:
         self._check_element(b)
         if a == 0 or b == 0:
             return 0
-        if self.log_table is not None:
+        if self.order <= TABLE_CAP:
             group = self.order - 1
             e = (int(self.log_table[a]) + int(self.log_table[b])) % group
             return int(self.antilog_table[e])
@@ -215,7 +218,7 @@ class FieldCtx:
             raise ValueError("negative exponent")
         if a == 0:
             return 1 if e == 0 else 0
-        if self.log_table is not None:
+        if self.order <= TABLE_CAP:
             group = self.order - 1
             return int(self.antilog_table[int(self.log_table[a]) * (e % group) % group])
         return self._pow_reduce(a, e)
@@ -247,26 +250,25 @@ class FieldCtx:
 
     def _require_tables(self, what: str) -> None:
         """Raise OrderTooLarge for a table read above TABLE_CAP, where only
-        the table-free scalar operations work."""
+        the table-free scalar operations work.  Every first read of a table
+        slot calls it; a caller calls it itself only to refuse before its
+        first table read."""
         if self.order > TABLE_CAP:
             raise OrderTooLarge(f"{what} requested for an order above 2**24")
 
-    def _apply_linear(self, a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """The F_p-linear map with the given (n, n) matrix, applied to the
-        digit rows of the index array a; returns packed indices.  Digit
-        products sum to at most n * (p - 1)**2 < 2**49 below TABLE_CAP."""
-        digits = a[:, None] // self._pow_vec % self.p
-        return (digits @ matrix) % self.p @ self._pow_vec
-
     def _build_tables(self) -> None:
-        if self.order > TABLE_CAP:
-            # Up here only the table-free scalar operations work.
-            self.generator = self.log_table = self.antilog_table = self._pow_vec = None
-            return
         import numpy as np
 
         p, n, order = self.p, self.n, self.order
-        self._pow_vec = _read_only(np.array([p**s for s in range(n)], dtype=np.int64))
+        pow_vec = np.array([p**s for s in range(n)], dtype=np.int64)
+
+        def apply_linear(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+            # The F_p-linear map with the given (n, n) matrix, applied to the
+            # digit rows of the index array a; returns packed indices.  Digit
+            # products sum to at most n * (p - 1)**2 < 2**49 below TABLE_CAP.
+            digits = a[:, None] // pow_vec % p
+            return (digits @ matrix) % p @ pow_vec
+
         group = order - 1
         cofactors = [group // q for q in factorint(group)] if group > 1 else []
         start = p if n > 1 else 1
@@ -290,10 +292,10 @@ class FieldCtx:
             size = min(k, group - k)
             for lo in range(0, size, _BUILD_CHUNK):
                 hi = min(lo + _BUILD_CHUNK, size)
-                antilog[k + lo : k + hi] = self._apply_linear(antilog[lo:hi], mul_gk)
+                antilog[k + lo : k + hi] = apply_linear(antilog[lo:hi], mul_gk)
             k += size
             mul_gk = mul_gk @ mul_gk % p
-        if self._apply_linear(antilog[-1:], mul_g)[0] != 1:
+        if apply_linear(antilog[-1:], mul_g)[0] != 1:
             raise AssertionError("generator is not primitive (table build bug)")
         log = np.full(order, -1, dtype=np.int64)
         log[antilog] = np.arange(group, dtype=np.int64)
@@ -303,22 +305,15 @@ class FieldCtx:
         self.antilog_table = _read_only(antilog)
         self.log_table = _read_only(log)
 
-    def _build_digits(self) -> None:
-        self._require_tables("digit table")
-        import numpy as np
-
-        dtype = np.uint8 if self.p <= 256 else np.int64
-        ds = np.empty((self.order, self.n), dtype=dtype)
-        idx = np.arange(self.order, dtype=np.int64)
-        for s in range(self.n):
-            ds[:, s] = idx % self.p
-            idx = idx // self.p
-        self._digits = _read_only(ds)
-
     @property
     def digit_table(self) -> np.ndarray:
-        """(order, n) array of base-p digits for every element index."""
-        return self._digits
+        """(order, n) array of base-p digits for every element index,
+        unpacked from the lane table on each read."""
+        lanes = self.lane_table
+        import numpy as np
+
+        w, _ = _lane_layout(self.p)
+        return _read_only(lanes[:, None] >> (w * np.arange(self.n)) & ((1 << w) - 1))
 
     def _build_lanes(self) -> None:
         """lane_table: (order,) int64 array, digit s of every element index
@@ -328,7 +323,6 @@ class FieldCtx:
         n*w is at most 50 bits, so such sums never reach the int64 sign
         bit.  _lane_lookup: the lookup table that reduces groups of k lane
         sums, or None when one lane is wider than _LANE_LOOKUP_BITS."""
-        self._require_tables("lane table")
         import numpy as np
 
         p = self.p
@@ -373,16 +367,15 @@ class FieldCtx:
     # ---- vectorized helpers ---------------------------------------------
 
     def add_array(self, a, b):
-        """Elementwise field addition of index arrays (or array + scalar)."""
-        import numpy as np
-
-        d = self.digit_table
-        s = d[a].astype(np.int64) + d[b]
-        return (s % self.p) @ (self.p ** np.arange(self.n, dtype=np.int64))
+        """Elementwise field addition of index arrays (or array + scalar):
+        the sum of two lane-packed values cannot carry, so every lane mod
+        p is the digit of the sum."""
+        lanes = self.lane_table
+        return self.lanes_to_index(lanes[a] + lanes[b])
 
     def mul_array(self, a, b):
         """Elementwise field multiplication of index arrays via log tables."""
-        self._require_tables("log table")
+        log, antilog = self.log_table, self.antilog_table
         import numpy as np
 
         a = np.asarray(a, dtype=np.int64)
@@ -390,9 +383,7 @@ class FieldCtx:
         a, b = np.broadcast_arrays(a, b)
         out = np.zeros(a.shape, dtype=np.int64)
         nz = (a != 0) & (b != 0)
-        group = self.order - 1
-        e = (self.log_table[a[nz]] + self.log_table[b[nz]]) % group
-        out[nz] = self.antilog_table[e]
+        out[nz] = antilog[(log[a[nz]] + log[b[nz]]) % (self.order - 1)]
         return out
 
     def __repr__(self) -> str:

@@ -251,22 +251,22 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
 
 
 def monomial_table(ctx: FieldCtx, d: int) -> FnTable:
-    """The table of x -> x**d, with 0**0 = 1, read off the log tables.
+    """The table of x -> x**d, with 0**0 = 1, read off the log and antilog
+    tables.
 
-    Raises OrderTooLarge above fields.TABLE_CAP, where the field has no
-    tables: every consumer of a value table needs them too.
+    Above fields.TABLE_CAP the first of those reads raises OrderTooLarge,
+    before numpy is imported: the field has no tables there, and every
+    consumer of a value table needs them too.
     """
-    import numpy as np
-
     if d < 0:
         raise ValueError("negative exponent")
-    ctx._require_tables("log table")
-    if d == 0:
-        return FnTable(ctx, np.ones(ctx.order, dtype=np.int64))
+    log, antilog = ctx.log_table, ctx.antilog_table
+    import numpy as np
+
     group = ctx.order - 1
-    values = np.zeros(ctx.order, dtype=np.int64)
-    e = ctx.log_table[1:] * (d % group) % group
-    values[1:] = ctx.antilog_table[e]
+    values = np.empty(ctx.order, dtype=np.int64)
+    values[0] = d == 0  # 0**0 = 1
+    values[1:] = antilog[log[1:] * (d % group) % group]
     return FnTable(ctx, values)
 
 
@@ -277,12 +277,12 @@ def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
     count multiset equals direction 1's, so the spectrum is the
     single-direction histogram scaled by the number of directions.
     """
-    import numpy as np
-
     if d < 1:
         raise ValueError("need an exponent d >= 1")
     order, p = ctx.order, ctx.p
     values = monomial_table(ctx, d).values
+    import numpy as np
+
     counts = _row_counts(ctx, _derivative_values(ctx, ctx.lane_table, values[None, :]))[0]
     m = int(counts.max()) * p
     hist = np.bincount(counts)
@@ -364,7 +364,6 @@ def prepare_verdicts(ctx: FieldCtx) -> None:
     """Build everything monomial_gapn_verdict reads on this field: its log
     and lane tables, the sampled rows and the subfield verdicts.  A process
     forked afterwards inherits them instead of building its own."""
-    ctx._require_tables("log table")
     ctx.log_table, ctx.lane_table  # noqa: B018
     _sample_rows(ctx.p, ctx.n, _sample_size(ctx.p, ctx.n))
     _subfields(ctx.p, ctx.n)
@@ -436,10 +435,11 @@ def save_table_raw(table: FnTable, path) -> None:
 
 
 def load_table_raw(ctx: FieldCtx, path) -> FnTable:
-    """Read a save_table_raw file: exactly p**n entries, no stray bytes."""
+    """Read a save_table_raw file: exactly p**n entries, no stray bytes.
+    OrderTooLarge comes before the file is opened."""
+    ctx._require_tables("value table")
     import numpy as np
 
-    ctx._require_tables("value table")
     with open(path, "rb") as fh:
         data = fh.read()
     entry = np.dtype(RAW_DTYPE).itemsize
@@ -465,11 +465,12 @@ def load_table_csv(ctx: FieldCtx, path) -> FnTable:
 
     A header row (first field "x") and blank lines are skipped; any other
     row that is not two integers in [0, p**n), or repeats an x, raises
-    ValueError naming its line.  OrderTooLarge comes before any allocation.
+    ValueError naming its line.  OrderTooLarge comes before the file is
+    opened.
     """
+    ctx._require_tables("value table")
     import numpy as np
 
-    ctx._require_tables("value table")
     values = np.full(ctx.order, -1, dtype=np.int64)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -144,7 +144,9 @@ class TestConstruction:
         assert small.log_table is not None
         big = make_field(4099, 2)  # 4099^2 just above the 2^24 table cap
         assert big.order > 1 << 24
-        assert big.log_table is None
+        for name in ("generator", "log_table", "antilog_table", "lane_table", "digit_table"):
+            with pytest.raises(OrderTooLarge, match="requested for an order above 2\\*\\*24"):
+                getattr(big, name)
 
 
 class TestScalarOps:
@@ -355,8 +357,12 @@ class TestTables:
         assert x == 1
         assert len(seen) == ctx.order - 1
 
-    def test_vectorized_ops_match_scalar(self, field):
-        ctx = field(3, 4)
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 8), (67, 2), (251, 1)])
+    def test_vectorized_ops_match_scalar(self, field, p, n):
+        # add_array reduces lane sums by the lookup table ((3, 4), (2, 8))
+        # and by % p where lanes are too wide for one ((67, 2), (251, 1))
+        ctx = field(p, n)
+        assert (ctx._lane_lookup is None) == (p > 3)
         rng = np.random.default_rng(99)
         a = rng.integers(0, ctx.order, 500)
         b = rng.integers(0, ctx.order, 500)
@@ -387,7 +393,7 @@ class TestPickling:
     """A context pickles and copies as the arguments it was built from, and
     the copy builds its own tables on first read."""
 
-    _TABLES = ("log_table", "antilog_table", "_pow_vec", "digit_table", "lane_table", "_lane_lookup")
+    _TABLES = ("log_table", "antilog_table", "digit_table", "lane_table", "_lane_lookup")
 
     @pytest.mark.parametrize("p,n", [(3, 4), (2, 8), (3, 9), (67, 2)])
     def test_copies_build_equal_tables(self, p, n):
@@ -421,11 +427,9 @@ class TestPickling:
     def test_above_the_table_cap(self):
         back = pickle.loads(pickle.dumps(make_field(4099, 2)))
         assert back.order > 1 << 24
-        assert (back.generator, back.log_table, back.antilog_table) == (None, None, None)
-        with pytest.raises(OrderTooLarge, match="lane table requested"):
-            back.lane_table
-        with pytest.raises(OrderTooLarge, match="digit table requested"):
-            back.digit_table
+        for name in ("generator", "log_table", "antilog_table", "lane_table", "digit_table"):
+            with pytest.raises(OrderTooLarge, match="requested for an order above 2\\*\\*24"):
+                getattr(back, name)
 
 
 class TestEncoding:
@@ -513,7 +517,6 @@ class TestSharedFields:
             "lane_table": lanes,
             "lane lookup": lookup,
             "digit_table": ctx.digit_table,
-            "_pow_vec": ctx._pow_vec,
         }
         for name, table in tables.items():
             with pytest.raises(ValueError, match="read-only"):

@@ -195,12 +195,13 @@ def _reference_spectrum(f):
     and count each row sum p times."""
     ctx = f.ctx
     order, p = ctx.order, ctx.p
+    digits, pow_vec = ctx.digit_table, p ** np.arange(ctx.n, dtype=np.int64)
     hist = np.zeros(order + 1, dtype=np.int64)
     max_count, witness = 0, None
     for a in range(1, order):
         values = f.values[ctx.mul_array(a, np.arange(order, dtype=np.int64))]
-        rows = ctx.digit_table[values].reshape(order // p, p, ctx.n)
-        sums = rows.sum(axis=1, dtype=np.int64) % p @ ctx._pow_vec
+        rows = digits[values].reshape(order // p, p, ctx.n)
+        sums = rows.sum(axis=1, dtype=np.int64) % p @ pow_vec
         counts = p * np.bincount(sums, minlength=order)
         assert counts.sum() == order
         m = int(counts.max())

@@ -72,6 +72,17 @@ def _mask_elapsed(text: str) -> str:
 
 FLAGS = [pytest.param([], id="plain"), pytest.param(["-O"], id="optimized")]
 
+# Requests for a field table above the 2**24 table cap: each is refused
+# with OrderTooLarge before anything is built or imported.  The gate comes
+# before the --table file is opened, so that file need not exist.
+ABOVE_TABLE_CAP = [
+    ["test", "-p", "4099", "-n", "2", "-d", "5"],
+    ["test", "-p", "3", "-n", "16", "-d", "5"],
+    ["families", "-p", "3", "-n", "16"],
+    ["spectrum", "-p", "2", "-n", "25", "-d", "3", "--long-running"],
+    ["spectrum", "-p", "3", "-n", "16", "--table", "missing.raw", "--long-running"],
+]
+
 # (argv, exit code); each reads no field table.
 FIELD_FREE = [
     (["--import-only"], None),
@@ -96,6 +107,7 @@ FIELD_FREE = [
     (["test", "-p", "3", "-n", "100000000", "-d", "5"], 1),
     (["spectrum", "-p", "3", "-n", "100000000", "-d", "5"], 1),
     (["families", "-p", "9", "-n", "2"], 1),
+    *[(argv, 1) for argv in ABOVE_TABLE_CAP],
 ]
 
 
@@ -113,6 +125,8 @@ class TestFieldFreeStartUp:
         if code == 1:
             assert out == ""
             assert set(json.loads(err)) == {"error", "message"}
+            if argv in ABOVE_TABLE_CAP:
+                assert json.loads(err)["error"] == "OrderTooLarge"
 
 
 # _RUNNER with a pool started after the first candidate, on two CPUs
