@@ -10,15 +10,16 @@ Each is a slot filled on its first read by the one builder _BUILDERS
 names for it, the default modulus included, so callers that never
 multiply (weight-p-only scans, the algebraic deciders) never pay for
 them.  That first read is the one table gate: above TABLE_CAP it raises
-OrderTooLarge before anything is built or imported.  The antilog build
-runs in numpy: multiplying by the generator is an F_p-linear map on
-digit vectors, so doubling the run of known powers is one matrix
-product.  Contexts are immutable apart from that one-time fill, every
-table is read-only once built, and a context pickles and copies as the
-arguments it was built from, so neither builds a table.  numpy is
-imported where tables are built or read, not with this module, so
-constructing a context, the table-free operations and a refused table
-request never load it.
+OrderTooLarge before anything is built or imported.  Multiplying by g**k
+is F_p-linear, so for n >= 2 each step of the antilog's doubling walk
+reads the lane table: one lane sum of two lookups, by the low and the
+high half of an index's digits.  On F_p a step is one product.
+Contexts are immutable apart from that one-time fill, every table is
+read-only once built, and a context pickles and copies as the arguments
+it was built from, so neither builds a table.  numpy is imported where
+tables are built or read, not with this module, so constructing a
+context, the table-free operations and a refused table request never
+load it.
 
 make_field shares one default-modulus context per (p, n) for the life of
 the interpreter when p**n <= SOFT_ORDER_BUDGET, so repeated requests on a
@@ -51,7 +52,7 @@ _BUILDERS = {
     **dict.fromkeys(("generator", "log_table", "antilog_table"), "_build_tables"),
     **dict.fromkeys(("lane_table", "_lane_lookup"), "_build_lanes"),
 }
-_BUILD_CHUNK = 1 << 15  # rows per block product; bounds the temporaries
+_BUILD_CHUNK = 1 << 15  # elements per step of the antilog walk; bounds the temporaries
 _LANE_LOOKUP_BITS = 12  # index width of one lane-reduction lookup table
 
 
@@ -260,42 +261,51 @@ class FieldCtx:
         import numpy as np
 
         p, n, order = self.p, self.n, self.order
-        pow_vec = np.array([p**s for s in range(n)], dtype=np.int64)
-
-        def apply_linear(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-            # The F_p-linear map with the given (n, n) matrix, applied to the
-            # digit rows of the index array a; returns packed indices.  Digit
-            # products sum to at most n * (p - 1)**2 < 2**49 below TABLE_CAP.
-            digits = a[:, None] // pow_vec % p
-            return (digits @ matrix) % p @ pow_vec
-
         group = order - 1
         cofactors = [group // q for q in factorint(group)] if group > 1 else []
         start = p if n > 1 else 1
-        gen = None
-        for cand in range(start, order):
-            if all(self._pow_reduce(cand, cf) != 1 for cf in cofactors):
-                gen = cand
+        for gen in range(start, order):
+            if all(self._pow_reduce(gen, cf) != 1 for cf in cofactors):
                 break
-        if gen is None:
+        else:
             raise AssertionError("no primitive element found (impossible)")
-        # Row s is the digit vector of x**s * g: digits(a) @ mul_g = digits(a * g).
-        mul_g = np.array(
-            [digits_of(self._mul_reduce(p**s, gen), p, n) for s in range(n)],
-            dtype=np.int64,
-        )
+        if n == 1:
+            # F_p: c * a < p**2 < 2**48 is one int64 product, so c is its own table.
+            def times(c: int, a: np.ndarray) -> np.ndarray:
+                return c * a % p
+
+            by_g = gen
+        else:
+            lanes, split = self.lane_table, p ** (n // 2)
+
+            def times(by_c: np.ndarray, a: np.ndarray) -> np.ndarray:
+                # c * a = c * (a % split) + c * (a // split) * split, a lane sum with no carry.
+                return self.lanes_to_index(by_c[a % split] + by_c[split + a // split])
+
+            # by_g: the lanes of g * j for j < split, then of g * j * split.  Each part
+            # grows a digit at a time: t * g * p**s plus every entry so far, lanes <= p(p-1).
+            parts = []
+            for digits in (range(n // 2), range(n // 2, n)):
+                by = np.zeros(1, dtype=np.int64)
+                for s in digits:
+                    by = (lanes[self._mul_reduce(p**s, gen)] * np.arange(p)[:, None] + by).reshape(-1)
+                    by = lanes[self.lanes_to_index(by)]
+                parts.append(by)
+            by_g = np.concatenate(parts)
         antilog = np.empty(group, dtype=np.int64)
         antilog[0] = 1
-        k, mul_gk = 1, mul_g
+        k, by_gk = 1, by_g
         while k < group:
             # antilog[k:2k] = antilog[:k] * g**k, in bounded chunks.
             size = min(k, group - k)
             for lo in range(0, size, _BUILD_CHUNK):
                 hi = min(lo + _BUILD_CHUNK, size)
-                antilog[k + lo : k + hi] = apply_linear(antilog[lo:hi], mul_gk)
+                antilog[k + lo : k + hi] = times(by_gk, antilog[lo:hi])
             k += size
-            mul_gk = mul_gk @ mul_gk % p
-        if apply_linear(antilog[-1:], mul_g)[0] != 1:
+            if k < group:
+                # by_(g**2k) is by_(g**k) looked up through itself; on F_p, g**k squared.
+                by_gk = times(by_gk, by_gk) if n == 1 else lanes[times(by_gk, self.lanes_to_index(by_gk))]
+        if times(by_g, antilog[-1:])[0] != 1:
             raise AssertionError("generator is not primitive (table build bug)")
         log = np.full(order, -1, dtype=np.int64)
         log[antilog] = np.arange(group, dtype=np.int64)
@@ -327,11 +337,10 @@ class FieldCtx:
 
         p = self.p
         w, k = _lane_layout(p)
-        lanes = np.zeros(self.order, dtype=np.int64)
-        idx = np.arange(self.order, dtype=np.int64)
+        # One digit at a time: index t * p**s + j has digit t in lane s.
+        lanes = np.zeros(1, dtype=np.int64)
         for s in range(self.n):
-            lanes |= (idx % p) << (s * w)
-            idx //= p
+            lanes = (np.arange(p, dtype=np.int64)[:, None] << (s * w) | lanes).reshape(-1)
         table = None
         if k * w <= _LANE_LOOKUP_BITS:
             # table[v] = sum_l (lane l of v mod p) * p**l over k lanes

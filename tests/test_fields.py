@@ -21,6 +21,10 @@ from gapnkit import (
     search,
 )
 from gapnkit.cli import main as cli_main
+from gapnkit.monomial import digits_of
+from gapnkit.numtheory import is_prime
+from gapnkit.polyfp import is_irreducible
+from numpy_tables import lane_tables, log_tables
 
 
 # Naive irreducibility oracle, independent of the library's irreducibility test:
@@ -387,6 +391,63 @@ class TestTables:
             for x in row:
                 expected = ctx.add(expected, x)
             assert value == expected
+
+
+# Every field of order up to 3^8 with n >= 2; n = 1, where the walk's
+# low half is one entry; and larger fields, p >= 67 among them, whose
+# lanes are too wide for a lookup table and are reduced by % p.
+_ORACLE_FIELDS = sorted(
+    {(p, n) for p in range(2, 82) if is_prime(p) for n in range(2, 13) if p**n <= 3**8}
+    | {(p, 1) for p in (2, 3, 67, 251, 65537)}
+    | {(2, 16), (67, 2), (251, 2), (3, 13)}
+)
+
+
+def _second_modulus(p, n):
+    """The monic irreducible of degree n that follows the canonical one in
+    find_irreducible's order."""
+    found = []
+    for k in range(p**n):
+        f = PolyFp(p, digits_of(k, p, n) + (1,))
+        if is_irreducible(f):
+            found.append(f)
+            if len(found) == 2:
+                return f
+    raise AssertionError("fewer than two irreducibles")
+
+
+class TestTablesMatchOracle:
+    """The lane-lookup build gives the digit-matrix build's tables."""
+
+    def _assert_match(self, ctx):
+        gen, log, antilog = log_tables(ctx)
+        lanes, lookup = lane_tables(ctx)
+        assert ctx.generator == gen
+        assert np.array_equal(ctx.antilog_table, antilog)
+        assert np.array_equal(ctx.log_table, log)
+        assert np.array_equal(ctx.lane_table, lanes)
+        if lookup is None:
+            assert ctx._lane_lookup is None
+        else:
+            assert np.array_equal(ctx._lane_lookup, lookup)
+
+    @pytest.mark.parametrize("p,n", _ORACLE_FIELDS)
+    def test_default_modulus(self, p, n):
+        self._assert_match(FieldCtx(p, n))
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (2, 8), (67, 2), (3, 9)])
+    def test_other_modulus(self, p, n):
+        modulus = _second_modulus(p, n)
+        assert modulus != find_irreducible(p, n)
+        self._assert_match(FieldCtx(p, n, modulus))
+
+    def test_coverage_check(self, monkeypatch):
+        # With no prime factor of p**n - 1 to test, the first candidate, x,
+        # is taken as the generator of F_9.  x has order 4, so its walk
+        # passes the primitivity check, x**8 = 1, but misses half the field.
+        monkeypatch.setattr(fields, "factorint", lambda m: {})
+        with pytest.raises(AssertionError, match="antilog table misses an element"):
+            FieldCtx(3, 2).log_table  # noqa: B018
 
 
 class TestPickling:
