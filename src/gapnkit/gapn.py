@@ -23,6 +23,15 @@ direction to it.  Three exact facts make it cheap:
   p values cannot carry, so a row's digit-vector sum is p - 1 integer
   adds; a small lookup table then reduces the lanes mod p, a few at a
   time.
+- Per-row counting.  A direction has p**(n-1) row sums but p**n values b,
+  so the counts are kept per row: one bincount over the batch, with
+  direction j's sums keyed as sum + j * p**n, gives each row's
+  multiplicity, the number of rows of its direction with the same sum.
+  A value hit by k rows has k * p solutions and is counted by k rows, so
+  the spectrum, each direction's largest count and the witness b all
+  come from the multiplicities.  The keys stay apart only while every row
+  sum is an element index in [0, p**n); every batch checks that with an
+  explicit raise, so the check holds under python -O too.
 
 Verdict mode stops at the first projective class, in t order, with a
 count above p.  For a power map f(x) = x**d,
@@ -157,19 +166,47 @@ def _direction_lanes(ctx: FieldCtx, values: np.ndarray) -> tuple[np.ndarray, np.
     return lanes, index
 
 
-def _row_counts(ctx: FieldCtx, sums: np.ndarray) -> np.ndarray:
-    """(B, p**n) array: how many rows of each direction sum to each b.
-    S_a f(x) = b has p times as many solutions, one per member of a row."""
+def _row_multiplicity(ctx: FieldCtx, sums: np.ndarray) -> np.ndarray:
+    """(B, p**(n-1)) array: how many rows of the same direction share each
+    row's sum.  S_a f(x) = b has p times as many solutions as b has rows,
+    one per member of a row.
+
+    Each sum is keyed by its direction j as sum + j * p**n, so one bincount
+    counts every direction's values apart.  That holds only when every row
+    sum is an element index in [0, p**n), which is checked here: a sum
+    outside it would be counted with a neighbouring direction's.
+    """
     import numpy as np
 
     order = ctx.order
+    if sums.view(np.uint64).max() >= order:  # a negative sum wraps above 2**63
+        raise AssertionError("row sums must be element indices in [0, p**n)")
     size = sums.size * ctx.p // order
-    if size > 1:  # direction j counts into bins [j * order, (j + 1) * order)
-        sums = (sums.reshape(size, -1) + np.arange(0, size * order, order)[:, None]).ravel()
-    counts = np.bincount(sums, minlength=size * order).reshape(size, order)
-    if (counts.sum(axis=1) * ctx.p != order).any():
-        raise AssertionError("direction counts must sum to p**n")
-    return counts
+    keys = sums.reshape(size, -1)
+    if size > 1:
+        keys = keys + np.arange(0, size * order, order)[:, None]
+    return np.bincount(keys.ravel(), minlength=size * order)[keys]
+
+
+def _spectrum(ctx: FieldCtx, row_hist: np.ndarray, directions: int, scale: int) -> dict[int, int]:
+    """The spectrum of `directions` directions, each standing for `scale`,
+    from row_hist[k], the number of their rows with multiplicity k.
+
+    A value hit by k rows is counted once by each of them, so row_hist[k] / k
+    values have k * p solutions; the other values of the directions * p**n
+    (direction, b) pairs have none.
+    """
+    import numpy as np
+
+    hist = row_hist.copy()
+    hist[1:] //= np.arange(1, hist.size)
+    hist[0] = directions * ctx.order - hist[1:].sum()
+    return {int(k) * ctx.p: int(hist[k]) * scale for k in np.nonzero(hist)[0]}
+
+
+def _top_sum(sums: np.ndarray, multiplicity: np.ndarray) -> int:
+    """The smallest row sum of one direction hit by the most rows."""
+    return int(sums[multiplicity == multiplicity.max()].min())
 
 
 def gen_derivative(f: FnTable, a: int) -> FnTable:
@@ -191,13 +228,16 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
 
     S_(c*a) f = S_a f for every c in F_p^*, so only the M = (p**n - 1)/(p - 1)
     projective directions g**t are computed, in batches of consecutive t,
-    and each one's counts stand for its p - 1 multiples.  Mode "full"
-    aggregates every direction; its witness is the smallest direction index
-    with a count above p and that direction's first b of maximal count.
-    Mode "verdict" stops at the first offending class in t order (the report
-    is then flagged partial when classes were left); its witness is that
-    class's smallest member.  Each direction's counts must sum to p**n,
-    which is checked for every batch.
+    and each one's counts stand for its p - 1 multiples.  A batch is
+    counted per row: each row's multiplicity is how many rows of its
+    direction share its sum, and a direction's largest count is p times its
+    largest multiplicity.  Mode "full" aggregates every direction; its
+    witness is the smallest direction index with a count above p and that
+    direction's smallest b of maximal count.  Mode "verdict" stops at the
+    first offending class in t order (the report is then flagged partial
+    when classes were left); its witness is that class's smallest member.
+    Every row sum must be an element index in [0, p**n), which is checked
+    for every batch.
     """
     import numpy as np
 
@@ -210,21 +250,24 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     batch = max(1, _BATCH_ELEMENTS // order)
     # Row j of base locates f(g**(t0 + j) * z) in lanes[t0:], for any t0.
     base = index + np.arange(batch, dtype=np.int64)[:, None]
-    hist = np.zeros(order // p + 1, dtype=np.int64)
-    max_rows = 0
+    row_hist = np.zeros(order // p + 1, dtype=np.int64)
+    directions = max_rows = 0
     offending = []  # t of every class with a count above p
     partial = False
     for t0 in range(0, m, batch):
         size = min(batch, m - t0)
-        counts = _row_counts(ctx, _derivative_values(ctx, lanes[t0:], base[:size]))
-        tops = counts.max(axis=1)
+        mult = _row_multiplicity(ctx, _derivative_values(ctx, lanes[t0:], base[:size]))
+        tops = mult.max(axis=1)
         bad = np.flatnonzero(tops > 1)
         stop = bool(bad.size) and mode == "verdict"
         if stop:
-            counts, tops, bad = counts[: bad[0] + 1], tops[: bad[0] + 1], bad[:1]
-        hist_b = np.bincount(counts.ravel())
-        hist[: hist_b.size] += hist_b
-        max_rows = max(max_rows, int(tops.max()))
+            mult, tops, bad = mult[: bad[0] + 1], tops[: bad[0] + 1], bad[:1]
+        top = int(tops.max())
+        # A batch where no two rows share a sum, as every batch of a GAPN map,
+        # needs no histogram.
+        row_hist[: top + 1] += np.bincount(mult.ravel()) if top > 1 else (0, mult.size)
+        directions += len(mult)
+        max_rows = max(max_rows, top)
         offending.append(t0 + bad)
         if stop:
             partial = t0 + int(bad[0]) < m - 1
@@ -237,13 +280,12 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
         members = ts[:, None] + m * np.arange(p - 1, dtype=np.int64)
         smallest = ctx.antilog_table[members].min(axis=1)
         j = int(smallest.argmin())
-        counts = _row_counts(ctx, _derivative_values(ctx, lanes[int(ts[j]) :], index[None, :]))
-        witness = (int(smallest[j]), int(counts.argmax()))
-    spectrum = {int(k) * p: int(hist[k]) * (p - 1) for k in np.nonzero(hist)[0]}
+        sums = _derivative_values(ctx, lanes[int(ts[j]) :], index[None, :])
+        witness = (int(smallest[j]), _top_sum(sums, _row_multiplicity(ctx, sums)[0]))
     return GapnReport(
         is_gapn=max_rows <= 1,
         max_count=max_rows * p,
-        spectrum=spectrum,
+        spectrum=_spectrum(ctx, row_hist, directions, p - 1),
         witness=witness,
         deciders_agreed=["brute-force"],
         partial=partial,
@@ -275,7 +317,9 @@ def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
 
     Exact because S_a(x**d)(x) = a**d * S_1(x**d)(x / a): every direction's
     count multiset equals direction 1's, so the spectrum is the
-    single-direction histogram scaled by the number of directions.
+    single-direction histogram scaled by the number of directions.  That
+    histogram comes from the multiplicities of direction 1's p**(n-1) row
+    sums, whose range is checked as in differential_spectrum.
     """
     if d < 1:
         raise ValueError("need an exponent d >= 1")
@@ -283,15 +327,14 @@ def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
     values = monomial_table(ctx, d).values
     import numpy as np
 
-    counts = _row_counts(ctx, _derivative_values(ctx, ctx.lane_table, values[None, :]))[0]
-    m = int(counts.max()) * p
-    hist = np.bincount(counts)
-    spectrum = {int(k) * p: int(hist[k]) * (order - 1) for k in np.nonzero(hist)[0]}
-    witness = (1, int(counts.argmax())) if m > p else None
+    sums = _derivative_values(ctx, ctx.lane_table, values[None, :])
+    mult = _row_multiplicity(ctx, sums)[0]
+    m = int(mult.max()) * p
+    witness = (1, _top_sum(sums, mult)) if m > p else None
     return GapnReport(
         is_gapn=m <= p,
         max_count=m,
-        spectrum=spectrum,
+        spectrum=_spectrum(ctx, np.bincount(mult), 1, order - 1),
         witness=witness,
         deciders_agreed=["monomial-fast"],
         partial=False,

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,7 +32,10 @@ from gapnkit.gapn import (
     save_table_raw,
 )
 from gapnkit.monomial import coset_rep, digits_of
+from gapnkit.numtheory import is_prime
 from gapnkit.polyfp import is_irreducible
+
+import numpy_spectrum
 
 
 class TestFnTable:
@@ -283,6 +290,120 @@ class TestBatchedKernel:
         for elements in (ctx.order, 3 * ctx.order, 7 * ctx.order):
             monkeypatch.setattr(gapn, "_BATCH_ELEMENTS", elements)
             assert differential_spectrum(f).to_dict() == expected
+
+
+# Every prime-power field of order up to 3^5, n = 1 included.
+_ORACLE_FIELDS = [
+    (p, n) for p in range(2, 3**5 + 1) if is_prime(p) for n in range(1, 8) if p**n <= 3**5
+]
+
+
+def _first_offending_class(f):
+    """t of the first projective class g**t with a count above p, by the
+    count-matrix oracle, or None."""
+    witness = numpy_spectrum.spectrum(f, mode="verdict")["witness"]
+    if witness is None:
+        return None
+    return int(f.ctx.log_table[witness[0]]) % ((f.ctx.order - 1) // (f.ctx.p - 1))
+
+
+class TestCountOracle:
+    """The per-row multiplicities give what the count-matrix kernel gave:
+    every field of the report, in both modes and at any batch size."""
+
+    @staticmethod
+    def _assert_oracle(f):
+        for mode in ("full", "verdict"):
+            assert differential_spectrum(f, mode).to_dict() == numpy_spectrum.spectrum(f, mode)
+
+    @pytest.mark.parametrize("p,n", _ORACLE_FIELDS)
+    def test_every_exponent(self, field, p, n):
+        ctx = field(p, n)
+        for d in range(1, ctx.order):
+            self._assert_oracle(monomial_table(ctx, d))
+            assert monomial_gapn_fast(ctx, d).to_dict() == numpy_spectrum.monomial_spectrum(ctx, d)
+
+    def test_wide_lanes(self, field):
+        # lanes of 13 bits are reduced by % p, not by a lookup table
+        ctx = field(67, 2)
+        rng = np.random.default_rng(67)
+        for d in [1, 2, 3, 69, ctx.order - 2, *rng.integers(4, ctx.order - 1, 6)]:
+            self._assert_oracle(monomial_table(ctx, int(d)))
+            assert monomial_gapn_fast(ctx, int(d)).to_dict() == numpy_spectrum.monomial_spectrum(ctx, int(d))
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (5, 1), (2, 6), (3, 4), (5, 3), (7, 2), (13, 2), (67, 2)])
+    def test_random_tables(self, field, p, n):
+        ctx = field(p, n)
+        rng = np.random.default_rng(1000 * p + n)
+        # a narrow value range makes counts above 2p, and witnesses, common
+        for high in (ctx.order, ctx.order, min(ctx.order, 4)):
+            self._assert_oracle(FnTable(ctx, rng.integers(0, high, ctx.order)))
+
+    def test_batch_sizes(self, field, monkeypatch):
+        # One, two and four directions per batch and 2**14 values, with the
+        # first offending class of a verdict run at the end of a batch and
+        # inside one.
+        ctx = field(3, 4)
+        base = monomial_table(ctx, 5).values
+        assert _first_offending_class(FnTable(ctx, base)) is None
+        tables = {}  # first offending class -> a table, from x**5 with f(0) changed
+        for v in range(1, ctx.order):
+            f = FnTable(ctx, np.concatenate([[v], base[1:]]))
+            tables.setdefault(_first_offending_class(f), f)
+        assert {2, 3} <= tables.keys()
+        rng = np.random.default_rng(5)
+        cases = [tables[2], tables[3], FnTable(ctx, rng.integers(0, ctx.order, ctx.order))]
+        for elements in (ctx.order, 2 * ctx.order, 4 * ctx.order, 1 << 14):
+            monkeypatch.setattr(gapn, "_BATCH_ELEMENTS", elements)
+            for f in cases:
+                self._assert_oracle(f)
+            assert monomial_gapn_fast(ctx, 7).to_dict() == numpy_spectrum.monomial_spectrum(ctx, 7)
+
+
+# Replaces one row sum of every derivative pass, then checks that both
+# counting routines refuse it; argv[1] is where the report goes.
+_BAD_SUM_RUNNER = """
+import json, sys
+from gapnkit import FieldCtx, make_field, monomial_table, differential_spectrum, monomial_gapn_fast
+ctx = make_field(3, 4)
+ctx.log_table, ctx.lane_table  # built before the patch
+original = FieldCtx.lanes_to_index
+raised = {}
+for where, value in ((0, ctx.order), (-1, ctx.order), (0, -1), (-1, -1)):
+    def patched(self, sums, where=where, value=value):
+        out = original(self, sums)
+        out[where] = value
+        return out
+    FieldCtx.lanes_to_index = patched
+    for name, run in (("spectrum", lambda: differential_spectrum(monomial_table(ctx, 5))),
+                      ("fast", lambda: monomial_gapn_fast(ctx, 5))):
+        try:
+            run()
+            raised[f"{name} {where} {value}"] = None
+        except Exception as exc:
+            raised[f"{name} {where} {value}"] = type(exc).__name__
+    FieldCtx.lanes_to_index = original
+with open(sys.argv[1], "w") as fh:
+    json.dump({"raised": raised, "optimize": sys.flags.optimize}, fh)
+"""
+
+
+class TestRowSumInvariant:
+    """Every row sum must be an element index: one outside [0, p**n) would
+    be counted with a neighbouring direction's values."""
+
+    @pytest.mark.parametrize("flags", [pytest.param([], id="plain"), pytest.param(["-O"], id="optimized")])
+    def test_sum_outside_the_field_raises(self, tmp_path, flags):
+        report = tmp_path / "report.json"
+        src = str(Path(gapn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, *flags, "-c", _BAD_SUM_RUNNER, str(report)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(report.read_text())
+        assert got["optimize"] == len(flags)
+        assert len(got["raised"]) == 8
+        assert set(got["raised"].values()) == {"AssertionError"}, got["raised"]
 
 
 _SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
