@@ -7,19 +7,19 @@ for orders up to TABLE_CAP = 2**24, three tables: log and antilog tables
 over a fixed primitive element, and a lane table (every element's digits
 packed into one int64) that backs the derivative kernel and add_array.
 Each is a slot filled on its first read by the one builder _BUILDERS
-names for it, the default modulus included, so callers that never
-multiply (weight-p-only scans, the algebraic deciders) never pay for
-them.  That first read is the one table gate: above TABLE_CAP it raises
-OrderTooLarge before anything is built or imported.  Multiplying by g**k
-is F_p-linear, so for n >= 2 each step of the antilog's doubling walk
-reads the lane table: one lane sum of two lookups, by the low and the
-high half of an index's digits.  On F_p a step is one product.
+names for it, the default modulus included.  Scalar arithmetic never
+reads a table: add, neg, mul and pow are polyfp arithmetic modulo the
+modulus on every order.  A table's first read is the one table gate:
+above TABLE_CAP it raises OrderTooLarge before anything is built or
+imported.  Multiplying by g**k is F_p-linear, so for n >= 2 each step of
+the antilog's doubling walk reads the lane table: one lane sum of two
+lookups, by the low and the high half of an index's digits.  On F_p a
+step is one product.
 Contexts are immutable apart from that one-time fill, every table is
 read-only once built, and a context pickles and copies as the arguments
 it was built from, so neither builds a table.  numpy is imported where
 tables are built or read, not with this module, so constructing a
-context, the table-free operations and a refused table request never
-load it.
+context, scalar arithmetic and a refused table request never load it.
 
 make_field shares one default-modulus context per (p, n) for the life of
 the interpreter when p**n <= SOFT_ORDER_BUDGET, so repeated requests on a
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 from .errors import DivisionByZero, NotIrreducible, NotPrime, OrderTooLarge
 from .monomial import digits_of
 from .numtheory import factorint, is_prime
-from .polyfp import PolyFp, is_irreducible
+from .polyfp import PolyFp, is_irreducible, pow_mod
 
 if TYPE_CHECKING:
     import numpy as np
@@ -134,10 +134,17 @@ class FieldCtx:
 
     # ---- encoding ----------------------------------------------------
 
-    def _int_of_digits(self, digits) -> int:
+    def _poly(self, a: int) -> PolyFp:
+        """The element with index a as a polynomial of degree below n."""
+        self._check_element(a)
+        return PolyFp(self.p, digits_of(a, self.p, self.n))
+
+    def _index(self, f: PolyFp) -> int:
+        """The index of a polynomial of degree below n: its coefficients
+        read as base-p digits."""
         p = self.p
         v = 0
-        for c in reversed(digits):
+        for c in reversed(f.coeffs):
             v = v * p + c
         return v
 
@@ -146,8 +153,7 @@ class FieldCtx:
         cs = list(coeffs)
         if len(cs) > self.n:
             raise ValueError("too many coefficients")
-        cs += [0] * (self.n - len(cs))
-        return self._int_of_digits([c % self.p for c in cs])
+        return self._index(PolyFp(self.p, cs))
 
     def coeffs_of(self, a: int) -> tuple[int, ...]:
         """Unpack an index into its coefficient vector (c_0, ..., c_(n-1))."""
@@ -159,52 +165,17 @@ class FieldCtx:
             raise ValueError(f"{a} is not an element index of this field")
 
     # ---- scalar arithmetic --------------------------------------------
+    # An index is a polynomial of degree below n, reduced by the modulus
+    # after a product; no scalar operation reads a table.
 
     def add(self, a: int, b: int) -> int:
-        self._check_element(a)
-        self._check_element(b)
-        p, n = self.p, self.n
-        da, db = digits_of(a, p, n), digits_of(b, p, n)
-        return self._int_of_digits([(x + y) % p for x, y in zip(da, db)])
+        return self._index(self._poly(a) + self._poly(b))
 
     def neg(self, a: int) -> int:
-        self._check_element(a)
-        p = self.p
-        return self._int_of_digits([-x % p for x in digits_of(a, p, self.n)])
-
-    def _mul_reduce(self, a: int, b: int) -> int:
-        """Schoolbook product of coefficient vectors reduced by the modulus.
-        Table-free; this is also what builds the tables."""
-        p, n = self.p, self.n
-        da = digits_of(a, p, n)
-        db = digits_of(b, p, n)
-        prod = [0] * (2 * n - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    if cb:
-                        prod[i + j] = (prod[i + j] + ca * cb) % p
-        tail = self.modulus.coeffs[:n]
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                base = k - n
-                for s, ms in enumerate(tail):
-                    if ms:
-                        prod[base + s] = (prod[base + s] - c * ms) % p
-        return self._int_of_digits(prod[:n])
+        return self._index(-self._poly(a))
 
     def mul(self, a: int, b: int) -> int:
-        self._check_element(a)
-        self._check_element(b)
-        if a == 0 or b == 0:
-            return 0
-        if self.order <= TABLE_CAP:
-            group = self.order - 1
-            e = (int(self.log_table[a]) + int(self.log_table[b])) % group
-            return int(self.antilog_table[e])
-        return self._mul_reduce(a, b)
+        return self._index(self._poly(a) * self._poly(b) % self.modulus)
 
     def inv(self, a: int) -> int:
         self._check_element(a)
@@ -214,26 +185,7 @@ class FieldCtx:
 
     def pow(self, a: int, e: int) -> int:
         """a**e for e >= 0, with 0**0 = 1."""
-        self._check_element(a)
-        if e < 0:
-            raise ValueError("negative exponent")
-        if a == 0:
-            return 1 if e == 0 else 0
-        if self.order <= TABLE_CAP:
-            group = self.order - 1
-            return int(self.antilog_table[int(self.log_table[a]) * (e % group) % group])
-        return self._pow_reduce(a, e)
-
-    def _pow_reduce(self, a: int, e: int) -> int:
-        """Square-and-multiply on _mul_reduce; table-free, so the generator
-        search can use it while the tables are being built."""
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_reduce(result, base)
-            base = self._mul_reduce(base, base)
-            e >>= 1
-        return result
+        return self._index(pow_mod(self._poly(a), e, self.modulus))
 
     def frobenius(self, x: int, j: int) -> int:
         """x**(p**j) for 0 <= j < n; an F_p-linear field automorphism."""
@@ -251,9 +203,9 @@ class FieldCtx:
 
     def _require_tables(self, what: str) -> None:
         """Raise OrderTooLarge for a table read above TABLE_CAP, where only
-        the table-free scalar operations work.  Every first read of a table
-        slot calls it; a caller calls it itself only to refuse before its
-        first table read."""
+        the scalar operations work.  Every first read of a table slot calls
+        it; a caller calls it itself only to refuse before its first table
+        read."""
         if self.order > TABLE_CAP:
             raise OrderTooLarge(f"{what} requested for an order above 2**24")
 
@@ -265,7 +217,7 @@ class FieldCtx:
         cofactors = [group // q for q in factorint(group)] if group > 1 else []
         start = p if n > 1 else 1
         for gen in range(start, order):
-            if all(self._pow_reduce(gen, cf) != 1 for cf in cofactors):
+            if all(self.pow(gen, cf) != 1 for cf in cofactors):
                 break
         else:
             raise AssertionError("no primitive element found (impossible)")
@@ -288,7 +240,7 @@ class FieldCtx:
             for digits in (range(n // 2), range(n // 2, n)):
                 by = np.zeros(1, dtype=np.int64)
                 for s in digits:
-                    by = (lanes[self._mul_reduce(p**s, gen)] * np.arange(p)[:, None] + by).reshape(-1)
+                    by = (lanes[self.mul(p**s, gen)] * np.arange(p)[:, None] + by).reshape(-1)
                     by = lanes[self.lanes_to_index(by)]
                 parts.append(by)
             by_g = np.concatenate(parts)
@@ -357,15 +309,18 @@ class FieldCtx:
 
         Lanes s0 .. s0 + k - 1 are shifted down, masked, taken mod p by one
         lookup (by % p when a lane is too wide for the table, k = 1) and
-        scaled by p**s0.
+        scaled by p**s0.  Each lane holds at most p(p-1) < 2**w, so a sum
+        is non-negative and below 2**(n*w): the first group needs no shift
+        and the last no mask, and for n <= k one lookup does it all.
         """
-        p = self.p
+        p, n = self.p, self.n
         w, k = _lane_layout(p)
         table = self._lane_lookup
-        mask = (1 << (k * w)) - 1
         out = None
-        for s0 in range(0, self.n, k):
-            part = (sums >> (s0 * w)) & mask
+        for s0 in range(0, n, k):
+            part = sums >> (s0 * w) if s0 else sums
+            if s0 + k < n:
+                part = part & ((1 << (k * w)) - 1)
             part = table[part] if table is not None else part % p
             if out is None:
                 out = part

@@ -62,6 +62,7 @@ from typing import TYPE_CHECKING
 from .errors import WrongWeight, ZeroDirection
 from .fields import FieldCtx, make_field
 from .monomial import digits_of, rank_mod_p
+from .polyfp import PolyFp, x_pow_mod
 
 if TYPE_CHECKING:
     import numpy as np
@@ -444,9 +445,12 @@ def linearized_kernel_dim(ctx: FieldCtx, d: int) -> int:
     """Kernel dimension over F_p of the derivative-sum map of x**d.
 
     Needs digit sum exactly p with a nonzero constant digit; the map is
-    then (up to sign) x -> sum_s a_s * x**(p**s) with digit positions taken
-    modulo n, an F_p-linear endomorphism.  GAPN is equivalent to kernel
-    dimension 1.
+    then (up to sign) L(x) = sum_s a_s * x**(p**s) with digit positions
+    taken modulo n, an F_p-linear endomorphism.  GAPN is equivalent to
+    kernel dimension 1.  Column t of L's matrix is L(x**t) =
+    sum_s a_s * (x**(p**s))**t: each position s mod n with a nonzero digit
+    starts from x_pow_mod(p**s) and is raised one step per t, in
+    polynomial arithmetic modulo ctx.modulus, so no table is read.
     """
     p, n = ctx.p, ctx.n
     digs = digits_of(d, p)
@@ -455,14 +459,16 @@ def linearized_kernel_dim(ctx: FieldCtx, d: int) -> int:
         raise WrongWeight(f"digit sum of {d} is {w}, need exactly {p}")
     if d % p == 0:
         raise WrongWeight(f"{d} is divisible by {p}; normalize first")
-    images = []
-    for t in range(n):
-        basis_el = p**t
-        y = 0
-        for s, a_s in enumerate(digs):
-            if a_s:
-                y = ctx.add(y, ctx.mul(ctx.embed_prime(a_s), ctx.frobenius(basis_el, s % n)))
-        images.append(ctx.coeffs_of(y))
+    mod = ctx.modulus
+    columns = [PolyFp.zero(p)] * n
+    for s, a_s in enumerate(digs):
+        if a_s:
+            step = x_pow_mod(p ** (s % n), mod)
+            term = PolyFp(p, (a_s,))
+            for t in range(n):
+                columns[t] = columns[t] + term
+                term = term * step % mod
+    images = [col.coeffs + (0,) * (n - len(col.coeffs)) for col in columns]
     # The images are the matrix's columns; a matrix and its transpose have one rank.
     return n - rank_mod_p(images, p)
 

@@ -4,8 +4,9 @@ This is the digit-matrix build that fields.FieldCtx's lane-lookup walk
 replaced.  Every element is split into its n base-p digits, and
 multiplying by g**k is an (n, n) matrix product on those digit rows, so
 the walk costs order * n**2.  The lane table is packed one digit at a
-time over every element.  Of FieldCtx it uses only the table-free
-scalar operations _pow_reduce and _mul_reduce.
+time over every element.  Of FieldCtx it uses only the scalar
+operations pow and mul, which are polynomial arithmetic and read no
+table.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ def generator(ctx) -> int:
     group = ctx.order - 1
     cofactors = [group // q for q in factorint(group)] if group > 1 else []
     for cand in range(ctx.p if ctx.n > 1 else 1, ctx.order):
-        if all(ctx._pow_reduce(cand, cf) != 1 for cf in cofactors):
+        if all(ctx.pow(cand, cf) != 1 for cf in cofactors):
             return cand
     raise AssertionError("no primitive element found")
 
@@ -41,7 +42,7 @@ def log_tables(ctx) -> tuple[int, np.ndarray, np.ndarray]:
 
     gen = generator(ctx)
     # Row s is the digit vector of x**s * g: digits(a) @ mul_g = digits(a * g).
-    mul_g = np.array([digits_of(ctx._mul_reduce(p**s, gen), p, n) for s in range(n)], dtype=np.int64)
+    mul_g = np.array([digits_of(ctx.mul(p**s, gen), p, n) for s in range(n)], dtype=np.int64)
     group = order - 1
     antilog = np.empty(group, dtype=np.int64)
     antilog[0] = 1

@@ -295,18 +295,19 @@ class TestAxioms:
             assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
 
     def test_table_mul_matches_reduction_mul(self, field):
+        # mul_array reads the log tables; mul reduces polynomials by the modulus.
         ctx = field(3, 5)
-        for a in range(ctx.order):
-            for b in range(a, ctx.order):
-                assert ctx.mul(a, b) == ctx._mul_reduce(a, b)
+        a, b = np.triu_indices(ctx.order)
+        for x, y, v in zip(a.tolist(), b.tolist(), ctx.mul_array(a, b).tolist()):
+            assert v == ctx.mul(x, y)
 
     def test_table_mul_matches_reduction_mul_3_6_sampled(self, field):
         ctx = field(3, 6)
         rng = random.Random(7)
-        for _ in range(20_000):
-            a = rng.randrange(ctx.order)
-            b = rng.randrange(ctx.order)
-            assert ctx.mul(a, b) == ctx._mul_reduce(a, b)
+        pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(20_000)]
+        a, b = np.array(pairs).T
+        for (x, y), v in zip(pairs, ctx.mul_array(a, b).tolist()):
+            assert v == ctx.mul(x, y)
 
 
 class TestTables:
@@ -318,8 +319,8 @@ class TestTables:
         g = ctx.generator
         walk = [1]
         while len(walk) < ctx.order - 1:
-            walk.append(ctx._mul_reduce(walk[-1], g))
-        assert ctx._mul_reduce(walk[-1], g) == 1
+            walk.append(ctx.mul(walk[-1], g))
+        assert ctx.mul(walk[-1], g) == 1
         assert ctx.antilog_table.tolist() == walk
         log = [-1] * ctx.order
         for e, x in enumerate(walk):
@@ -329,7 +330,7 @@ class TestTables:
         for cand in range(p if n > 1 else 1, g):
             x, k = cand, 1
             while x != 1:
-                x, k = ctx._mul_reduce(x, cand), k + 1
+                x, k = ctx.mul(x, cand), k + 1
             assert k < ctx.order - 1
 
     def test_tables_built_on_first_read(self, monkeypatch):
@@ -338,9 +339,13 @@ class TestTables:
         monkeypatch.setattr(FieldCtx, "_build_tables", lambda ctx: built.append(build(ctx)))
         ctx = FieldCtx(3, 4)
         assert ctx.add(4, 5) == ctx.add(5, 4)
+        assert ctx.mul(3, 3) == ctx.pow(3, 2) == 9
+        assert ctx.frobenius(3, 1) == ctx.mul(9, 3)
+        assert ctx.mul(ctx.inv(7), 7) == 1
         assert built == []
-        assert ctx.mul(3, 3) == ctx._mul_reduce(3, 3)
         assert ctx.generator is not None and ctx.antilog_table is not None
+        assert len(built) == 1
+        assert ctx.mul_array(3, 3) == ctx.mul(3, 3)
         assert len(built) == 1
 
     @pytest.mark.parametrize("p,n", [(3, 2), (7, 2), (2, 6)])
@@ -391,6 +396,24 @@ class TestTables:
             for x in row:
                 expected = ctx.add(expected, x)
             assert value == expected
+
+    # n = 1, k, 2k and k + 1 for k lanes per lookup: one group, whole groups
+    # and a partial last group, by the lookup table (k > 1) and by % p (k = 1).
+    @pytest.mark.parametrize(
+        "p,n",
+        [(2, 1), (2, 6), (2, 12), (2, 7), (3, 1), (3, 4), (3, 8), (3, 5),
+         (5, 1), (5, 2), (5, 4), (5, 3), (7, 1), (7, 2), (7, 4), (7, 3), (67, 1), (67, 2)],
+    )
+    def test_lanes_to_index_matches_digit_reduction(self, p, n):
+        ctx = FieldCtx(p, n)
+        w = (p * (p - 1)).bit_length()
+        assert (ctx._lane_lookup is None) == (p == 67)
+        rng = random.Random(p * 100 + n)
+        lane_rows = [[rng.randint(0, p * (p - 1)) for _ in range(n)] for _ in range(300)]
+        lane_rows[0] = [p * (p - 1)] * n
+        sums = np.array([sum(v << (s * w) for s, v in enumerate(row)) for row in lane_rows], dtype=np.int64)
+        expected = [sum(v % p * p**s for s, v in enumerate(row)) for row in lane_rows]
+        assert ctx.lanes_to_index(sums).tolist() == expected
 
 
 # Every field of order up to 3^8 with n >= 2; n = 1, where the walk's

@@ -31,10 +31,11 @@ from gapnkit.gapn import (
     save_table_csv,
     save_table_raw,
 )
-from gapnkit.monomial import coset_rep, digits_of
+from gapnkit.monomial import coset_rep, digits_of, p_weight
 from gapnkit.numtheory import is_prime
 from gapnkit.polyfp import is_irreducible
 
+import numpy_kernel
 import numpy_spectrum
 
 
@@ -636,7 +637,31 @@ class TestSubfieldCertificate:
             assert monomial_gapn_verdict(ctx, d) == monomial_gapn_fast(ctx, d).is_gapn, f"d={d}"
 
 
+# Every field of order up to 3^8 with a weight-p exponent (n >= 2), 2^10 among them.
+_KERNEL_FIELDS = sorted({(p, n) for p in range(2, 82) if is_prime(p) for n in range(2, 13) if p**n <= 3**8})
+
+
 class TestLinearizedKernel:
+    @pytest.mark.parametrize("p,n", _KERNEL_FIELDS)
+    def test_matches_table_construction(self, field, p, n):
+        ctx = field(p, n)
+        for d in range(1, ctx.order):
+            if d % p and p_weight(d, p) == p:
+                assert linearized_kernel_dim(ctx, d) == numpy_kernel.linearized_kernel_dim(ctx, d), d
+
+    def test_matches_table_construction_other_modulus(self, field):
+        irreducibles = filter(is_irreducible, (PolyFp(3, digits_of(k, 3, 6) + (1,)) for k in range(3**6)))
+        next(irreducibles)
+        modulus = next(irreducibles)
+        assert modulus != field(3, 6).modulus
+        ctx = field(3, 6, modulus)
+        dims = []
+        for d in range(1, ctx.order):
+            if d % 3 and p_weight(d, 3) == 3:
+                dims.append(linearized_kernel_dim(ctx, d))
+                assert dims[-1] == numpy_kernel.linearized_kernel_dim(ctx, d), d
+        assert set(dims) > {1}  # GAPN and non-GAPN exponents alike
+
     def test_gold_on_f9(self, field):
         assert linearized_kernel_dim(field(3, 2), 5) == 1
 

@@ -250,6 +250,43 @@ class TestPlainGapn:
         assert sys.modules["gapnkit.gapn"] is gapnkit.gapn is search.gapn
 
 
+# Runs every scalar operation on F_(3^4) and F_(2^24), recording each
+# table build; argv[1] is where the report goes.
+_SCALAR_RUNNER = """
+import json, sys
+from gapnkit import fields
+built = []
+for name in ("_build_tables", "_build_lanes"):
+    build = getattr(fields.FieldCtx, name)
+    setattr(fields.FieldCtx, name, lambda ctx, build=build, name=name: built.append(name) or build(ctx))
+answers = {}
+for p, n in ((3, 4), (2, 24)):
+    ctx = fields.make_field(p, n)
+    a, b = ctx.order - 2, p + 1
+    answers[f"{p}^{n}"] = [ctx.mul(a, b), ctx.pow(a, 5), ctx.mul(ctx.inv(a), a), ctx.frobenius(a, n - 1),
+                           ctx.add(a, b), ctx.add(ctx.neg(a), a)]
+with open(sys.argv[1], "w") as fh:
+    json.dump({"answers": answers, "built": built, "numpy": "numpy" in sys.modules,
+               "optimize": sys.flags.optimize}, fh)
+"""
+
+
+class TestScalarArithmetic:
+    @pytest.mark.parametrize("flags", FLAGS)
+    def test_builds_no_table(self, tmp_path, flags):
+        report, out, err = _fresh(tmp_path, [], flags, _SCALAR_RUNNER)
+        assert (report["built"], report["numpy"], report["optimize"]) == ([], False, len(flags))
+        assert (out, err) == ("", "")
+        # The same operations on F_(3^4) read from its tables in this process.
+        ctx = gapnkit.make_field(3, 4)
+        log, antilog = ctx.log_table, ctx.antilog_table
+        a, b = ctx.order - 2, 4
+        tabled = [antilog[(log[a] + log[b]) % 80], antilog[log[a] * 5 % 80], 1,
+                  antilog[log[a] * 27 % 80], ctx.add_array(a, b), 0]
+        assert report["answers"]["3^4"] == [int(v) for v in tabled]
+        assert report["answers"]["2^24"][2::3] == [1, 0]  # a**-1 * a and -a + a
+
+
 # Pickles and copies a 3^9 context, reporting whether that loaded numpy or
 # searched for the default modulus.
 _PICKLE_RUNNER = """
