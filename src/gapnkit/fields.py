@@ -193,12 +193,6 @@ class FieldCtx:
             raise ValueError(f"frobenius power {j} outside [0, {self.n})")
         return self.pow(x, self.p**j)
 
-    def embed_prime(self, i: int) -> int:
-        """The constant i of the prime subfield, 0 <= i < p."""
-        if not 0 <= i < self.p:
-            raise ValueError(f"{i} is not a prime-field element")
-        return i
-
     # ---- tables --------------------------------------------------------
 
     def _require_tables(self, what: str) -> None:

@@ -47,7 +47,10 @@ r = d mod (p**m - 1), is one for x**d as well.  Then the collision: it
 sums a fixed sample of about 4 * sqrt(p**n) rows of S_1, and two rows
 with one sum already give a count of at least 2p.  For a random-looking
 map that collision is all but certain, so the full pass runs only for
-the GAPN exponents and a few others.
+the GAPN exponents and a few others.  Both certificates read one state
+per field that depends on the field alone, built once by
+prepare_verdicts: the subfield verdicts and the logs of the sampled rows,
+so a candidate's sampled values are one antilog gather.
 """
 
 from __future__ import annotations
@@ -353,20 +356,6 @@ def _sample_size(p: int, n: int) -> int:
     return min(order // p - 1, math.isqrt(16 * order - 1) + 1)
 
 
-@functools.lru_cache(maxsize=64)
-def _sample_rows(p: int, n: int, k: int) -> np.ndarray:
-    """(k, p) read-only element indices: k distinct rows {z*p + i : i in F_p}
-    drawn with a fixed seed from 1 <= z < p**(n-1).  Row 0 holds x = 0,
-    which has no log.  Indices, not logs, so any modulus reads its own
-    log table."""
-    import numpy as np
-
-    rows = random.Random(_SAMPLE_SEED).sample(range(1, p ** (n - 1)), k)
-    index = np.array(rows, dtype=np.int64).reshape(k, 1) * p + np.arange(p, dtype=np.int64)
-    index.setflags(write=False)
-    return index
-
-
 @functools.lru_cache(maxsize=256)
 def _subfield_verdicts(p: int, m: int) -> bytes:
     """verdicts[r % (p**m - 1)] = 1 when y -> y**r is GAPN on F_(p^m), for
@@ -387,30 +376,40 @@ def _subfield_verdicts(p: int, m: int) -> bytes:
     return bytes(verdicts)
 
 
-@functools.lru_cache(maxsize=256)
-def _subfields(p: int, n: int) -> tuple[tuple[int, bytes], ...]:
-    """(p**m - 1, _subfield_verdicts(p, m)) for every m | n, 1 < m < n.
-    F_p is left out: there S_a f is constant, so every map is GAPN."""
-    return tuple((p**m - 1, _subfield_verdicts(p, m)) for m in range(2, n) if n % m == 0)
+# (p, n, modulus) -> prepare_verdicts(ctx), for at most 64 fields, the
+# oldest dropped first.  The three fix the log table, since _build_tables
+# picks its generator deterministically, so equal contexts share an entry.
+_prepared: dict[tuple[int, int, PolyFp], tuple] = {}
 
 
-def subfield_settles(p: int, n: int, d: int) -> bool:
-    """True when y -> y**r with r = d mod (p**m - 1) is not GAPN on some
-    proper subfield F_(p^m), 1 < m < n, which proves x**d not GAPN on
-    F_(p^n)."""
-    for q, verdicts in _subfields(p, n):
-        if not verdicts[d % q]:
-            return True
-    return False
+def prepare_verdicts(ctx: FieldCtx) -> tuple[tuple[tuple[int, bytes], ...], np.ndarray]:
+    """(subfields, logs), what monomial_gapn_verdict reads on this field
+    besides its tables, built once per field; a process forked afterwards
+    inherits it and the tables instead of building its own.
 
+    subfields holds (p**m - 1, _subfield_verdicts(p, m)) for every m | n,
+    1 < m < n.  F_p is left out: there S_a f is constant, so every map is
+    GAPN.  logs holds the read-only logs of K distinct rows
+    {z*p + i : i in F_p}, drawn with a fixed seed from 1 <= z < p**(n-1);
+    row 0 holds x = 0, which has no log.  The log table is read first, as
+    the table gate: above TABLE_CAP nothing is imported or decided.
+    """
+    log, _ = ctx.log_table, ctx.lane_table
+    p, n = ctx.p, ctx.n
+    key = (p, n, ctx.modulus)
+    state = _prepared.get(key)
+    if state is None:
+        import numpy as np
 
-def prepare_verdicts(ctx: FieldCtx) -> None:
-    """Build everything monomial_gapn_verdict reads on this field: its log
-    and lane tables, the sampled rows and the subfield verdicts.  A process
-    forked afterwards inherits them instead of building its own."""
-    ctx.log_table, ctx.lane_table  # noqa: B018
-    _sample_rows(ctx.p, ctx.n, _sample_size(ctx.p, ctx.n))
-    _subfields(ctx.p, ctx.n)
+        k = _sample_size(p, n)
+        rows = random.Random(_SAMPLE_SEED).sample(range(1, p ** (n - 1)), k)
+        logs = log[np.array(rows, dtype=np.int64).reshape(k, 1) * p + np.arange(p, dtype=np.int64)]
+        logs.setflags(write=False)
+        subfields = tuple((p**m - 1, _subfield_verdicts(p, m)) for m in range(2, n) if n % m == 0)
+        if len(_prepared) >= 64:
+            _prepared.pop(list(_prepared)[0], None)  # list(): one step, safe beside other threads
+        state = _prepared.setdefault(key, (subfields, logs))
+    return state
 
 
 def monomial_gapn_verdict(ctx: FieldCtx, d: int) -> bool:
@@ -421,18 +420,19 @@ def monomial_gapn_verdict(ctx: FieldCtx, d: int) -> bool:
     that x**d is not GAPN: its solutions over F_(p^m) are solutions over
     F_(p^n).  S_1(x**d) is constant on each row {z + i : i in F_p}, so
     two distinct rows with the same row sum give that value at least 2p
-    solutions, another exact proof.  The subfield verdicts are looked up
-    first, then the row sums of a fixed sample of rows are compared; only
-    when neither proves anything does the full single-direction pass
-    decide.
+    solutions, another exact proof.  Both read prepare_verdicts(ctx): the
+    subfield verdicts are looked up first, then the sampled rows' values
+    are one antilog gather from their prepared logs and their row sums are
+    compared; only when neither proves anything does the full
+    single-direction pass decide.
     """
     if d < 1:
         raise ValueError("need an exponent d >= 1")
-    ctx._require_tables("log table")
-    if subfield_settles(ctx.p, ctx.n, d):
-        return False
+    subfields, logs = prepare_verdicts(ctx)
+    for q, verdicts in subfields:
+        if not verdicts[d % q]:
+            return False
     group = ctx.order - 1
-    logs = ctx.log_table[_sample_rows(ctx.p, ctx.n, _sample_size(ctx.p, ctx.n))]
     values = ctx.antilog_table[logs * (d % group) % group]
     sums = _derivative_values(ctx, ctx.lane_table, values)
     sums.sort()
@@ -558,5 +558,4 @@ __all__ = [
     "prepare_verdicts",
     "save_table_csv",
     "save_table_raw",
-    "subfield_settles",
 ]

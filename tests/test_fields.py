@@ -234,23 +234,14 @@ class TestFrobenius:
             ctx.frobenius(1, -1)
 
 
-class TestEmbedPrime:
-    def test_zero_and_one(self, field):
-        ctx = field(3, 2)
-        assert ctx.embed_prime(0) == 0
-        assert ctx.embed_prime(1) == 1
-        assert ctx.mul(ctx.embed_prime(2), 5) == ctx.add(5, 5)
-
+class TestPrimeSubfield:
     def test_characteristic(self, field):
+        # The constants of F_p are the indices 0 .. p-1; p ones add up to 0.
         ctx = field(5, 2)
         acc = 0
         for _ in range(5):
-            acc = ctx.add(acc, ctx.embed_prime(1))
+            acc = ctx.add(acc, 1)
         assert acc == 0
-
-    def test_range(self, field):
-        with pytest.raises(ValueError):
-            field(3, 2).embed_prime(3)
 
 
 class TestAxioms:

@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapnkit import (
+    FieldCtx,
     FnTable,
     OrderTooLarge,
     WrongWeight,
@@ -76,7 +79,7 @@ class TestGenDerivative:
             for f in tables:
                 for a in range(1, ctx.order):
                     d = gen_derivative(f, a)
-                    steps = [ctx.mul(ctx.embed_prime(i), a) for i in range(p)]
+                    steps = [ctx.mul(i, a) for i in range(p)]
                     for x in range(ctx.order):
                         expected = 0
                         for step in steps:
@@ -107,7 +110,7 @@ class TestGenDerivative:
         for x in range(ctx.order):
             acc = 0
             for s, ds in enumerate(digs):
-                term = ctx.mul(ctx.embed_prime(ds % 3), ctx.frobenius(x, s % 3)) if ds else 0
+                term = ctx.mul(ds % 3, ctx.frobenius(x, s % 3)) if ds else 0
                 acc = ctx.add(acc, term)
             assert derived.values[x] == ctx.neg(acc)
 
@@ -203,7 +206,8 @@ def _reference_spectrum(f):
     and count each row sum p times."""
     ctx = f.ctx
     order, p = ctx.order, ctx.p
-    digits, pow_vec = ctx.digit_table, p ** np.arange(ctx.n, dtype=np.int64)
+    pow_vec = p ** np.arange(ctx.n, dtype=np.int64)
+    digits = np.arange(order, dtype=np.int64)[:, None] // pow_vec % p
     hist = np.zeros(order + 1, dtype=np.int64)
     max_count, witness = 0, None
     for a in range(1, order):
@@ -227,7 +231,7 @@ def _scalar_derivative(ctx, f, a, x):
     """sum over i in F_p of f(x + i*a), by scalar field arithmetic."""
     total = 0
     for i in range(ctx.p):
-        total = ctx.add(total, int(f.values[ctx.add(x, ctx.mul(ctx.embed_prime(i), a))]))
+        total = ctx.add(total, int(f.values[ctx.add(x, ctx.mul(i, a))]))
     return total
 
 
@@ -476,11 +480,13 @@ class TestTableGate:
             lambda ctx: monomial_table(ctx, 5),
             lambda ctx: monomial_table(ctx, 0),
             lambda ctx: monomial_gapn_fast(ctx, 5),
+            lambda ctx: monomial_gapn_verdict(ctx, 5),
             lambda ctx: ctx.mul_array(1, 2),
             lambda ctx: ctx.digit_table,
             lambda ctx: ctx.lane_table,
         ],
-        ids=["monomial_table", "monomial_table_d0", "monomial_gapn_fast", "mul_array", "digit_table", "lane_table"],
+        ids=["monomial_table", "monomial_table_d0", "monomial_gapn_fast", "monomial_gapn_verdict",
+             "mul_array", "digit_table", "lane_table"],
     )
     def test_raises_order_too_large(self, big, request_tables):
         with pytest.raises(OrderTooLarge, match="above 2\\*\\*24"):
@@ -512,6 +518,13 @@ class TestMonomialFastPath:
             monomial_gapn_fast(field(3, 2), 0)
 
 
+def _no_subfields(monkeypatch):
+    """Switch the subfield certificate off: every subfield verdict reads
+    GAPN, in a prepared state built from scratch."""
+    monkeypatch.setattr(gapn, "_subfield_verdicts", lambda p, m: b"\x01" * (p**m - 1))
+    monkeypatch.setattr(gapn, "_prepared", {})
+
+
 class TestCollisionCertificate:
     """monomial_gapn_verdict: a repeated row sum among the sampled rows of
     S_1(x**d) proves non-GAPN; otherwise the full pass decides."""
@@ -526,7 +539,7 @@ class TestCollisionCertificate:
         """{d: (verdict, fired)} over every d in [1, p**n - 2] with k sampled
         rows; fired means the full pass never ran.  The subfield
         certificate is switched off, so only the sample can fire."""
-        monkeypatch.setattr(gapn, "_subfields", lambda p, n: ())
+        _no_subfields(monkeypatch)
         monkeypatch.setattr(gapn, "_sample_size", lambda p, n: k)
         passes = []
 
@@ -568,8 +581,10 @@ class TestCollisionCertificate:
     @pytest.mark.parametrize("p,n", [(3, 2), (3, 9), (5, 4), (2, 8)])
     def test_sample_rows_are_distinct_nonzero_rows(self, p, n):
         k = gapn._sample_size(p, n)
-        index = gapn._sample_rows(p, n, k)
-        assert index.shape == (k, p) and not index.flags.writeable
+        ctx = make_field(p, n)
+        _, logs = gapn.prepare_verdicts(ctx)
+        index = ctx.antilog_table[logs]
+        assert index.shape == (k, p) and not logs.flags.writeable
         rows = index[:, 0] // p
         assert len(set(rows.tolist())) == k and rows.min() >= 1 and rows.max() < p ** (n - 1)
         assert (index == index[:, :1] + np.arange(p)).all()
@@ -595,6 +610,7 @@ class TestSubfieldCertificate:
     @pytest.mark.parametrize("p,n", [(3, 4), (3, 6), (3, 8), (5, 4), (7, 4), (2, 8), (2, 10)])
     def test_every_exponent_matches_full_pass(self, field, p, n):
         ctx = field(p, n)
+        subfields, _ = gapn.prepare_verdicts(ctx)
         truth: dict[int, bool] = {}  # per coset representative
         settled = set()
         for d in range(1, ctx.order - 1):
@@ -602,7 +618,7 @@ class TestSubfieldCertificate:
             if rep not in truth:
                 truth[rep] = monomial_gapn_fast(ctx, rep).is_gapn
             assert monomial_gapn_verdict(ctx, d) == truth[rep], f"d={d}"
-            if gapn.subfield_settles(p, n, d):
+            if any(not verdicts[d % q] for q, verdicts in subfields):
                 settled.add(d)
         assert settled, "the subfield certificate never fired"
         assert not any(truth[coset_rep(d, p, n)] for d in settled)
@@ -614,7 +630,8 @@ class TestSubfieldCertificate:
     )  # fmt: skip
     def test_subfields_are_the_proper_divisors(self, p, n, orders):
         # F_p (m = 1) never fires and F_(p^n) itself (m = n) is the field.
-        assert [q for q, _ in gapn._subfields(p, n)] == orders
+        subfields, _ = gapn.prepare_verdicts(make_field(p, n))
+        assert [q for q, _ in subfields] == orders
 
     @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (2, 4), (2, 5)])
     def test_subfield_verdicts_are_exact(self, p, m):
@@ -635,6 +652,63 @@ class TestSubfieldCertificate:
         ctx = make_field(3, 4, modulus)
         for d in range(1, ctx.order - 1):
             assert monomial_gapn_verdict(ctx, d) == monomial_gapn_fast(ctx, d).is_gapn, f"d={d}"
+
+
+class TestPreparedState:
+    """prepare_verdicts builds one (subfields, logs) state per field, keyed
+    by (p, n, modulus), and keeps at most 64 of them."""
+
+    @staticmethod
+    def _sampled_logs(ctx):
+        """The logs of the fixed sample: K distinct rows z, 1 <= z < p**(n-1),
+        drawn with the fixed seed, each row the indices z*p + i."""
+        p, n = ctx.p, ctx.n
+        rows = random.Random(gapn._SAMPLE_SEED).sample(range(1, p ** (n - 1)), gapn._sample_size(p, n))
+        return ctx.log_table[np.array(rows, dtype=np.int64)[:, None] * p + np.arange(p)]
+
+    def test_equal_contexts_share_one_entry(self, monkeypatch):
+        monkeypatch.setattr(gapn, "_prepared", {})
+        first, second = FieldCtx(3, 8), FieldCtx(3, 8)
+        state = gapn.prepare_verdicts(first)
+
+        def refuse(*args):
+            raise AssertionError("the second context built a prepared state")
+
+        monkeypatch.setattr(gapn, "random", types.SimpleNamespace(Random=refuse))
+        monkeypatch.setattr(gapn, "_subfield_verdicts", refuse)
+        assert gapn.prepare_verdicts(second) is state
+        assert list(gapn._prepared) == [(3, 8, first.modulus)]
+        for d in range(1, 200):
+            assert monomial_gapn_verdict(second, d) == monomial_gapn_verdict(first, d)
+
+    def test_second_irreducible_has_its_own_entry(self, monkeypatch):
+        monkeypatch.setattr(gapn, "_prepared", {})
+        default = make_field(3, 6)
+        monics = (PolyFp(3, digits_of(k, 3, 6) + (1,)) for k in range(3**6))
+        canonical, second = [f for f in monics if is_irreducible(f)][:2]
+        assert canonical == default.modulus
+        ctx = make_field(3, 6, second)
+        default_subfields, default_logs = gapn.prepare_verdicts(default)
+        subfields, logs = gapn.prepare_verdicts(ctx)
+        assert list(gapn._prepared) == [(3, 6, canonical), (3, 6, second)]
+        assert subfields == default_subfields  # isomorphic fields
+        assert logs.shape == (108, 3) and not logs.flags.writeable
+        assert (logs == self._sampled_logs(ctx)).all()
+        assert (default_logs == self._sampled_logs(default)).all()
+        assert (logs != default_logs).any()
+        # The first rows the fixed seed has always drawn on 3^6.
+        assert (ctx.antilog_table[logs[:4, 0]] // 3).tolist() == [60, 197, 203, 200]
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(gapn, "_prepared", {})
+        monics = (PolyFp(7, digits_of(k, 7, 3) + (1,)) for k in range(7**3))
+        moduli = [f for f in monics if is_irreducible(f)][:70]
+        assert len(moduli) == 70
+        for modulus in moduli:
+            gapn.prepare_verdicts(make_field(7, 3, modulus))
+            assert len(gapn._prepared) <= 64
+        # The oldest entries went first.
+        assert list(gapn._prepared) == [(7, 3, f) for f in moduli[-64:]]
 
 
 # Every field of order up to 3^8 with a weight-p exponent (n >= 2), 2^10 among them.

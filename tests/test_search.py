@@ -4,8 +4,10 @@ import itertools
 import json
 import multiprocessing
 import os
+import random
 import tempfile
 import time
+import types
 import zlib
 from collections import Counter
 from math import gcd
@@ -425,7 +427,7 @@ class TestPoolRule:
         started = []
         _cpus(monkeypatch, 2)
         serial = _frozen(run_search(SearchJob(3, 8, filters=SearchFilters(verify_filters=True))))
-        gapn._subfields.cache_clear()
+        monkeypatch.setattr(gapn, "_prepared", {})
         monkeypatch.setattr(search.multiprocessing, "Pool", pool_after_build)
         job = SearchJob(3, 8, filters=SearchFilters(verify_filters=True), jobs=2)
         assert 3**8 > SOFT_ORDER_BUDGET  # each make_field(3, 8) is a new context
@@ -479,6 +481,22 @@ class TestCollisionCertificate:
         # with chance about e**-8.
         assert len(passes) <= 10
 
+    def test_sample_drawn_once_per_field(self, monkeypatch):
+        # From empty caches a 3^9 conjecture scan draws the sample twice:
+        # once for 3^9 and once for 3^3, whose verdicts settle candidates.
+        monkeypatch.setattr(gapn, "_prepared", {})
+        gapn._subfield_verdicts.cache_clear()
+        seeds = []
+
+        def seeded(seed, real=random.Random):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(gapn, "random", types.SimpleNamespace(Random=seeded))
+        assert run_search(SearchJob(3, 9, mode="conjecture")).conjecture_holds is True
+        assert seeds == [gapn._SAMPLE_SEED] * 2
+        assert sorted((p, n) for p, n, _ in gapn._prepared) == [(3, 3), (3, 9)]
+
 
 class TestSubfieldCertificate:
     """Scans settle most composite-n candidates by a non-GAPN verdict on a
@@ -502,12 +520,15 @@ class TestSubfieldCertificate:
             return document, data if jobs == 1 else sorted(data.splitlines())
 
         with_subfields = run("subfields")
-        monkeypatch.setattr(gapn, "_subfields", lambda p, n: ())
+        # Every subfield verdict reads GAPN, in a prepared state built from scratch.
+        monkeypatch.setattr(gapn, "_subfield_verdicts", lambda p, m: b"\x01" * (p**m - 1))
+        monkeypatch.setattr(gapn, "_prepared", {})
         assert run("no-subfields") == with_subfields
 
     def test_settles_most_composite_candidates(self):
         *_, candidates = search._enumerate(SearchJob(3, 12, "conjecture"))
-        settled = sum(gapn.subfield_settles(3, 12, d) for d, _ in candidates)
+        subfields, _ = gapn.prepare_verdicts(make_field(3, 12))
+        settled = sum(any(not verdicts[d % q] for q, verdicts in subfields) for d, _ in candidates)
         assert (settled, len(candidates)) == (20673, 22118)
 
 

@@ -250,6 +250,37 @@ class TestPlainGapn:
         assert sys.modules["gapnkit.gapn"] is gapnkit.gapn is search.gapn
 
 
+# Asks for a verdict on F_(2^26), above the table cap, reporting the error
+# and whether that decided a subfield or loaded numpy.
+_REFUSED_VERDICT_RUNNER = """
+import json, sys
+from gapnkit import OrderTooLarge, gapn, make_field
+try:
+    gapn.monomial_gapn_verdict(make_field(2, 26), 5)
+    error = None
+except OrderTooLarge as exc:
+    error = str(exc)
+with open(sys.argv[1], "w") as fh:
+    json.dump({"error": error, "subfield verdicts": gapn._subfield_verdicts.cache_info().currsize,
+               "numpy": "numpy" in sys.modules, "optimize": sys.flags.optimize}, fh)
+"""
+
+
+class TestRefusedVerdict:
+    @pytest.mark.parametrize("flags", FLAGS)
+    def test_refused_before_any_subfield_or_numpy(self, tmp_path, flags):
+        # The log table read is the gate, so it comes before the prepared
+        # state: F_(2^26)'s subfields F_(2^2) and F_(2^13) are within the cap.
+        report, out, err = _fresh(tmp_path, [], flags, _REFUSED_VERDICT_RUNNER)
+        assert report == {
+            "error": "log table requested for an order above 2**24",
+            "subfield verdicts": 0,
+            "numpy": False,
+            "optimize": len(flags),
+        }
+        assert (out, err) == ("", "")
+
+
 # Runs every scalar operation on F_(3^4) and F_(2^24), recording each
 # table build; argv[1] is where the report goes.
 _SCALAR_RUNNER = """
