@@ -9,7 +9,6 @@ object.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -351,6 +350,8 @@ def _emit(args, doc, lines, csv_part) -> None:
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":
+        import csv
+
         header, rows = csv_part
         writer = csv.writer(sys.stdout, lineterminator="\n")
         if header is not None:

@@ -76,13 +76,20 @@ def find_irreducible(p: int, n: int) -> PolyFp:
     whose coefficient vector (c_(n-1), ..., c_0) is lexicographically
     smallest.  Counting k up and taking its base-p digits as the
     non-leading coefficients visits candidates in exactly that order.
+    For n >= 2 a candidate with f(0), f(1) or f(-1) = 0 has a linear
+    factor, so it is passed over before Ben-Or's test.
     Cached per (p, n): the walk is pure Python and PolyFp is immutable."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError("degree must be at least 1")
     for k in range(p**n):
-        f = PolyFp(p, digits_of(k, p, n) + (1,))
+        coeffs = digits_of(k, p, n) + (1,)
+        if n >= 2 and (
+            coeffs[0] == 0 or sum(coeffs) % p == 0 or (sum(coeffs[::2]) - sum(coeffs[1::2])) % p == 0
+        ):
+            continue
+        f = PolyFp(p, coeffs)
         if is_irreducible(f):
             return f
     raise AssertionError("no irreducible of the requested degree (impossible)")

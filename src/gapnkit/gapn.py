@@ -55,11 +55,8 @@ so a candidate's sampled values are one antilog gather.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
-import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import WrongWeight, ZeroDirection
@@ -71,41 +68,71 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
-class FnTable:
-    """A function on the field as a value table indexed by element index."""
+class _Record:
+    """== and repr field by field over __slots__, for the records that stay
+    assignable, which are therefore unhashable."""
 
-    ctx: FieldCtx
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple()))
+        return f"{type(self).__name__}({fields})"
+
+
+class FnTable(_Record):
+    """A function on the field as a value table indexed by element index,
+    stored as an int64 array of element indices."""
+
+    __slots__ = ("ctx", "values")
+
+    def __init__(self, ctx: FieldCtx, values: np.ndarray):
         import numpy as np
 
-        vals = np.asarray(self.values, dtype=np.int64)
-        if vals.shape != (self.ctx.order,):
-            raise ValueError(f"value table must have length {self.ctx.order}")
-        if vals.size and (vals.min() < 0 or vals.max() >= self.ctx.order):
+        vals = np.asarray(values, dtype=np.int64)
+        if vals.shape != (ctx.order,):
+            raise ValueError(f"value table must have length {ctx.order}")
+        if vals.size and (vals.min() < 0 or vals.max() >= ctx.order):
             raise ValueError("value table contains non-element entries")
+        self.ctx = ctx
         self.values = vals
 
 
-@dataclass
-class GapnReport:
+class GapnReport(_Record):
     """Differential behaviour of one function.
 
     spectrum maps a solution count c to the number of (direction, value)
     pairs attaining it, covering all (p**n - 1) * p**n pairs when complete;
     partial marks a verdict-mode run that stopped at the first offending
     projective class of directions.  witness is one (a, b) with more than
-    p solutions, when any exists and was seen.
+    p solutions, when any exists and was seen.  deciders_agreed is a new
+    empty list when not given.
     """
 
-    is_gapn: bool
-    max_count: int
-    spectrum: dict[int, int]
-    witness: tuple[int, int] | None
-    deciders_agreed: list[str] = field(default_factory=list)
-    partial: bool = False
+    __slots__ = ("is_gapn", "max_count", "spectrum", "witness", "deciders_agreed", "partial")
+
+    def __init__(
+        self,
+        is_gapn: bool,
+        max_count: int,
+        spectrum: dict[int, int],
+        witness: tuple[int, int] | None,
+        deciders_agreed: list[str] | None = None,
+        partial: bool = False,
+    ):
+        self.is_gapn = is_gapn
+        self.max_count = max_count
+        self.spectrum = spectrum
+        self.witness = witness
+        self.deciders_agreed = [] if deciders_agreed is None else deciders_agreed
+        self.partial = partial
 
     def to_dict(self) -> dict:
         return {
@@ -399,6 +426,8 @@ def prepare_verdicts(ctx: FieldCtx) -> tuple[tuple[tuple[int, bytes], ...], np.n
     key = (p, n, ctx.modulus)
     state = _prepared.get(key)
     if state is None:
+        import random
+
         import numpy as np
 
         k = _sample_size(p, n)
@@ -502,6 +531,8 @@ def load_table_raw(ctx: FieldCtx, path) -> FnTable:
 
 def save_table_csv(table: FnTable, path) -> None:
     """Write rows x,f(x) in decimal with a header line."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "f(x)"])
@@ -518,6 +549,8 @@ def load_table_csv(ctx: FieldCtx, path) -> FnTable:
     opened.
     """
     ctx._require_tables("value table")
+    import csv
+
     import numpy as np
 
     values = np.full(ctx.order, -1, dtype=np.int64)

@@ -23,7 +23,7 @@ that is what this module implements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EvenCharacteristic, NotNormalized, NotPrime, WrongWeight
 from .numtheory import is_prime, primes
@@ -172,8 +172,7 @@ def digit_polynomial(d: int, p: int, n: int | None = None) -> PolyFp:
     return PolyFp(p, _weight_p_digits(d, p, n))
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Outcome of the digit-polynomial criterion for one exponent."""
 
     d: int
@@ -270,8 +269,7 @@ def _gapn_in_dimension(n: int, p: int, root_orders: tuple[int, ...], unit_root_m
     return unit_root_multiplicity == 1 or n % p != 0
 
 
-@dataclass(frozen=True)
-class ExceptionalProfile:
+class ExceptionalProfile(NamedTuple):
     """Dimension-independent GAPN data for a normalized weight-p exponent.
 
     root_orders holds the multiplicative orders (all > 1) of the roots of
@@ -401,8 +399,7 @@ def identify_family(d: int, p: int, n: int) -> list[str]:
     ]
 
 
-@dataclass(frozen=True)
-class Exponent:
+class Exponent(NamedTuple):
     """An exponent together with its derived bookkeeping."""
 
     d: int

@@ -12,11 +12,13 @@ polynomial.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BothZero, DivisionByZero, FactorizationTooLarge, RootIsZero
 from .numtheory import factorint
+
+if TYPE_CHECKING:
+    import random
 
 _ROOT_ORDER_DEG_CAP = 24
 
@@ -365,8 +367,7 @@ def _equal_degree_split(f: PolyFp, d: int, rng: random.Random | None) -> list[Po
             return _equal_degree_split(w, d, rng) + _equal_degree_split(f // w, d, rng)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """unit * product of factors**multiplicity, factors monic irreducible,
     sorted by (degree, coefficient tuple)."""
 
@@ -402,6 +403,8 @@ def factorize(f: PolyFp) -> Factorization:
             if rng is None and prod.degree > d:
                 # Seeding costs more than a small factorization, so the
                 # stream starts at the first split that draws from it.
+                import random
+
                 rng = random.Random(f"edf:{p}:" + ",".join(map(str, fm.coeffs)))
             for irr in _equal_degree_split(prod, d, rng):
                 parts.append((irr, mult))

@@ -63,8 +63,8 @@ import importlib
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__, gapn
 from .errors import CacheCorrupt, DeciderDisagreement
@@ -156,19 +156,17 @@ def _decide_candidate(candidate: tuple[int, int], ctx: FieldCtx | None = None):
     return rep, weight, verdict, deciders
 
 
-@dataclass
-class SearchFilters:
+class SearchFilters(NamedTuple):
     skip_even_weight: bool = True
     skip_low_weight: bool = True
     verify_filters: bool = False
 
 
-@dataclass
-class SearchJob:
+class SearchJob(NamedTuple):
     p: int
     n: int
     mode: str = "exhaustive"
-    filters: SearchFilters = field(default_factory=SearchFilters)
+    filters: SearchFilters = SearchFilters()
     jobs: int = 1
     cache_dir: str | None = None
 
@@ -176,8 +174,7 @@ class SearchJob:
 _MODES = ("exhaustive", "weight-p-only", "families-only", "conjecture")
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     p: int
     n: int
     mode: str
@@ -396,8 +393,7 @@ def exact_verdict(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
     return report.is_gapn, report.deciders_agreed
 
 
-@dataclass
-class FamilyEntry:
+class FamilyEntry(NamedTuple):
     family: str
     param: int
     d: int
@@ -421,8 +417,7 @@ class FamilyEntry:
         }
 
 
-@dataclass
-class FamilyReport:
+class FamilyReport(NamedTuple):
     p: int
     n: int
     entries: list[FamilyEntry]

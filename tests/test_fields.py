@@ -72,6 +72,20 @@ def _naive_find_irreducible(p, n):
     return tuple(best)
 
 
+def _walk_find_irreducible(p, n):
+    # The modulus search before candidates with a linear factor at 0, 1 or
+    # -1 were passed over: Ben-Or's test on every candidate, in order.
+    for k in range(p**n):
+        f = PolyFp(p, digits_of(k, p, n) + (1,))
+        if is_irreducible(f):
+            return f
+
+
+# Every prime power up to 3^8, then larger fields with each kind of modulus.
+_UP_TO_3_8 = [(p, n) for p in range(2, 3**8 + 1) if is_prime(p) for n in range(1, 14) if p**n <= 3**8]
+_LARGER = [(3, 9), (5, 5), (7, 7), (2, 16), (2, 24), (4099, 2), (65537, 2)]
+
+
 class TestFindIrreducible:
     def test_f9_modulus_is_x2_plus_1(self):
         assert find_irreducible(3, 2).coeffs == (1, 0, 1)
@@ -90,6 +104,20 @@ class TestFindIrreducible:
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             find_irreducible(4, 2)
+
+    def test_same_modulus_as_the_full_walk(self):
+        # __wrapped__: uncached, so the other tests' fields stay in the cache.
+        for p, n in _UP_TO_3_8 + _LARGER:
+            assert find_irreducible.__wrapped__(p, n) == _walk_find_irreducible(p, n), (p, n)
+
+    @pytest.mark.parametrize("p,n", [(2, 8), (3, 9), (5, 5), (7, 4)])
+    def test_ben_or_sees_no_linear_factor_at_0_or_1_or_minus_1(self, monkeypatch, p, n):
+        tested = []
+        monkeypatch.setattr(fields, "is_irreducible", lambda f: tested.append(f) or is_irreducible(f))
+        modulus = find_irreducible.__wrapped__(p, n)
+        assert tested[-1] == modulus
+        for f in tested:
+            assert all(f.evaluate(x) for x in (0, 1, p - 1)), f.coeffs
 
     def test_modulus_cached_per_field(self, monkeypatch):
         from gapnkit import fields

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import tempfile
-import types
 from pathlib import Path
 
 import numpy as np
@@ -674,7 +673,7 @@ class TestPreparedState:
         def refuse(*args):
             raise AssertionError("the second context built a prepared state")
 
-        monkeypatch.setattr(gapn, "random", types.SimpleNamespace(Random=refuse))
+        monkeypatch.setattr(random, "Random", refuse)  # prepare_verdicts imports random when it builds
         monkeypatch.setattr(gapn, "_subfield_verdicts", refuse)
         assert gapn.prepare_verdicts(second) is state
         assert list(gapn._prepared) == [(3, 8, first.modulus)]

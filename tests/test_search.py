@@ -7,7 +7,6 @@ import os
 import random
 import tempfile
 import time
-import types
 import zlib
 from collections import Counter
 from math import gcd
@@ -492,7 +491,7 @@ class TestCollisionCertificate:
             seeds.append(seed)
             return real(seed)
 
-        monkeypatch.setattr(gapn, "random", types.SimpleNamespace(Random=seeded))
+        monkeypatch.setattr(random, "Random", seeded)  # prepare_verdicts imports random when it builds
         assert run_search(SearchJob(3, 9, mode="conjecture")).conjecture_holds is True
         assert seeds == [gapn._SAMPLE_SEED] * 2
         assert sorted((p, n) for p, n, _ in gapn._prepared) == [(3, 3), (3, 9)]
@@ -995,9 +994,8 @@ class TestCache:
             SearchJob(3, 6, mode="conjecture", filters=SearchFilters(False, False)),
         ]
         plain = [_frozen(run_search(job)) for job in runs]
-        for job in runs:
-            job.cache_dir = str(tmp_path)
-        assert [_frozen(run_search(job)) for job in runs] == plain
+        cached = [job._replace(cache_dir=str(tmp_path)) for job in runs]
+        assert [_frozen(run_search(job)) for job in cached] == plain
 
     def test_filtered_reps_never_stored(self, tmp_path):
         run_search(SearchJob(3, 4, cache_dir=str(tmp_path)))
@@ -1260,6 +1258,5 @@ class TestCache:
             run_search(job)
         stored = set(search._load_cache(tmp_path, 3, 5))
         rest = self._brute_calls(monkeypatch, real)
-        job.jobs = 1
-        assert _frozen(run_search(job)) == reference
+        assert _frozen(run_search(job._replace(jobs=1))) == reference
         assert sorted(rest) == sorted(set(everything) - stored)

@@ -129,6 +129,50 @@ class TestFieldFreeStartUp:
                 assert json.loads(err)["error"] == "OrderTooLarge"
 
 
+# Modules no field-free start runs: the records are NamedTuples or slotted
+# classes, and csv and random are imported by the functions that use them.
+UNUSED_AT_START = ["csv", "dataclasses", "inspect", "random"]
+
+# _RUNNER's requests, reporting which of UNUSED_AT_START the import or the
+# command added to the modules already loaded before it; an interpreter
+# may load some of them at start (a site hook, say), and those do not count.
+_ADDED_RUNNER = """
+import contextlib, io, json, sys
+report, argv = sys.argv[1], sys.argv[2:]
+before = set(sys.modules)
+code = None
+if argv == ["--import-only"]:
+    import gapnkit
+elif argv == ["--import-cli-only"]:
+    import gapnkit.cli
+else:
+    from gapnkit.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+added = set(sys.modules) - before
+with open(report, "w") as fh:
+    json.dump({"code": code, "optimize": sys.flags.optimize,
+               "added": sorted(added & set(%r))}, fh)
+""" % UNUSED_AT_START
+
+ADDED_REQUESTS = [
+    (["--import-only"], None),
+    (["--import-cli-only"], None),
+    (["profile", "-p", "3", "-d", "2215"], 0),
+    (["criterion", "-p", "3", "-n", "12", "-d", "2215", "--format", "json"], 0),
+    (["search", "-p", "3", "-n", "12", "--mode", "weight-p-only"], 0),
+]
+
+
+class TestStartUpModules:
+    @pytest.mark.parametrize("flags", FLAGS)
+    @pytest.mark.parametrize("argv,code", ADDED_REQUESTS, ids=[" ".join(a) for a, _ in ADDED_REQUESTS])
+    def test_adds_no_unused_module(self, tmp_path, flags, argv, code):
+        report, out, err = _fresh(tmp_path, argv, flags, _ADDED_RUNNER)
+        assert report == {"code": code, "optimize": len(flags), "added": []}
+        assert (out, err) == ("", "")
+
+
 # _RUNNER with a pool started after the first candidate, on two CPUs
 # whatever the machine has.
 _POOL_RUNNER = (
