@@ -31,6 +31,7 @@ directly always give a new context.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import TYPE_CHECKING
 
 from .errors import DivisionByZero, NotIrreducible, NotPrime, OrderTooLarge
@@ -101,6 +102,8 @@ class FieldCtx:
     __slots__ = ("p", "n", "order", "_modulus_arg", *_BUILDERS)
 
     def __init__(self, p: int, n: int, modulus: PolyFp | None = None):
+        # Any integer type, as a Python int: p**n of numpy ints can wrap.
+        p, n = operator.index(p), operator.index(n)
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if n < 1:
@@ -361,14 +364,16 @@ _shared: dict[tuple[int, int], FieldCtx] = {}
 def make_field(p: int, n: int, modulus: PolyFp | None = None) -> FieldCtx:
     """A field context; the modulus defaults to the canonical one.
 
-    With the default modulus, int arguments and p**n <= SOFT_ORDER_BUDGET,
-    every call returns the same shared context, so its tables are built
-    once per interpreter.  Otherwise each call builds a new context.
-    Invalid arguments raise on every call: a context is stored only once
-    it is built.
+    With the default modulus and p**n <= SOFT_ORDER_BUDGET, every call
+    returns the same shared context, so its tables are built once per
+    interpreter.  Otherwise each call builds a new context.  p and n are
+    any integers, numpy's included; other types raise TypeError.  Invalid
+    arguments raise on every call: a context is stored only once it is
+    built.
     """
-    if modulus is not None or type(p) is not int or type(n) is not int:
+    if modulus is not None:
         return FieldCtx(p, n, modulus)
+    p, n = operator.index(p), operator.index(n)
     ctx = _shared.get((p, n))
     if ctx is None:
         ctx = FieldCtx(p, n)

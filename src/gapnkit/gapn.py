@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import WrongWeight, ZeroDirection
 from .fields import FieldCtx, make_field
@@ -65,31 +65,18 @@ from .monomial import digits_of, rank_mod_p
 from .polyfp import PolyFp, x_pow_mod
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 
-class _Record:
-    """== and repr field by field over __slots__, for the records that stay
-    assignable, which are therefore unhashable."""
-
-    __slots__ = ()
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple()))
-        return f"{type(self).__name__}({fields})"
-
-
-class FnTable(_Record):
+class FnTable:
     """A function on the field as a value table indexed by element index,
-    stored as an int64 array of element indices."""
+    stored as an int64 array of element indices.
+
+    Two tables are equal when their fields have the same (p, n, modulus)
+    and their values are equal; a table is unhashable.
+    """
 
     __slots__ = ("ctx", "values")
 
@@ -104,35 +91,35 @@ class FnTable(_Record):
         self.ctx = ctx
         self.values = vals
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        import numpy as np
 
-class GapnReport(_Record):
+        a, b = self.ctx, other.ctx
+        return (a.p, a.n, a.modulus) == (b.p, b.n, b.modulus) and np.array_equal(self.values, other.values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(ctx={self.ctx!r}, values={self.values!r})"
+
+
+class GapnReport(NamedTuple):
     """Differential behaviour of one function.
 
     spectrum maps a solution count c to the number of (direction, value)
     pairs attaining it, covering all (p**n - 1) * p**n pairs when complete;
     partial marks a verdict-mode run that stopped at the first offending
     projective class of directions.  witness is one (a, b) with more than
-    p solutions, when any exists and was seen.  deciders_agreed is a new
-    empty list when not given.
+    p solutions, when any exists and was seen.  deciders_agreed names the
+    deciders that agreed on is_gapn, () when not given.
     """
 
-    __slots__ = ("is_gapn", "max_count", "spectrum", "witness", "deciders_agreed", "partial")
-
-    def __init__(
-        self,
-        is_gapn: bool,
-        max_count: int,
-        spectrum: dict[int, int],
-        witness: tuple[int, int] | None,
-        deciders_agreed: list[str] | None = None,
-        partial: bool = False,
-    ):
-        self.is_gapn = is_gapn
-        self.max_count = max_count
-        self.spectrum = spectrum
-        self.witness = witness
-        self.deciders_agreed = [] if deciders_agreed is None else deciders_agreed
-        self.partial = partial
+    is_gapn: bool
+    max_count: int
+    spectrum: dict[int, int]
+    witness: tuple[int, int] | None
+    deciders_agreed: Sequence[str] = ()
+    partial: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -588,7 +575,6 @@ __all__ = [
     "monomial_gapn_fast",
     "monomial_gapn_verdict",
     "monomial_table",
-    "prepare_verdicts",
     "save_table_csv",
     "save_table_raw",
 ]

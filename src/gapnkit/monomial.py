@@ -57,6 +57,13 @@ def p_weight(d: int, p: int) -> int:
     return sum(digits_of(d, p))
 
 
+def _check_base_and_degree(p: int, n: int) -> None:
+    if p < 2:
+        raise ValueError(f"base {p} is below 2")
+    if n < 1:
+        raise ValueError("extension degree must be at least 1")
+
+
 def _coset_walk(d: int, p: int, n: int) -> list[int]:
     """d * p**k mod (p**n - 1) for k = 0..n-1, repeats included."""
     modulus = p**n - 1
@@ -91,6 +98,7 @@ def coset_reps(
     them for the whole range and polynomially many in n for a fixed
     max_weight, never all p**n exponents.
     """
+    _check_base_and_degree(p, n)
     if max_weight is None:
         max_weight = n * (p - 1)
     top = p**n - 1  # all digits p - 1; like 0 and 1, not in [2, p**n - 2]
@@ -123,6 +131,7 @@ def coset_count(p: int, n: int) -> int:
     The necklaces of 0, p**n - 1 and 1 are not counted; on F_2,
     p**n - 1 = 1, so the last two are one necklace.
     """
+    _check_base_and_degree(p, n)
     necklaces = sum(p ** math.gcd(k, n) for k in range(n)) // n
     return necklaces - (2 if p**n == 2 else 3)
 

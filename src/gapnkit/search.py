@@ -374,8 +374,7 @@ def _gather_verdicts(
         verdicts.update(dict.fromkeys(names, by_pair))
         verdicts[LINEARIZED_KERNEL] = gapn.linearized_kernel_dim(ctx, normalize_weight_p(d, p)) == 1
     _agree(verdicts, d, p, n)
-    report.deciders_agreed = sorted(verdicts)
-    return report
+    return report._replace(deciders_agreed=sorted(verdicts))
 
 
 def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> gapn.GapnReport:

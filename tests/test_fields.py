@@ -157,6 +157,22 @@ class TestConstruction:
         with pytest.raises(OrderTooLarge):
             make_field(2, 49)
 
+    @pytest.mark.parametrize("build", [make_field, FieldCtx])
+    def test_numpy_integers_are_python_ints(self, build):
+        # 3**40 in int64 wraps to a negative order below the cap.
+        with pytest.raises(OrderTooLarge):
+            build(np.int64(3), np.int64(40))
+        ctx = build(np.int64(3), np.int32(2))
+        assert (type(ctx.p), type(ctx.n), type(ctx.order)) == (int, int, int)
+        assert ctx.mul(3, 3) == FieldCtx(3, 2).mul(3, 3)
+
+    @pytest.mark.parametrize("build", [make_field, FieldCtx])
+    @pytest.mark.parametrize("p,n", [(3.0, 2), (3, 2.0), ("3", 2)])
+    def test_non_integers_raise_type_error(self, build, p, n):
+        make_field(3, 2)  # a shared context of the equal integers does not answer for them
+        with pytest.raises(TypeError):
+            build(p, n)
+
     def test_reducible_modulus_rejected(self):
         with pytest.raises(NotIrreducible):
             make_field(3, 2, PolyFp(3, (2, 0, 1)))  # x^2 - 1 = (x-1)(x+1)
@@ -579,10 +595,12 @@ class TestSharedFields:
         assert make_field(p, n) is not make_field(p, n)
         assert fields._shared == {}
 
-    def test_non_int_arguments_get_a_new_context(self):
+    def test_numpy_integer_arguments_share_one_context(self):
         ctx = make_field(np.int64(3), 4)
-        assert make_field(np.int64(3), 4) is not ctx
-        assert fields._shared == {}
+        assert make_field(np.int64(3), np.int32(4)) is ctx
+        assert make_field(3, 4) is ctx
+        assert fields._shared == {(3, 4): ctx}
+        assert [type(k) for k in fields._shared.popitem()[0]] == [int, int]
 
     def test_scan_above_budget_builds_its_own_field(self, monkeypatch):
         real = search.make_field

@@ -159,6 +159,14 @@ class TestWeightPReps:
             assert coset_count(p, n) == 0
             assert coset_reps(p, n) == ([], [])
 
+    @pytest.mark.parametrize("p,n,match", [(1, 3, "below 2"), (0, 3, "below 2"), (-2, 3, "below 2"),
+                                           (3, 0, "extension degree"), (2, -1, "extension degree")])
+    def test_no_field_raises_value_error(self, p, n, match):
+        with pytest.raises(ValueError, match=match):
+            coset_count(p, n)
+        with pytest.raises(ValueError, match=match):
+            coset_reps(p, n)
+
     def test_burnside_divisor_form(self):
         # The count (1/n) sum_(e | n) phi(e) p**(n/e), from phi by its
         # definition rather than the gcd sum coset_count uses.

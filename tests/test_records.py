@@ -1,11 +1,11 @@
 """The record classes' contract: construction, equality, to_dict, hashing
 and pickling.
 
-The records that are never assigned after construction are NamedTuples;
-FnTable and GapnReport are slotted classes, since FnTable validates its
-values and a GapnReport's deciders_agreed is filled in after the deciders
-run.  Every to_dict document below is the one the package has always
-written.
+Every record but FnTable is a NamedTuple: immutable, hashable when its
+fields are, and equal to the plain tuple of its fields.  FnTable is a
+slotted class, since it validates and converts its values; two tables
+are equal when their fields and values are, and a table is unhashable.
+Every to_dict document below is the one the package has always written.
 """
 
 import pickle
@@ -13,8 +13,8 @@ import pickle
 import numpy as np
 import pytest
 
-from gapnkit import PolyFp, make_field
-from gapnkit.gapn import FnTable, GapnReport
+from gapnkit import FieldCtx, PolyFp, make_field
+from gapnkit.gapn import FnTable, GapnReport, monomial_table
 from gapnkit.monomial import CriterionReport, ExceptionalProfile, Exponent
 from gapnkit.polyfp import Factorization
 from gapnkit.search import FamilyEntry, FamilyReport, SearchFilters, SearchJob, SearchResult
@@ -99,19 +99,14 @@ class TestConstruction:
 
     def test_defaults(self):
         report = GapnReport(False, 6, {}, None)
-        assert (report.deciders_agreed, report.partial) == ([], False)
-        assert report == GapnReport(is_gapn=False, max_count=6, spectrum={}, witness=None, deciders_agreed=[])
+        assert (report.deciders_agreed, report.partial) == ((), False)
+        assert report == GapnReport(is_gapn=False, max_count=6, spectrum={}, witness=None, deciders_agreed=())
         assert SearchFilters() == SearchFilters(True, True, False)
         job = SearchJob(3, 5)
         assert job == SearchJob(3, 5, "exhaustive", SearchFilters(), 1, None)
         assert (job.mode, job.filters, job.jobs, job.cache_dir) == ("exhaustive", SearchFilters(), 1, None)
         result = SearchResult(3, 2, "exhaustive", [], 4, {}, 0.5)
         assert (result.conjecture_holds, result.filter_check) == (None, None)
-
-    def test_default_deciders_list_is_per_report(self):
-        first, second = GapnReport(True, 3, {}, None), GapnReport(True, 3, {}, None)
-        first.deciders_agreed.append("brute-force")
-        assert second.deciders_agreed == []
 
     def test_missing_field_raises_type_error(self):
         for cls in RECORDS.keys() - {SearchFilters}:  # every SearchFilters field has a default
@@ -126,10 +121,8 @@ class TestEquality:
         changed = (not args[0] if isinstance(args[0], bool) else 7,) + tuple(args[1:])
         assert cls(*args) != cls(*changed)
 
-    def test_slotted_records_compare_only_with_their_class(self):
-        report = GapnReport(True, 3, {}, None)
-        assert report != (True, 3, {}, None, [], False)
-        assert report.__eq__(object()) is NotImplemented
+    def test_a_report_equals_the_tuple_of_its_fields(self):
+        assert GapnReport(True, 3, {}, None) == (True, 3, {}, None, (), False)
 
 
 class TestToDict:
@@ -159,12 +152,16 @@ class TestHashingAndAssignment:
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
 
-    def test_gapn_report_stays_assignable_and_unhashable(self):
-        report = GapnReport(True, 3, {}, None)
-        report.deciders_agreed = ["criterion"]
-        assert report.to_dict()["deciders_agreed"] == ["criterion"]
-        with pytest.raises(TypeError):
-            hash(report)
+    def test_gapn_report_refuses_assignment(self):
+        args, kwargs, expected = RECORDS[GapnReport]
+        report = GapnReport(*args)
+        for name in kwargs:
+            with pytest.raises(AttributeError):
+                setattr(report, name, 0)
+        assert report.to_dict() == expected
+        replaced = report._replace(deciders_agreed=["criterion"])
+        assert replaced.to_dict()["deciders_agreed"] == ["criterion"]
+        assert report.deciders_agreed == ["brute-force"]
 
 
 class TestFnTable:
@@ -190,6 +187,34 @@ class TestFnTable:
         assert repr(table).startswith("FnTable(ctx=")
         with pytest.raises(TypeError):
             hash(table)
+
+    def test_equal_tables_from_two_contexts(self):
+        first, second = monomial_table(make_field(3, 2), 5), monomial_table(FieldCtx(3, 2), 5)
+        assert first.ctx is not second.ctx and first.values is not second.values
+        assert first == second and not first != second
+        assert FnTable(make_field(2, 3), range(8)) == FnTable(FieldCtx(2, 3), np.arange(8))
+
+    def test_one_changed_value_is_unequal(self):
+        table = monomial_table(make_field(3, 2), 5)
+        values = table.values.copy()
+        values[4] = (values[4] + 1) % 9
+        changed = FnTable(table.ctx, values)
+        assert table != changed and not table == changed
+
+    def test_another_modulus_is_unequal(self):
+        values = range(9)
+        x2_plus_x_plus_2 = FieldCtx(3, 2, PolyFp(3, (2, 1, 1)))
+        assert make_field(3, 2).modulus != x2_plus_x_plus_2.modulus
+        assert FnTable(make_field(3, 2), values) != FnTable(x2_plus_x_plus_2, values)
+        assert not FnTable(make_field(3, 2), values) == FnTable(x2_plus_x_plus_2, values)
+
+    def test_another_field_is_unequal(self):
+        assert FnTable(make_field(3, 2), range(9)) != FnTable(make_field(2, 3), range(8))
+
+    def test_compares_only_with_tables(self):
+        table = FnTable(make_field(3, 2), range(9))
+        assert table != (table.ctx, table.values)
+        assert table.__eq__(object()) is NotImplemented
 
 
 class TestPickle:
