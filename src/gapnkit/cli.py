@@ -162,14 +162,14 @@ def _budget_gate(args, limit: int = SOFT_ORDER_BUDGET) -> None:
         )
 
 
-def _search_result(args, mode: str):
+def _search_result(args):
     # The prime first, as make_field reports it for the other commands:
     # the budget gate's advice to pass --long-running would only lead there.
     if not is_prime(args.p):
         raise NotPrime(f"{args.p} is not prime")
     # families-only decides a handful of exponents, so no budget applies.
-    if mode != "families-only":
-        _budget_gate(args, SOFT_ORDER_BUDGET**2 if mode == "weight-p-only" else SOFT_ORDER_BUDGET)
+    if args.mode != "families-only":
+        _budget_gate(args, SOFT_ORDER_BUDGET**2 if args.mode == "weight-p-only" else SOFT_ORDER_BUDGET)
     filters = SearchFilters(
         skip_even_weight=not args.no_skip_even,
         skip_low_weight=not args.no_skip_low,
@@ -178,7 +178,7 @@ def _search_result(args, mode: str):
     job = SearchJob(
         p=args.p,
         n=args.n,
-        mode=mode,
+        mode=args.mode,
         filters=filters,
         jobs=args.jobs,
         cache_dir=args.cache,
@@ -186,8 +186,16 @@ def _search_result(args, mode: str):
     return run_search(job)
 
 
-def _search_tail(result):
-    lines = [
+def _cmd_search(args):
+    result = _search_result(args)
+    if args.command == "conjecture":
+        verdict = "holds" if result.conjecture_holds else "fails"
+        lines = [f"conjecture {verdict} for ({args.p},{args.n})"]
+    else:
+        lines = [f"search p={args.p} n={args.n} mode={args.mode}"]
+        if result.conjecture_holds is not None:
+            lines.append(f"conjecture holds: {_yn(result.conjecture_holds)}")
+    lines += [
         f"scanned {result.scanned} cosets; filtered: "
         + ", ".join(f"{k}={v}" for k, v in result.filtered.items()),
         f"GAPN cosets: {len(result.gapn_cosets)}",
@@ -207,24 +215,7 @@ def _search_tail(result):
             f"{len(check['violations'])}"
         )
     lines.append(f"elapsed: {result.elapsed:.3f}s")
-    return lines, (["d", "weight", "members", "deciders"], rows)
-
-
-def _cmd_search(args):
-    result = _search_result(args, args.mode)
-    lines = [f"search p={args.p} n={args.n} mode={args.mode}"]
-    tail, csv_part = _search_tail(result)
-    if result.conjecture_holds is not None:
-        lines.append(f"conjecture holds: {_yn(result.conjecture_holds)}")
-    return result.to_dict(), lines + tail, csv_part
-
-
-def _cmd_conjecture(args):
-    result = _search_result(args, "conjecture")
-    verdict = "holds" if result.conjecture_holds else "fails"
-    lines = [f"conjecture {verdict} for ({args.p},{args.n})"]
-    tail, csv_part = _search_tail(result)
-    return result.to_dict(), lines + tail, csv_part
+    return result.to_dict(), lines, (["d", "weight", "members", "deciders"], rows)
 
 
 def _cmd_spectrum(args):
@@ -331,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("-n", type=_positive, required=True)
     _add_search_flags(sub)
     _add_format(sub)
-    sub.set_defaults(func=_cmd_conjecture)
+    sub.set_defaults(func=_cmd_search, mode="conjecture")
 
     sub = commands.add_parser("spectrum", help="full differential spectrum as CSV rows")
     sub.add_argument("-p", type=_positive, required=True)

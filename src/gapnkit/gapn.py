@@ -72,10 +72,14 @@ if TYPE_CHECKING:
 
 class FnTable:
     """A function on the field as a value table indexed by element index,
-    stored as an int64 array of element indices.
+    stored as a read-only int64 array of element indices.
 
-    Two tables are equal when their fields have the same (p, n, modulus)
-    and their values are equal; a table is unhashable.
+    A table is sealed: assigning ctx or values raises AttributeError, and
+    the array cannot be written.  A caller's int64 array that owns its
+    data is kept without a copy, so it becomes read-only too; any other
+    input, a view included, is copied first.  Two tables are equal when
+    their fields have the same (p, n, modulus) and their values are equal;
+    a table is unhashable.
     """
 
     __slots__ = ("ctx", "values")
@@ -84,12 +88,21 @@ class FnTable:
         import numpy as np
 
         vals = np.asarray(values, dtype=np.int64)
+        if not vals.flags.owndata:
+            vals = vals.copy()  # a view could still be written through its base
         if vals.shape != (ctx.order,):
             raise ValueError(f"value table must have length {ctx.order}")
         if vals.size and (vals.min() < 0 or vals.max() >= ctx.order):
             raise ValueError("value table contains non-element entries")
-        self.ctx = ctx
-        self.values = vals
+        vals.setflags(write=False)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "values", vals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: an FnTable is read-only")
+
+    def __reduce__(self):
+        return FnTable, (self.ctx, self.values)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -304,14 +304,12 @@ class ExceptionalProfile(NamedTuple):
     def predicts_gapn(self, n: int) -> bool:
         if self.p**n <= self.d:
             raise ValueError(f"{self.d} does not fit in F_({self.p}^{n})")
-        return self._predicts_fitting(n)
-
-    def _predicts_fitting(self, n: int) -> bool:
         return _gapn_in_dimension(n, self.p, self.root_orders, self.unit_root_multiplicity)
 
     def gapn_dimensions(self, n_max: int) -> list[int]:
         # Every n >= min_n fits, so the bigint p**n check is skipped.
-        return [n for n in range(self.min_n, n_max + 1) if self._predicts_fitting(n)]
+        p, orders, unit = self.p, self.root_orders, self.unit_root_multiplicity
+        return [n for n in range(self.min_n, n_max + 1) if _gapn_in_dimension(n, p, orders, unit)]
 
     def to_dict(self) -> dict:
         return {

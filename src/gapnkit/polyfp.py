@@ -90,15 +90,7 @@ class PolyFp:
         return _reduced(p, [-c % p for c in self.coeffs])
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
-        self._check_same_field(other)
-        p = self.p
-        a, b = self.coeffs, other.coeffs
-        out = list(a)
-        if len(a) < len(b):
-            out += [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = (out[i] - c) % p
-        return _reduced(p, out)
+        return self + -other
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         self._check_same_field(other)

@@ -109,8 +109,10 @@ def _agree(verdicts: dict[str, bool], d: int, p: int, n: int) -> bool:
     return next(iter(verdicts.values()))
 
 
-def _decide_weight_p(p: int, n: int, rep: int) -> tuple[bool, list[str]]:
-    d = normalize_weight_p(rep, p)
+def _decide_weight_p(p: int, n: int, d: int) -> tuple[bool, list[str]]:
+    """The criterion and circulant-rank panel on a normalized weight-p
+    exponent: one not divisible by p, such as a coset's smallest member
+    (dividing by p rotates the digits, so stays in the coset)."""
     verdicts = {
         CRITERION: criterion_gapn(d, p, n).is_gapn,
         CIRCULANT_RANK: circulant_rank(d, p, n) == n - 1,
@@ -370,9 +372,10 @@ def _gather_verdicts(
     if not full_ok:
         report = fast
     if p_weight(d, p) == p:
-        by_pair, names = _decide_weight_p(p, n, d)
+        dn = normalize_weight_p(d, p)
+        by_pair, names = _decide_weight_p(p, n, dn)
         verdicts.update(dict.fromkeys(names, by_pair))
-        verdicts[LINEARIZED_KERNEL] = gapn.linearized_kernel_dim(ctx, normalize_weight_p(d, p)) == 1
+        verdicts[LINEARIZED_KERNEL] = gapn.linearized_kernel_dim(ctx, dn) == 1
     _agree(verdicts, d, p, n)
     return report._replace(deciders_agreed=sorted(verdicts))
 

@@ -172,6 +172,16 @@ class TestProfileCommand:
             "GAPN dimensions n <= 6: 2 3 4 5 6",
         ]
 
+    def test_root_order_past_trial_division(self, capsys):
+        # 1 + 9x + x^12 over F_11: its degree-11 factor's root has order
+        # 15797 * 1806113, found by factoring 11**11 - 1 with Pollard rho.
+        code, out, err = run_cli(capsys, ["profile", "-p", "11", "-d", "3138428376821", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "d": 3138428376821,\n  "p": 11,\n  "root_orders": [\n    28531167061\n  ],\n'
+            '  "unit_root_multiplicity": 1,\n  "witness_n": 13,\n  "max_n": 12,\n  "gapn_dimensions": []\n}\n'
+        )
+
     def test_default_max_n(self, capsys):
         doc = json_doc(capsys, ["profile", "-p", "3", "-d", "5", "--format", "json"])
         assert doc["max_n"] == 12
@@ -268,6 +278,23 @@ class TestSearchCommand:
         assert lines[0] == "search p=3 n=4 mode=exhaustive"
         assert lines[1] == "scanned 21 cosets; filtered: low_weight=3, even_weight=9, out_of_band=0"
         assert lines[2] == "GAPN cosets: 4"
+
+    def test_conjecture_mode_human(self, capsys):
+        # The search heading names the mode, then gives the band's verdict.
+        code, out, err = run_cli(capsys, ["search", "-p", "3", "-n", "5", "--mode", "conjecture"])
+        assert (code, err) == (0, "")
+        *lines, elapsed = out.splitlines()
+        assert lines == [
+            "search p=3 n=5 mode=conjecture",
+            "conjecture holds: no",
+            "scanned 48 cosets; filtered: low_weight=0, even_weight=21, out_of_band=10",
+            "GAPN cosets: 4",
+            "  d=23 weight=5 members=[23 69 137 169 207] [monomial-fast]",
+            "  d=35 weight=5 members=[35 73 105 173 219] [monomial-fast]",
+            "  d=49 weight=5 members=[49 97 113 147 199] [monomial-fast]",
+            "  d=79 weight=7 members=[79 107 197 227 237] [monomial-fast]",
+        ]
+        assert re.fullmatch(r"elapsed: \d+\.\d{3}s", elapsed)
 
     def test_verify_filters_reported(self, capsys):
         code, out, _ = run_cli(capsys, ["search", "-p", "3", "-n", "4", "--verify-filters"])

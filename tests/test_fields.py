@@ -105,6 +105,10 @@ class TestFindIrreducible:
         with pytest.raises(NotPrime):
             find_irreducible(4, 2)
 
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            find_irreducible(3, 0)
+
     def test_same_modulus_as_the_full_walk(self):
         # __wrapped__: uncached, so the other tests' fields stay in the cache.
         for p, n in _UP_TO_3_8 + _LARGER:
@@ -180,6 +184,11 @@ class TestConstruction:
     def test_wrong_degree_modulus_rejected(self):
         with pytest.raises(NotIrreducible):
             make_field(3, 2, PolyFp(3, (1, 1)))
+
+    def test_modulus_over_another_prime_rejected(self):
+        # x^2 + 2 has degree 2, but its coefficients are in F_5, not F_3.
+        with pytest.raises(NotIrreducible, match="wrong prime field"):
+            FieldCtx(3, 2, PolyFp(5, (2, 0, 1)))
 
     def test_prime_field(self):
         ctx = make_field(3, 1)
@@ -560,6 +569,10 @@ class TestEncoding:
     def test_coeffs_reduce_mod_p(self, field):
         ctx = field(3, 2)
         assert ctx.element_from_coeffs((4, 5)) == ctx.element_from_coeffs((1, 2))
+
+    def test_more_coefficients_than_the_degree_rejected(self, field):
+        with pytest.raises(ValueError, match="too many coefficients"):
+            field(3, 2).element_from_coeffs([0, 0, 1])
 
     def test_custom_modulus_changes_arithmetic(self):
         # x^3 + 2x + 1 and x^3 + 2x + 2 are both irreducible over F_3

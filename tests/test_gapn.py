@@ -457,6 +457,10 @@ class TestMonomialTable:
         ctx = field(3, 2)
         assert monomial_table(ctx, 0).values.tolist() == [1] * 9
 
+    def test_negative_exponent_rejected(self, field):
+        with pytest.raises(ValueError, match="negative exponent"):
+            monomial_table(field(3, 2), -1)
+
     def test_matches_scalar_pow(self, field):
         ctx = field(5, 2)
         for d in (2, 7, 23):

@@ -37,7 +37,7 @@ from gapnkit import (
 )
 from gapnkit.monomial import CriterionReport, rank_mod_p
 from gapnkit.numtheory import is_prime, primes
-from gapnkit.polyfp import factorize, poly_gcd, root_order
+from gapnkit.polyfp import factorize, poly_gcd, root_order, x_pow_mod
 from numpy_cosets import coset_reps as numpy_coset_reps
 from numpy_rank import rank_mod_p as numpy_rank_mod_p
 
@@ -75,6 +75,10 @@ class TestDigits:
     def test_digits_overflow_rejected(self):
         with pytest.raises(ValueError):
             digits_of(11, 3, 2)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            digits_of(-1, 3)
 
     @pytest.mark.parametrize("base", [0, -2])
     def test_base_below_two_rejected(self, base):
@@ -431,6 +435,23 @@ class TestExceptionalProfile:
         assert profile.witness_n == 3
         assert profile.gapn_dimensions(10) == [3, 5, 7, 9]
 
+    def test_root_order_from_two_primes_above_trial_division(self):
+        # 1 + 9x + x^12 = (x - 1) h over F_11 with h irreducible of degree 11.
+        # The order of h's root divides 11**11 - 1 = 2 * 5 * 15797 * 1806113,
+        # and its two large primes are past trial division: only Pollard
+        # rho finds them.
+        d = 3138428376821
+        assert digits_of(d, 11) == (1, 9) + (0,) * 10 + (1,)
+        profile = exceptional_profile(d, 11)
+        order = 28531167061
+        assert profile.root_orders == (order,)
+        assert profile.unit_root_multiplicity == 1
+        h = digit_polynomial(d, 11) // PolyFp(11, (-1, 1))
+        assert h.degree == 11
+        assert order == 15797 * 1806113 and is_prime(15797) and is_prime(1806113)
+        assert x_pow_mod(order, h).is_one
+        assert not any(x_pow_mod(order // q, h).is_one for q in (15797, 1806113))
+
     def test_gapn_dimensions_long_range_is_cheap(self):
         profile = exceptional_profile(11, 3)
         t0 = time.perf_counter()
@@ -622,6 +643,10 @@ class TestFamilies:
     def test_max_degree_family_rejects_p2(self):
         with pytest.raises(EvenCharacteristic):
             max_degree_family(2, 4)
+
+    def test_max_degree_family_needs_n_at_least_1(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            max_degree_family(3, 0)
 
     def test_identify_family(self):
         assert identify_family(5, 3, 2) == ["gold(i=1)", "inverse-class(j=1)"]

@@ -42,6 +42,23 @@ class TestConstruction:
         assert P(3, 4, -1).coeffs == (1, 2)
         assert P(3).coeffs == ()
 
+    def test_characteristic_below_two_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            PolyFp(1)
+
+    def test_mixed_characteristics_rejected(self):
+        with pytest.raises(ValueError, match="mixed characteristics 3 and 5"):
+            P(3, 1) + P(5, 1)
+        with pytest.raises(ValueError, match="mixed characteristics 3 and 5"):
+            P(3, 1) - P(5, 1)
+
+    def test_subtraction_is_coefficientwise(self):
+        # Every pair of polynomials of degree below 3 over F_3, unequal lengths included.
+        digit_triples = list(itertools.product(range(3), repeat=3))
+        for u in digit_triples:
+            for v in digit_triples:
+                assert PolyFp(3, u) - PolyFp(3, v) == PolyFp(3, [x - y for x, y in zip(u, v)])
+
     def test_degree(self):
         assert P(3).degree == -1
         assert P(3, 2).degree == 0
@@ -399,6 +416,10 @@ class TestRootOrder:
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
             root_order(P(3, 2, 0, 1))
+
+    def test_constant_rejected(self):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            root_order(P(3, 2))
 
     @pytest.mark.parametrize("p,N", [(3, 4), (3, 8), (3, 13), (5, 6), (2, 7), (2, 15)])
     def test_orders_divide_cyclotomic_exponent(self, p, N):

@@ -3,8 +3,9 @@ and pickling.
 
 Every record but FnTable is a NamedTuple: immutable, hashable when its
 fields are, and equal to the plain tuple of its fields.  FnTable is a
-slotted class, since it validates and converts its values; two tables
-are equal when their fields and values are, and a table is unhashable.
+sealed slotted class, since it validates and converts its values: no
+attribute can be assigned and its array is read-only.  Two tables are
+equal when their fields and values are, and a table is unhashable.
 Every to_dict document below is the one the package has always written.
 """
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from gapnkit import FieldCtx, PolyFp, make_field
-from gapnkit.gapn import FnTable, GapnReport, monomial_table
+from gapnkit.gapn import FnTable, GapnReport, differential_spectrum, monomial_table
 from gapnkit.monomial import CriterionReport, ExceptionalProfile, Exponent
 from gapnkit.polyfp import Factorization
 from gapnkit.search import FamilyEntry, FamilyReport, SearchFilters, SearchJob, SearchResult
@@ -179,14 +180,55 @@ class TestFnTable:
         with pytest.raises(ValueError, match="non-element"):
             FnTable(ctx, [0] * 8 + [9])
 
-    def test_assignable_and_unhashable(self):
-        ctx = make_field(3, 2)
-        table = FnTable(ctx, range(9))
-        table.values = table.values[::-1]
-        assert table.values.tolist() == list(range(8, -1, -1))
+    def test_unhashable(self):
+        table = FnTable(make_field(3, 2), range(9))
         assert repr(table).startswith("FnTable(ctx=")
         with pytest.raises(TypeError):
             hash(table)
+
+    def test_values_cannot_be_reassigned(self):
+        # A reassigned table holding -1 would skip validation and give a
+        # report (max count 6) for a function that is no function.
+        table = FnTable(make_field(3, 2), range(9))
+        with pytest.raises(AttributeError):
+            table.values = np.array([0] * 8 + [-1])
+        assert table.values.tolist() == list(range(9))
+
+    def test_ctx_cannot_be_reassigned(self):
+        table = FnTable(make_field(3, 2), range(9))
+        with pytest.raises(AttributeError):
+            table.ctx = make_field(2, 3)
+        assert table.ctx is make_field(3, 2)
+
+    def test_values_cannot_be_written_in_place(self):
+        table = FnTable(make_field(3, 2), range(9))
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[8] = -1
+        assert not table.values.flags.writeable
+        assert differential_spectrum(table).max_count == 9  # x -> x, every pair hits p**n / p
+
+    def test_callers_int64_array_becomes_read_only(self):
+        # Kept without a copy, so the caller cannot change it under the table.
+        values = np.arange(9, dtype=np.int64)
+        table = FnTable(make_field(3, 2), values)
+        assert table.values is values
+        with pytest.raises(ValueError, match="read-only"):
+            values[8] = 100
+        assert differential_spectrum(table).max_count == 9
+
+    def test_a_view_is_copied(self):
+        # A read-only view could still be written through its base.
+        base = np.arange(18, dtype=np.int64)
+        table = FnTable(make_field(3, 2), base[:9])
+        base[8] = 100
+        assert table.values.tolist() == list(range(9))
+        assert base.flags.writeable
+
+    def test_a_rejected_array_stays_writable(self):
+        values = np.array([0] * 8 + [9], dtype=np.int64)
+        with pytest.raises(ValueError, match="non-element"):
+            FnTable(make_field(3, 2), values)
+        values[8] = 0
 
     def test_equal_tables_from_two_contexts(self):
         first, second = monomial_table(make_field(3, 2), 5), monomial_table(FieldCtx(3, 2), 5)
@@ -227,3 +269,12 @@ class TestPickle:
             assert type(copy) is cls
             assert copy == record
             assert copy.to_dict() == expected
+
+    def test_table_round_trip_stays_sealed(self):
+        table = monomial_table(make_field(3, 2), 5)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(table, protocol))
+            assert type(copy) is FnTable and copy == table
+            assert not copy.values.flags.writeable
+            with pytest.raises(AttributeError):
+                copy.values = table.values
