@@ -274,6 +274,11 @@ def _add_search_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="gapnkit",
         description="Decide, search, and profile GAPN monomials over F_(p^n).",
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(sub)
     sub.set_defaults(func=_cmd_spectrum)
 
-    return parser
+    return parser, commands.choices
 
 
 def _emit(args, doc, lines, csv_part) -> None:
@@ -354,14 +359,39 @@ def _emit(args, doc, lines, csv_part) -> None:
 
 
 @functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """_build_parsers(), once per interpreter: building them costs most of
+    a small request, and parsing leaves each parser as it found it."""
+    return _build_parsers()
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """build_parser(), once per interpreter: building it costs most of a
-    small request, and parse_args leaves the parser as it found it."""
-    return build_parser()
+    """The full parser of _parsers(), which _parse_args falls back to."""
+    return _parsers()[0]
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What _parser().parse_args(argv) returns, in one pass when argv
+    starts with a subcommand: the full parser would only hand the rest of
+    argv to that subcommand's parser, as parse_known_args(rest, None)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _parsers()[1].get(argv[0]) if argv else None
+    # "--=x" is the one argument the full parser itself rejects (it could
+    # be --help or --version) before the subcommand's parser sees it.
+    if sub is not None and not any(arg.startswith("--=") for arg in argv):
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    # Anything else -- no argument, -h, --version, an option before the
+    # subcommand, an unknown name, a leftover argument -- goes through the
+    # full parser, so help, version text and usage errors stay its own.
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _emit(args, *args.func(args))
     except (GapnkitError, ValueError, OSError) as exc:

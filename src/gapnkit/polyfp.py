@@ -12,6 +12,7 @@ polynomial.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BothZero, DivisionByZero, FactorizationTooLarge, RootIsZero
@@ -421,10 +422,15 @@ def root_order(h: PolyFp) -> int:
     return _order_of_x(h)
 
 
+@functools.lru_cache(maxsize=1024)
 def _order_of_x(h: PolyFp) -> int:
     """The order walk of root_order, for an h already known to be monic
     irreducible and not x, such as a factor from factorize: the group
-    order p**m - 1 divided by each prime q while x**(e/q) is still 1."""
+    order p**m - 1 divided by each prime q while x**(e/q) is still 1.
+
+    Memoised per factor, since PolyFp hashes and compares p with the
+    coefficients: digit polynomials of many exponents share small factors.
+    A raised FactorizationTooLarge is not cached."""
     p = h.p
     m = h.degree
     if m > _ROOT_ORDER_DEG_CAP:

@@ -666,6 +666,79 @@ class TestParserReuse:
                 assert code == 0
 
 
+# Inputs the subcommand's own parser must not settle alone, or settles the
+# same way the full parser does.
+_DISPATCH_EDGE_CASES = [
+    [],
+    ["nosuchcmd", "-p", "3"],
+    ["-h"],
+    ["--version"],
+    ["profile", "-h"],
+    ["search", "-p", "3", "-n", "4", "--help"],
+    ["--format", "json", "profile", "-p", "3", "-d", "13"],
+    ["-x", "profile", "-p", "3", "-d", "13"],
+    ["profile", "-p", "3", "-d", "13", "stray"],
+    ["profile", "-p", "3", "-d", "13", "--version"],
+    ["profile", "-p", "3", "-d", "13", "--vers"],
+    ["profile", "--", "-p", "3", "-d", "13"],
+    ["profile", "-p", "3", "-d", "13", "--"],
+    ["profile", "-p", "3", "-d", "13", "--form", "json"],
+    ["profile", "-p", "3", "-d", "13", "--max", "4"],
+    ["search", "-p", "3", "-n", "4", "--mode", "weight-p-only", "--long"],
+    ["profile", "-p3", "-d", "13"],
+    ["profile", "-p=3", "-d", "13"],
+    ["profile", "-p", "3", "-p", "5", "-d", "13"],
+    ["search", "-p", "3", "-n", "4", "--mode", "bogus"],
+    ["criterion", "-p", "3", "-n", "4", "-d", "11", "--format", "yaml"],
+    ["profile", "-p", "three", "-d", "13"],
+    ["profile", "-p", "3"],
+    # The full parser rejects "--=x" as ambiguous before any subcommand sees it.
+    ["profile", "-p", "3", "-d", "13", "--=x"],
+]
+
+
+class TestDispatchKeepsBytes:
+    """main parses argv with the subcommand's own parser alone, and says
+    exactly what the full parser's parse_args would have it say."""
+
+    def outputs(self, capsys, monkeypatch, tmp_path, argv):
+        def run(tag):
+            # search --cache D writes D; each run gets a fresh directory.
+            (tmp_path / tag).mkdir()
+            monkeypatch.chdir(tmp_path / tag)
+            code, out, err = run_cli(capsys, argv)
+            return code, re.sub(r'(elapsed"?: )[0-9.e+-]+', r"\1", out), err
+
+        dispatched = run("dispatched")
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+        return dispatched, run("full")
+
+    @pytest.mark.parametrize("argv", _EVERY_REQUEST_KIND + _DISPATCH_EDGE_CASES)
+    def test_same_exit_code_stdout_and_stderr(self, capsys, monkeypatch, tmp_path, argv):
+        dispatched, full = self.outputs(capsys, monkeypatch, tmp_path, argv)
+        assert dispatched == full
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "argv", ["gapnkit", "profile", "-p", "3", "-d", "13", "--format", "json"])
+        dispatched, full = self.outputs(capsys, monkeypatch, tmp_path, None)
+        assert dispatched == full
+        assert dispatched[0] == 0 and json.loads(dispatched[1])["d"] == 13
+
+    def test_same_namespace_as_a_fresh_parser(self):
+        for argv in _EVERY_REQUEST_KIND:
+            assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    def test_subcommand_parsers_not_built_at_import(self):
+        code = (
+            "import gapnkit.cli as c; "
+            "print(c._parser.cache_info().currsize, c._parsers.cache_info().currsize)"
+        )
+        path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stdout == "0 0\n", proc.stderr
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(capsys, ["--version"])

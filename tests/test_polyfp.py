@@ -14,7 +14,7 @@ from gapnkit import (
     poly_gcd,
     root_order,
 )
-from gapnkit.polyfp import is_irreducible, pow_mod, x_pow_mod
+from gapnkit.polyfp import _order_of_x, is_irreducible, pow_mod, x_pow_mod
 
 
 def P(p, *coeffs):
@@ -463,3 +463,43 @@ class TestRootOrder:
         for h, _ in factors:
             if h.degree == 3:
                 assert root_order(h) == 13
+
+
+class TestRootOrderMemo:
+    """_order_of_x walks each monic irreducible factor once per interpreter."""
+
+    @pytest.mark.parametrize("p,max_deg", [(3, 3), (5, 3), (7, 3), (2, 6)])
+    def test_memo_matches_the_walk_and_the_stepped_order(self, p, max_deg):
+        reducible = _reducible_monic(p, max_deg)
+        for deg in range(1, max_deg + 1):
+            for h in _monic(p, deg):
+                if h in reducible or h == P(p, 0, 1):
+                    continue
+                order = 1
+                while not x_pow_mod(order, h).is_one:
+                    order += 1
+                assert _order_of_x(h) == _order_of_x.__wrapped__(h) == order, h
+                assert _order_of_x(h) == order, h  # the memo's answer the second time
+
+    def test_equal_coefficients_over_different_primes_are_separate_entries(self):
+        _order_of_x.cache_clear()
+        assert (_order_of_x(P(3, 1, 1)), _order_of_x(P(5, 1, 1))) == (2, 2)
+        assert (_order_of_x(P(3, 1, 1)), _order_of_x(P(5, 1, 1))) == (2, 2)
+        info = _order_of_x.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+
+    @pytest.mark.parametrize("reducible", [P(5, 2, 3, 1), P(5, 1, 2, 1), P(3, 2, 0, 1)])
+    def test_reducible_rejected_after_its_factors_are_memoised(self, reducible):
+        for factor, _ in factorize(reducible).factors:
+            _order_of_x(factor)
+        with pytest.raises(ValueError, match="monic irreducible"):
+            root_order(reducible)
+
+    def test_degree_cap_raises_every_time(self):
+        h = PolyFp(3, (2,) + (0,) * 24 + (1,))
+        for _ in range(2):
+            with pytest.raises(FactorizationTooLarge):
+                _order_of_x(h)
+
+    def test_bounded(self):
+        assert _order_of_x.cache_info().maxsize is not None
