@@ -10,14 +10,23 @@ under x -> x + a, so solutions come in blocks of p.
 
 One kernel computes every derivative sum: S_1 is a row sum over the
 packed indices, and S_a f(a*z) = S_1 g(z) with g(z) = f(a*z) reduces any
-direction to it.  Three exact facts make it cheap:
+direction to it.  These exact facts make it cheap:
 
 - Projective directions.  S_(c*a) f = S_a f for every c in F_p^*, because
   i -> c*i permutes F_p, so a full spectrum needs only the
   M = (p**n - 1)/(p - 1) directions g**t, 0 <= t < M, each standing for
   p - 1 directions.
-- Batching.  For consecutive t, the tables z -> f(g**t * z) are one gather
-  from f in log order; a batch holds at most 2**14 values.
+- Frobenius orbits.  phi(x) = x**p fixes F_p, so when f commutes with phi,
+  as every power map does, S_phi(a) f(phi(x)) = phi(S_a f(x)): directions
+  a and a**p have one count multiset.  phi maps class t to class
+  t * p mod M, so such a table needs only the smallest class of each
+  orbit of t -> t * p mod M, about M / n classes, weighted by the orbit's
+  size.  A whole orbit offends or none of it does, so in verdict mode the
+  first offending class in t order is an orbit's smallest, and every
+  class before it has no count above p.
+- Batching.  For t consecutive or not, the tables z -> f(g**t * z) are
+  one gather from f in log order, a shifted one for consecutive t; a
+  batch holds at most 2**14 values.
 - Lane packing.  Every value is gathered as its digits packed into one
   int64 (FieldCtx.lane_table), with lanes wide enough that a digit sum of
   p values cannot carry, so a row's digit-vector sum is p - 1 integer
@@ -197,6 +206,42 @@ def _direction_lanes(ctx: FieldCtx, values: np.ndarray) -> tuple[np.ndarray, np.
     return lanes, index
 
 
+def _frobenius_classes(
+    ctx: FieldCtx, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(ts, weights, powers): the projective classes a spectrum computes,
+    in increasing t; how many classes each one stands for; and the
+    multipliers that name them, computed class t standing for the classes
+    t * powers mod M.  weights and powers are None when every class is
+    computed and stands for itself alone.
+
+    The Frobenius map phi(x) = x**p fixes F_p, so when f(phi(x)) = phi(f(x))
+    for every x, S_phi(a) f(phi(x)) = phi(S_a f(x)) and directions a and
+    a**p have one count multiset.  phi maps class t to class t * p mod M,
+    so such a table needs one class per orbit of t -> t * p mod M, its
+    smallest member, weighted by the orbit's size.  Any other table, and
+    every table on F_p, computes every class.  phi fixes exactly F_p, the
+    indices below p, so such a table maps F_p into F_p: a test of p entries
+    turns most other tables away before phi's table is built.
+    """
+    import numpy as np
+
+    p, n, m = ctx.p, ctx.n, _projective_count(ctx)
+    ts = np.arange(m, dtype=np.int64)
+    if n > 1 and values[:p].max() < p:
+        frob = ctx.antilog_table[ctx.log_table * p % (ctx.order - 1)]
+        frob[0] = 0
+        if (values[frob] == frob[values]).all():
+            least, member = ts.copy(), ts
+            for _ in range(n - 1):
+                member = member * p % m
+                np.minimum(least, member, out=least)
+            weights = np.bincount(least, minlength=m)
+            ts = np.flatnonzero(weights)
+            return ts, weights[ts], np.array([p**j for j in range(n)], dtype=np.int64)
+    return ts, None, None
+
+
 def _row_multiplicity(ctx: FieldCtx, sums: np.ndarray) -> np.ndarray:
     """(B, p**(n-1)) array: how many rows of the same direction share each
     row's sum.  S_a f(x) = b has p times as many solutions as b has rows,
@@ -221,7 +266,8 @@ def _row_multiplicity(ctx: FieldCtx, sums: np.ndarray) -> np.ndarray:
 
 def _spectrum(ctx: FieldCtx, row_hist: np.ndarray, directions: int, scale: int) -> dict[int, int]:
     """The spectrum of `directions` directions, each standing for `scale`,
-    from row_hist[k], the number of their rows with multiplicity k.
+    from row_hist[k], the number of their rows with multiplicity k >= 2;
+    row_hist[1] is not read, since every other row has multiplicity 1.
 
     A value hit by k rows is counted once by each of them, so row_hist[k] / k
     values have k * p solutions; the other values of the directions * p**n
@@ -230,7 +276,8 @@ def _spectrum(ctx: FieldCtx, row_hist: np.ndarray, directions: int, scale: int) 
     import numpy as np
 
     hist = row_hist.copy()
-    hist[1:] //= np.arange(1, hist.size)
+    hist[1] = directions * (ctx.order // ctx.p) - hist[2:].sum()
+    hist[2:] //= np.arange(2, hist.size)
     hist[0] = directions * ctx.order - hist[1:].sum()
     return {int(k) * ctx.p: int(hist[k]) * scale for k in np.nonzero(hist)[0]}
 
@@ -258,17 +305,27 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     """Solution-count statistics of S_a f(x) = b over all directions.
 
     S_(c*a) f = S_a f for every c in F_p^*, so only the M = (p**n - 1)/(p - 1)
-    projective directions g**t are computed, in batches of consecutive t,
-    and each one's counts stand for its p - 1 multiples.  A batch is
-    counted per row: each row's multiplicity is how many rows of its
-    direction share its sum, and a direction's largest count is p times its
-    largest multiplicity.  Mode "full" aggregates every direction; its
-    witness is the smallest direction index with a count above p and that
-    direction's smallest b of maximal count.  Mode "verdict" stops at the
-    first offending class in t order (the report is then flagged partial
-    when classes were left); its witness is that class's smallest member.
-    Every row sum must be an element index in [0, p**n), which is checked
-    for every batch.
+    projective directions g**t are computed, and each one's counts stand
+    for its p - 1 multiples.  A table that commutes with the Frobenius map
+    x -> x**p, as every power map does, needs only the smallest class of
+    each orbit of t -> t * p mod M, weighted by the orbit's size; any other
+    table computes every class (_frobenius_classes).  The classes are
+    computed in batches, counted per row: each row's multiplicity is how
+    many rows of its direction share its sum, and a direction's largest
+    count is p times its largest multiplicity.
+
+    Mode "full" aggregates every direction; its witness is the smallest
+    direction index with a count above p, sought over every class that an
+    offending class stands for, and that direction's smallest b of maximal
+    count, from its own class's row sums, since b moves with x -> x**p
+    along an orbit.  Mode "verdict" stops at the first offending class in
+    t order (the report is then flagged partial when classes were left);
+    its witness is that class's smallest member.  The orbit of an
+    offending class offends throughout, so the first offending class is
+    the smallest of its orbit, and every class before it, computed or not,
+    has p**(n-1) rows of multiplicity 1: the verdict report is the same
+    either way.  Every row sum must be an element index in [0, p**n),
+    which is checked for every batch.
     """
     import numpy as np
 
@@ -277,41 +334,59 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     ctx = f.ctx
     order, p = ctx.order, ctx.p
     m = _projective_count(ctx)
+    ts, weights, powers = _frobenius_classes(ctx, f.values)
     lanes, index = _direction_lanes(ctx, f.values)
     batch = max(1, _BATCH_ELEMENTS // order)
-    # Row j of base locates f(g**(t0 + j) * z) in lanes[t0:], for any t0.
+    # Row j of base locates f(g**(t0 + j) * z) in lanes[t0:], for any t0.  Orbit
+    # representatives are not consecutive: there base is rewritten for each batch.
     base = index + np.arange(batch, dtype=np.int64)[:, None]
-    row_hist = np.zeros(order // p + 1, dtype=np.int64)
-    directions = max_rows = 0
-    offending = []  # t of every class with a count above p
-    partial = False
-    for t0 in range(0, m, batch):
-        size = min(batch, m - t0)
-        mult = _row_multiplicity(ctx, _derivative_values(ctx, lanes[t0:], base[:size]))
+    row_hist = np.zeros(order // p + 1, dtype=np.int64)  # weighted; [1] is left to _spectrum
+    directions, max_rows = m, 1
+    offending = []  # t of every computed class with a count above p
+    for s0 in range(0, ts.size, batch):
+        t = ts[s0 : s0 + batch]
+        at = base[: t.size]
+        if weights is None:  # consecutive classes: base, shifted by t[0]
+            source = lanes[int(t[0]) :]
+        else:
+            source = lanes
+            np.add(index, t[:, None], out=at)
+        mult = _row_multiplicity(ctx, _derivative_values(ctx, source, at))
         tops = mult.max(axis=1)
         bad = np.flatnonzero(tops > 1)
-        stop = bool(bad.size) and mode == "verdict"
-        if stop:
-            mult, tops, bad = mult[: bad[0] + 1], tops[: bad[0] + 1], bad[:1]
-        top = int(tops.max())
-        # A batch where no two rows share a sum, as every batch of a GAPN map,
-        # needs no histogram.
-        row_hist[: top + 1] += np.bincount(mult.ravel()) if top > 1 else (0, mult.size)
-        directions += len(mult)
-        max_rows = max(max_rows, top)
-        offending.append(t0 + bad)
-        if stop:
-            partial = t0 + int(bad[0]) < m - 1
+        if not bad.size:  # every row of multiplicity 1, as in every batch of a GAPN map
+            continue
+        if mode == "verdict":
+            j = int(bad[0])
+            row_hist = np.bincount(mult[j])
+            directions, max_rows = int(t[j]) + 1, int(tops[j])
+            offending, powers = [t[j : j + 1]], None  # the witness is class t[j]'s own
             break
+        if weights is None:
+            counted = np.bincount(mult.ravel())
+            row_hist[: counted.size] += counted
+        else:
+            w = weights[s0 : s0 + batch]
+            kinds = set(w.tolist())  # orbit sizes divide n, so a batch holds few
+            for weight in kinds:
+                group = mult if len(kinds) == 1 else mult[np.flatnonzero(w == weight)]
+                counted = np.bincount(group.ravel())
+                row_hist[: counted.size] += weight * counted
+        max_rows = max(max_rows, int(tops.max()))
+        offending.append(t[bad])
     witness = None
-    ts = np.concatenate(offending)
-    if ts.size:
-        # Class t is {g**(t + k*M) : 0 <= k < p - 1}; the witness direction
-        # is the smallest member of any offending class.
-        members = ts[:, None] + m * np.arange(p - 1, dtype=np.int64)
+    if offending:
+        # Class t is {g**(t + k*M) : 0 <= k < p - 1}, and a computed class
+        # stands for the classes t * powers mod M; the witness direction is
+        # the smallest member of any offending class, whose own row sums
+        # give b.
+        classes = np.concatenate(offending)
+        if powers is not None:
+            classes = (classes[:, None] * powers % m).ravel()
+        members = classes[:, None] + m * np.arange(p - 1, dtype=np.int64)
         smallest = ctx.antilog_table[members].min(axis=1)
         j = int(smallest.argmin())
-        sums = _derivative_values(ctx, lanes[int(ts[j]) :], index[None, :])
+        sums = _derivative_values(ctx, lanes[int(classes[j]) :], index[None, :])
         witness = (int(smallest[j]), _top_sum(sums, _row_multiplicity(ctx, sums)[0]))
     return GapnReport(
         is_gapn=max_rows <= 1,
@@ -319,7 +394,7 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
         spectrum=_spectrum(ctx, row_hist, directions, p - 1),
         witness=witness,
         deciders_agreed=["brute-force"],
-        partial=partial,
+        partial=directions < m,
     )
 
 

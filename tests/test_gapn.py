@@ -363,6 +363,107 @@ class TestCountOracle:
                 self._assert_oracle(f)
             assert monomial_gapn_fast(ctx, 7).to_dict() == numpy_spectrum.monomial_spectrum(ctx, 7)
 
+    @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2)])
+    def test_frobenius_equivariant_tables(self, field, p, n):
+        # Tables that commute with x -> x**p without being monomials compute
+        # one class per Frobenius orbit, and still give the oracle's report.
+        ctx = field(p, n)
+        mono = lambda d: monomial_table(ctx, d).values
+        rng = np.random.default_rng(p * 10 + n)
+        tables = [ctx.add_array(mono(p), mono(1))]
+        tables += [ctx.add_array(mono(int(a)), mono(int(b))) for a, b in rng.integers(1, ctx.order - 1, (6, 2))]
+        for d in (2, 3, p + 2):
+            for c in range(p):  # x**d with f(0) = c, in F_p
+                tables.append(np.concatenate([[c], mono(d)[1:]]))
+        for values in tables:
+            f = FnTable(ctx, values)
+            ts, weights, _ = gapn._frobenius_classes(ctx, f.values)
+            assert weights is not None and ts.size < (ctx.order - 1) // (p - 1)
+            self._assert_oracle(f)
+
+    @pytest.mark.parametrize("p,n,a,b", [(2, 6, 5, 18), (3, 4, 5, 11), (5, 3, 9, 18)])
+    def test_witness_outside_representatives(self, field, p, n, a, b):
+        # The smallest offending direction of x**a + x**b lies in a class
+        # that is not computed, so the witness comes from another member of
+        # an orbit, with that class's own b.
+        ctx = field(p, n)
+        f = FnTable(ctx, ctx.add_array(monomial_table(ctx, a).values, monomial_table(ctx, b).values))
+        ts, _, _ = gapn._frobenius_classes(ctx, f.values)
+        direction = differential_spectrum(f).witness[0]
+        assert int(ctx.log_table[direction]) % ((ctx.order - 1) // (p - 1)) not in ts
+        self._assert_oracle(f)
+
+    @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2)])
+    def test_broken_frobenius_symmetry(self, field, p, n):
+        # x**5 with one value moved no longer commutes with x -> x**p: one
+        # change at an x outside F_p, one at 0 to a value outside F_p.
+        ctx = field(p, n)
+        base = monomial_table(ctx, 5).values
+        outside = base.copy()
+        outside[p] = (outside[p] + 1) % ctx.order
+        at_zero = base.copy()
+        at_zero[0] = p
+        for values in (outside, at_zero):
+            f = FnTable(ctx, values)
+            ts, weights, powers = gapn._frobenius_classes(ctx, f.values)
+            assert weights is None and powers is None
+            assert ts.tolist() == list(range((ctx.order - 1) // (p - 1)))
+            self._assert_oracle(f)
+
+    def test_batch_sizes_of_representatives(self, field, monkeypatch):
+        # One, two and four orbit representatives per batch, with the first
+        # offending class of a verdict run at representative 2, 3 or 4: 2
+        # lies inside a batch of four, 3 ends a batch of two or four, and 4
+        # starts one.
+        ctx = field(3, 4)
+        mono = lambda d: monomial_table(ctx, d).values
+        cases = [FnTable(ctx, ctx.add_array(mono(a), mono(b))) for a, b in ((7, 11), (5, 19), (5, 8))]
+        for position, f in enumerate(cases, start=2):
+            ts, weights, _ = gapn._frobenius_classes(ctx, f.values)
+            assert weights is not None
+            assert ts[position] == _first_offending_class(f)
+        cases.append(monomial_table(ctx, 5))
+        for elements in (ctx.order, 2 * ctx.order, 4 * ctx.order):
+            monkeypatch.setattr(gapn, "_BATCH_ELEMENTS", elements)
+            for f in cases:
+                self._assert_oracle(f)
+
+    @pytest.mark.parametrize(
+        "p,n,exponents", [(3, 6, (5, 7, 2, 4)), (2, 9, (3, 5, 7, 9)), (7, 3, (13, 19, 2, 3)), (3, 7, (5, 7, 2, 4))]
+    )
+    def test_larger_fields(self, field, p, n, exponents):
+        # Two GAPN exponents, then two that are not.
+        ctx = field(p, n)
+        verdicts = []
+        for d in exponents:
+            f = monomial_table(ctx, d)
+            report = differential_spectrum(f).to_dict()
+            assert report == numpy_spectrum.spectrum(f, "full")
+            verdicts.append(report["is_gapn"])
+        assert verdicts == [True, True, False, False]
+
+
+# Every field of order up to 3^7 with n >= 2.
+_ORBIT_FIELDS = [
+    (p, n) for p in range(2, 47) if is_prime(p) for n in range(2, 12) if p**n <= 3**7  # 47**2 > 3**7
+]
+
+
+@pytest.mark.parametrize("p,n", _ORBIT_FIELDS)
+def test_frobenius_orbit_partition(field, p, n):
+    # The classes a power map computes are the orbit minima of t -> t * p
+    # mod M, each weighted by its orbit's size, and their orbits partition
+    # the M classes: worked out here one orbit at a time.
+    ctx = field(p, n)
+    m = (ctx.order - 1) // (p - 1)
+    orbits = {frozenset(t * p**j % m for j in range(n)) for t in range(m)}
+    ts, weights, powers = gapn._frobenius_classes(ctx, monomial_table(ctx, 1).values)
+    assert ts.tolist() == sorted(min(orbit) for orbit in orbits)
+    assert weights.tolist() == [len(orbit) for orbit in sorted(orbits, key=min)]
+    assert int(weights.sum()) == m
+    covered = [{int(t) * int(q) % m for q in powers} for t in ts]
+    assert covered == sorted(orbits, key=min)
+
 
 # Replaces one row sum of every derivative pass, then checks that both
 # counting routines refuse it; argv[1] is where the report goes.
