@@ -365,14 +365,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return _build_parsers()
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The full parser of _parsers(), which _parse_args falls back to."""
-    return _parsers()[0]
-
-
 def _parse_args(argv) -> argparse.Namespace:
-    """What _parser().parse_args(argv) returns, in one pass when argv
+    """What _parsers()[0].parse_args(argv) returns, in one pass when argv
     starts with a subcommand: the full parser would only hand the rest of
     argv to that subcommand's parser, as parse_known_args(rest, None)."""
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -387,7 +381,7 @@ def _parse_args(argv) -> argparse.Namespace:
     # Anything else -- no argument, -h, --version, an option before the
     # subcommand, an unknown name, a leftover argument -- goes through the
     # full parser, so help, version text and usage errors stay its own.
-    return _parser().parse_args(argv)
+    return _parsers()[0].parse_args(argv)
 
 
 def main(argv=None) -> int:

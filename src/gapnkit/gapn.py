@@ -20,13 +20,15 @@ direction to it.  These exact facts make it cheap:
   as every power map does, S_phi(a) f(phi(x)) = phi(S_a f(x)): directions
   a and a**p have one count multiset.  phi maps class t to class
   t * p mod M, so such a table needs only the smallest class of each
-  orbit of t -> t * p mod M, about M / n classes, weighted by the orbit's
-  size.  A whole orbit offends or none of it does, so in verdict mode the
-  first offending class in t order is an orbit's smallest, and every
-  class before it has no count above p.
-- Batching.  For t consecutive or not, the tables z -> f(g**t * z) are
-  one gather from f in log order, a shifted one for consecutive t; a
-  batch holds at most 2**14 values.
+  orbit of t -> t * p mod M, about M / n classes.  Each class t has a
+  weight, the number of classes it stands for: the orbit's size at an
+  orbit's smallest class and 0 at the others, or 1 at every class of a
+  table without the symmetry.  A whole orbit offends or none of it does,
+  so in verdict mode the first offending class in t order is an orbit's
+  smallest, and every class before it has no count above p.
+- Batching.  The classes of nonzero weight are computed in batches of at
+  most 2**14 values; the tables z -> f(g**t * z) of a batch are one
+  gather from f in log order, a shifted one when every class is computed.
 - Lane packing.  Every value is gathered as its digits packed into one
   int64 (FieldCtx.lane_table), with lanes wide enough that a digit sum of
   p values cannot carry, so a row's digit-vector sum is p - 1 integer
@@ -81,7 +83,8 @@ if TYPE_CHECKING:
 
 class FnTable:
     """A function on the field as a value table indexed by element index,
-    stored as a read-only int64 array of element indices.
+    stored as a read-only int64 array of element indices; values of any
+    other kind than integer raise ValueError.
 
     A table is sealed: assigning ctx or values raises AttributeError, and
     the array cannot be written.  A caller's int64 array that owns its
@@ -96,7 +99,10 @@ class FnTable:
     def __init__(self, ctx: FieldCtx, values: np.ndarray):
         import numpy as np
 
-        vals = np.asarray(values, dtype=np.int64)
+        vals = np.asarray(values)
+        if vals.dtype.kind not in "iu":  # a cast would truncate floats and read bools as 0 and 1
+            raise ValueError(f"value table must hold integers, not {vals.dtype}")
+        vals = vals.astype(np.int64, copy=False)
         if not vals.flags.owndata:
             vals = vals.copy()  # a view could still be written through its base
         if vals.shape != (ctx.order,):
@@ -206,40 +212,32 @@ def _direction_lanes(ctx: FieldCtx, values: np.ndarray) -> tuple[np.ndarray, np.
     return lanes, index
 
 
-def _frobenius_classes(
-    ctx: FieldCtx, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(ts, weights, powers): the projective classes a spectrum computes,
-    in increasing t; how many classes each one stands for; and the
-    multipliers that name them, computed class t standing for the classes
-    t * powers mod M.  weights and powers are None when every class is
-    computed and stands for itself alone.
+def _frobenius_classes(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
+    """weights[t], 0 <= t < M: how many projective classes class t stands
+    for in a spectrum, 0 for a class that is not computed.
 
     The Frobenius map phi(x) = x**p fixes F_p, so when f(phi(x)) = phi(f(x))
     for every x, S_phi(a) f(phi(x)) = phi(S_a f(x)) and directions a and
     a**p have one count multiset.  phi maps class t to class t * p mod M,
     so such a table needs one class per orbit of t -> t * p mod M, its
-    smallest member, weighted by the orbit's size.  Any other table, and
-    every table on F_p, computes every class.  phi fixes exactly F_p, the
+    smallest member, weighted by the orbit's size; the other members, the
+    classes t * p**j mod M, weigh 0.  Any other table, and every table on
+    F_p, computes every class with weight 1.  phi fixes exactly F_p, the
     indices below p, so such a table maps F_p into F_p: a test of p entries
-    turns most other tables away before phi's table is built.
+    turns most other tables away before phi's table is read.
     """
     import numpy as np
 
     p, n, m = ctx.p, ctx.n, _projective_count(ctx)
-    ts = np.arange(m, dtype=np.int64)
     if n > 1 and values[:p].max() < p:
-        frob = ctx.antilog_table[ctx.log_table * p % (ctx.order - 1)]
-        frob[0] = 0
+        frob = monomial_table(ctx, p).values
         if (values[frob] == frob[values]).all():
-            least, member = ts.copy(), ts
+            least = member = np.arange(m, dtype=np.int64)
             for _ in range(n - 1):
                 member = member * p % m
                 np.minimum(least, member, out=least)
-            weights = np.bincount(least, minlength=m)
-            ts = np.flatnonzero(weights)
-            return ts, weights[ts], np.array([p**j for j in range(n)], dtype=np.int64)
-    return ts, None, None
+            return np.bincount(least, minlength=m)
+    return np.ones(m, dtype=np.int64)
 
 
 def _row_multiplicity(ctx: FieldCtx, sums: np.ndarray) -> np.ndarray:
@@ -306,13 +304,15 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
 
     S_(c*a) f = S_a f for every c in F_p^*, so only the M = (p**n - 1)/(p - 1)
     projective directions g**t are computed, and each one's counts stand
-    for its p - 1 multiples.  A table that commutes with the Frobenius map
-    x -> x**p, as every power map does, needs only the smallest class of
-    each orbit of t -> t * p mod M, weighted by the orbit's size; any other
-    table computes every class (_frobenius_classes).  The classes are
-    computed in batches, counted per row: each row's multiplicity is how
-    many rows of its direction share its sum, and a direction's largest
-    count is p times its largest multiplicity.
+    for its p - 1 multiples.  Each class has a weight, the number of
+    classes it stands for (_frobenius_classes): a table that commutes with
+    the Frobenius map x -> x**p, as every power map does, computes only
+    the smallest class of each orbit of t -> t * p mod M, weighted by the
+    orbit's size, and any other table computes every class with weight 1.
+    The classes of nonzero weight are computed in batches, counted per
+    row: each row's multiplicity is how many rows of its direction share
+    its sum, every row counts its class's weight times in the spectrum,
+    and a direction's largest count is p times its largest multiplicity.
 
     Mode "full" aggregates every direction; its witness is the smallest
     direction index with a count above p, sought over every class that an
@@ -334,7 +334,10 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     ctx = f.ctx
     order, p = ctx.order, ctx.p
     m = _projective_count(ctx)
-    ts, weights, powers = _frobenius_classes(ctx, f.values)
+    weights = _frobenius_classes(ctx, f.values)
+    ts = np.flatnonzero(weights)
+    # A computed class stands for the classes t * p**j mod M, j < orbit.
+    orbit = int(weights.max())
     lanes, index = _direction_lanes(ctx, f.values)
     batch = max(1, _BATCH_ELEMENTS // order)
     # Row j of base locates f(g**(t0 + j) * z) in lanes[t0:], for any t0.  Orbit
@@ -346,7 +349,7 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     for s0 in range(0, ts.size, batch):
         t = ts[s0 : s0 + batch]
         at = base[: t.size]
-        if weights is None:  # consecutive classes: base, shifted by t[0]
+        if ts.size == m:  # consecutive classes: base, shifted by t[0]
             source = lanes[int(t[0]) :]
         else:
             source = lanes
@@ -360,29 +363,22 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
             j = int(bad[0])
             row_hist = np.bincount(mult[j])
             directions, max_rows = int(t[j]) + 1, int(tops[j])
-            offending, powers = [t[j : j + 1]], None  # the witness is class t[j]'s own
+            offending, orbit = [t[j : j + 1]], 1  # the witness is class t[j]'s own
             break
-        if weights is None:
-            counted = np.bincount(mult.ravel())
-            row_hist[: counted.size] += counted
-        else:
-            w = weights[s0 : s0 + batch]
-            kinds = set(w.tolist())  # orbit sizes divide n, so a batch holds few
-            for weight in kinds:
-                group = mult if len(kinds) == 1 else mult[np.flatnonzero(w == weight)]
-                counted = np.bincount(group.ravel())
-                row_hist[: counted.size] += weight * counted
+        w = weights[t]
+        kinds = set(w.tolist())  # orbit sizes divide n, so a batch holds few
+        for weight in kinds:
+            group = mult if len(kinds) == 1 else mult[np.flatnonzero(w == weight)]
+            counted = np.bincount(group.ravel())
+            row_hist[: counted.size] += weight * counted
         max_rows = max(max_rows, int(tops.max()))
         offending.append(t[bad])
     witness = None
     if offending:
-        # Class t is {g**(t + k*M) : 0 <= k < p - 1}, and a computed class
-        # stands for the classes t * powers mod M; the witness direction is
-        # the smallest member of any offending class, whose own row sums
-        # give b.
-        classes = np.concatenate(offending)
-        if powers is not None:
-            classes = (classes[:, None] * powers % m).ravel()
+        # Class t is {g**(t + k*M) : 0 <= k < p - 1}; the witness direction
+        # is the smallest member of any class an offending class stands
+        # for, whose own row sums give b.
+        classes = (np.concatenate(offending)[:, None] * p ** np.arange(orbit, dtype=np.int64) % m).ravel()
         members = classes[:, None] + m * np.arange(p - 1, dtype=np.int64)
         smallest = ctx.antilog_table[members].min(axis=1)
         j = int(smallest.argmin())

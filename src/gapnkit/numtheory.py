@@ -93,8 +93,6 @@ def factorint(n: int) -> dict[int, int]:
         stack = [n]
         while stack:
             m = stack.pop()
-            if m == 1:
-                continue
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue

@@ -632,25 +632,31 @@ _EVERY_REQUEST_KIND = [
 
 class TestParserReuse:
     def test_built_at_first_main_call_not_at_import(self):
-        code = "import gapnkit.cli as c; print(c._parser.cache_info().currsize)"
+        code = (
+            "import contextlib, io, gapnkit.cli as c\n"
+            "before = c._parsers.cache_info().currsize\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    c.main(['profile', '-p', '3', '-d', '13'])\n"
+            "print(before, c._parsers.cache_info().currsize)\n"
+        )
         path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-        assert proc.stdout == "0\n", proc.stderr
+        assert proc.stdout == "0 1\n", proc.stderr
 
     def test_one_parser_per_interpreter(self, capsys):
         run_cli(capsys, ["profile", "-p", "3", "-d", "13"])
-        assert cli._parser() is cli._parser()
+        assert cli._parsers()[0] is cli._parsers()[0]
 
     def test_reused_parser_matches_fresh_one(self):
-        shared = cli._parser()
+        shared = cli._parsers()[0]
         for argv in _EVERY_REQUEST_KIND:
             shared.parse_args(argv)
         for argv in _EVERY_REQUEST_KIND:
             assert shared.parse_args(argv) == cli.build_parser().parse_args(argv)
 
     def test_no_state_carried_between_requests(self):
-        shared = cli._parser()
+        shared = cli._parsers()[0]
         assert shared.parse_args(["search", "-p", "3", "-n", "4", "--cache", "D"]).cache == "D"
         args = shared.parse_args(["search", "-p", "3", "-n", "4"])
         assert args.cache is None
@@ -710,7 +716,7 @@ class TestDispatchKeepsBytes:
             return code, re.sub(r'(elapsed"?: )[0-9.e+-]+', r"\1", out), err
 
         dispatched = run("dispatched")
-        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parsers()[0].parse_args(argv))
         return dispatched, run("full")
 
     @pytest.mark.parametrize("argv", _EVERY_REQUEST_KIND + _DISPATCH_EDGE_CASES)
@@ -729,14 +735,11 @@ class TestDispatchKeepsBytes:
             assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
 
     def test_subcommand_parsers_not_built_at_import(self):
-        code = (
-            "import gapnkit.cli as c; "
-            "print(c._parser.cache_info().currsize, c._parsers.cache_info().currsize)"
-        )
+        code = "import gapnkit.cli as c; print(c._parsers.cache_info().currsize)"
         path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-        assert proc.stdout == "0 0\n", proc.stderr
+        assert proc.stdout == "0\n", proc.stderr
 
 
 class TestVersion:

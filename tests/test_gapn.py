@@ -375,10 +375,10 @@ class TestCountOracle:
         for d in (2, 3, p + 2):
             for c in range(p):  # x**d with f(0) = c, in F_p
                 tables.append(np.concatenate([[c], mono(d)[1:]]))
+        weights = _orbit_weights(p, n)
         for values in tables:
             f = FnTable(ctx, values)
-            ts, weights, _ = gapn._frobenius_classes(ctx, f.values)
-            assert weights is not None and ts.size < (ctx.order - 1) // (p - 1)
+            assert gapn._frobenius_classes(ctx, f.values).tolist() == weights
             self._assert_oracle(f)
 
     @pytest.mark.parametrize("p,n,a,b", [(2, 6, 5, 18), (3, 4, 5, 11), (5, 3, 9, 18)])
@@ -388,7 +388,7 @@ class TestCountOracle:
         # an orbit, with that class's own b.
         ctx = field(p, n)
         f = FnTable(ctx, ctx.add_array(monomial_table(ctx, a).values, monomial_table(ctx, b).values))
-        ts, _, _ = gapn._frobenius_classes(ctx, f.values)
+        ts = np.flatnonzero(gapn._frobenius_classes(ctx, f.values))
         direction = differential_spectrum(f).witness[0]
         assert int(ctx.log_table[direction]) % ((ctx.order - 1) // (p - 1)) not in ts
         self._assert_oracle(f)
@@ -396,7 +396,8 @@ class TestCountOracle:
     @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2)])
     def test_broken_frobenius_symmetry(self, field, p, n):
         # x**5 with one value moved no longer commutes with x -> x**p: one
-        # change at an x outside F_p, one at 0 to a value outside F_p.
+        # change at an x outside F_p, one at 0 to a value outside F_p.  Every
+        # class is computed and stands for itself alone.
         ctx = field(p, n)
         base = monomial_table(ctx, 5).values
         outside = base.copy()
@@ -405,9 +406,7 @@ class TestCountOracle:
         at_zero[0] = p
         for values in (outside, at_zero):
             f = FnTable(ctx, values)
-            ts, weights, powers = gapn._frobenius_classes(ctx, f.values)
-            assert weights is None and powers is None
-            assert ts.tolist() == list(range((ctx.order - 1) // (p - 1)))
+            assert gapn._frobenius_classes(ctx, f.values).tolist() == [1] * ((ctx.order - 1) // (p - 1))
             self._assert_oracle(f)
 
     def test_batch_sizes_of_representatives(self, field, monkeypatch):
@@ -419,9 +418,9 @@ class TestCountOracle:
         mono = lambda d: monomial_table(ctx, d).values
         cases = [FnTable(ctx, ctx.add_array(mono(a), mono(b))) for a, b in ((7, 11), (5, 19), (5, 8))]
         for position, f in enumerate(cases, start=2):
-            ts, weights, _ = gapn._frobenius_classes(ctx, f.values)
-            assert weights is not None
-            assert ts[position] == _first_offending_class(f)
+            weights = gapn._frobenius_classes(ctx, f.values)
+            assert weights.tolist() == _orbit_weights(3, 4)
+            assert np.flatnonzero(weights)[position] == _first_offending_class(f)
         cases.append(monomial_table(ctx, 5))
         for elements in (ctx.order, 2 * ctx.order, 4 * ctx.order):
             monkeypatch.setattr(gapn, "_BATCH_ELEMENTS", elements)
@@ -443,25 +442,38 @@ class TestCountOracle:
         assert verdicts == [True, True, False, False]
 
 
-# Every field of order up to 3^7 with n >= 2.
+def _orbit_weights(p, n):
+    """The weights of a table that commutes with x -> x**p: each orbit of
+    t -> t * p mod M weighs its size at its smallest class, found one
+    class at a time."""
+    m = (p**n - 1) // (p - 1)
+    weights = [0] * m
+    for t in range(m):
+        weights[min(t * p**j % m for j in range(n))] += 1
+    return weights
+
+
+# Every field of order up to 3^7 with n >= 2, and three prime fields.
 _ORBIT_FIELDS = [
     (p, n) for p in range(2, 47) if is_prime(p) for n in range(2, 12) if p**n <= 3**7  # 47**2 > 3**7
-]
+] + [(2, 1), (5, 1), (67, 1)]
 
 
 @pytest.mark.parametrize("p,n", _ORBIT_FIELDS)
 def test_frobenius_orbit_partition(field, p, n):
     # The classes a power map computes are the orbit minima of t -> t * p
     # mod M, each weighted by its orbit's size, and their orbits partition
-    # the M classes: worked out here one orbit at a time.
+    # the M classes: worked out here one orbit at a time.  F_p has one
+    # class, of weight 1.
     ctx = field(p, n)
     m = (ctx.order - 1) // (p - 1)
     orbits = {frozenset(t * p**j % m for j in range(n)) for t in range(m)}
-    ts, weights, powers = gapn._frobenius_classes(ctx, monomial_table(ctx, 1).values)
+    weights = gapn._frobenius_classes(ctx, monomial_table(ctx, 1).values)
+    ts = np.flatnonzero(weights)
     assert ts.tolist() == sorted(min(orbit) for orbit in orbits)
-    assert weights.tolist() == [len(orbit) for orbit in sorted(orbits, key=min)]
+    assert weights[ts].tolist() == [len(orbit) for orbit in sorted(orbits, key=min)]
     assert int(weights.sum()) == m
-    covered = [{int(t) * int(q) % m for q in powers} for t in ts]
+    covered = [{int(t) * p**j % m for j in range(weights[t])} for t in ts]
     assert covered == sorted(orbits, key=min)
 
 
@@ -548,9 +560,11 @@ class TestMonomialTable:
         for x in range(1, ctx.order):
             assert t.values[x] == ctx.inv(x)
 
-    def test_frobenius_exponent(self, field):
-        ctx = field(3, 3)
-        t = monomial_table(ctx, 3)
+    @pytest.mark.parametrize("p,n", [(p, n) for p, n in _ORACLE_FIELDS if n >= 2])
+    def test_frobenius_exponent(self, field, p, n):
+        # x**p is the table the Frobenius symmetry of a spectrum is checked with.
+        ctx = field(p, n)
+        t = monomial_table(ctx, p)
         for x in range(ctx.order):
             assert t.values[x] == ctx.frobenius(x, 1)
 

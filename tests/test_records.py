@@ -168,8 +168,9 @@ class TestHashingAndAssignment:
 class TestFnTable:
     def test_values_become_int64(self):
         ctx = make_field(3, 2)
-        table = FnTable(ctx, list(range(9)))
-        assert table.values.dtype == np.int64 and table.values.tolist() == list(range(9))
+        for values in (list(range(9)), range(9), np.arange(9, dtype=np.uint8), np.arange(9, dtype=np.int32)):
+            table = FnTable(ctx, values)
+            assert table.values.dtype == np.int64 and table.values.tolist() == list(range(9))
         assert FnTable(ctx=ctx, values=table.values) == table
         assert FnTable(ctx, table.values).values is table.values
 
@@ -179,6 +180,15 @@ class TestFnTable:
             FnTable(ctx, range(8))
         with pytest.raises(ValueError, match="non-element"):
             FnTable(ctx, [0] * 8 + [9])
+        # A cast to int64 would truncate 0.9 to 0 and read True as 1: the
+        # float tables would become the identity and the zero map.
+        for values, dtype in (
+            ([x + 0.9 for x in range(9)], "float64"),
+            (np.full(9, 0.5, dtype=np.float32), "float32"),
+            (np.arange(9) % 2 == 1, "bool"),
+        ):
+            with pytest.raises(ValueError, match=f"not {dtype}"):
+                FnTable(ctx, values)
 
     def test_unhashable(self):
         table = FnTable(make_field(3, 2), range(9))

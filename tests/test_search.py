@@ -546,6 +546,26 @@ class TestVerifyFilters:
         assert result.filter_check["per_stratum"] == {"low_weight": 3, "even_weight": 21}
         assert result.filter_check["sampled"] == 24
 
+    def test_a_gapn_filtered_exponent_is_a_violation(self, monkeypatch, capsys):
+        # A filter that dropped a GAPN coset would be unsound: with the
+        # decider patched to call one filtered exponent GAPN, the check names
+        # it, and the CLI reports it in both formats.
+        job = SearchJob(3, 4, filters=SearchFilters(verify_filters=True))
+        planted = search._enumerate(job)[2]["even_weight"][0]
+        real = search._decide_brute
+
+        def planted_gapn(ctx, d):
+            verdict, deciders = real(ctx, d)
+            return verdict or d == planted, deciders
+
+        monkeypatch.setattr(search, "_decide_brute", planted_gapn)
+        assert run_search(job).filter_check["violations"] == [planted]
+        argv = ["search", "-p", "3", "-n", "4", "--verify-filters"]
+        assert cli_main(argv) == 0
+        assert "filter check: sampled 12, violations 1" in capsys.readouterr().out.splitlines()
+        assert cli_main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["filter_check"]["violations"] == [planted]
+
 
 class TestFamilies:
     def test_report_f81(self):
