@@ -231,7 +231,7 @@ def _cmd_spectrum(args):
         _check_exponent_range(args.d, args.p, args.n)
         table = gapn.monomial_table(ctx, args.d)
         source = f"x^{args.d}"
-    report = gapn.differential_spectrum(table, mode="full")
+    report = gapn.differential_spectrum(table)
     rows = [[c, report.spectrum[c]] for c in sorted(report.spectrum)]
     pairs_total = sum(r[1] for r in rows)
     doc = {

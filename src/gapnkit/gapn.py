@@ -23,9 +23,7 @@ direction to it.  These exact facts make it cheap:
   orbit of t -> t * p mod M, about M / n classes.  Each class t has a
   weight, the number of classes it stands for: the orbit's size at an
   orbit's smallest class and 0 at the others, or 1 at every class of a
-  table without the symmetry.  A whole orbit offends or none of it does,
-  so in verdict mode the first offending class in t order is an orbit's
-  smallest, and every class before it has no count above p.
+  table without the symmetry.
 - Batching.  The classes of nonzero weight are computed in batches of at
   most 2**14 values; the tables z -> f(g**t * z) of a batch are one
   gather from f in log order, a shifted one when every class is computed.
@@ -44,11 +42,10 @@ direction to it.  These exact facts make it cheap:
   sum is an element index in [0, p**n); every batch checks that with an
   explicit raise, so the check holds under python -O too.
 
-Verdict mode stops at the first projective class, in t order, with a
-count above p.  For a power map f(x) = x**d,
-S_a f(x) = a**d * S_1 f(x / a): b -> a**d * b is a bijection, so every
-direction's count multiset equals direction 1's and monomial_gapn_fast is
-exact from that one direction, a batch holding a = 1 alone.
+For a power map f(x) = x**d, S_a f(x) = a**d * S_1 f(x / a):
+b -> a**d * b is a bijection, so every direction's count multiset equals
+direction 1's and monomial_gapn_fast is exact from that one direction, a
+batch holding a = 1 alone.
 
 When only the verdict is wanted, monomial_gapn_verdict tries two exact
 certificates of non-GAPN before the full pass.  First the subfields: for
@@ -135,11 +132,11 @@ class GapnReport(NamedTuple):
     """Differential behaviour of one function.
 
     spectrum maps a solution count c to the number of (direction, value)
-    pairs attaining it, covering all (p**n - 1) * p**n pairs when complete;
-    partial marks a verdict-mode run that stopped at the first offending
-    projective class of directions.  witness is one (a, b) with more than
-    p solutions, when any exists and was seen.  deciders_agreed names the
-    deciders that agreed on is_gapn, () when not given.
+    pairs attaining it, covering all (p**n - 1) * p**n pairs.  witness is
+    one (a, b) with more than p solutions, when any exists.
+    deciders_agreed names the deciders that agreed on is_gapn, () when
+    not given.  partial is False for every report, since every spectrum
+    is complete; it stays because every document carries it.
     """
 
     is_gapn: bool
@@ -299,7 +296,7 @@ def gen_derivative(f: FnTable, a: int) -> FnTable:
     return FnTable(ctx, out)
 
 
-def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
+def differential_spectrum(f: FnTable) -> GapnReport:
     """Solution-count statistics of S_a f(x) = b over all directions.
 
     S_(c*a) f = S_a f for every c in F_p^*, so only the M = (p**n - 1)/(p - 1)
@@ -314,23 +311,14 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     its sum, every row counts its class's weight times in the spectrum,
     and a direction's largest count is p times its largest multiplicity.
 
-    Mode "full" aggregates every direction; its witness is the smallest
-    direction index with a count above p, sought over every class that an
-    offending class stands for, and that direction's smallest b of maximal
-    count, from its own class's row sums, since b moves with x -> x**p
-    along an orbit.  Mode "verdict" stops at the first offending class in
-    t order (the report is then flagged partial when classes were left);
-    its witness is that class's smallest member.  The orbit of an
-    offending class offends throughout, so the first offending class is
-    the smallest of its orbit, and every class before it, computed or not,
-    has p**(n-1) rows of multiplicity 1: the verdict report is the same
-    either way.  Every row sum must be an element index in [0, p**n),
-    which is checked for every batch.
+    The witness is the smallest direction index with a count above p,
+    sought over every class that an offending class stands for, and that
+    direction's smallest b of maximal count, from its own class's row
+    sums, since b moves with x -> x**p along an orbit.  Every row sum must
+    be an element index in [0, p**n), which is checked for every batch.
     """
     import numpy as np
 
-    if mode not in ("full", "verdict"):
-        raise ValueError(f"unknown mode {mode!r}")
     ctx = f.ctx
     order, p = ctx.order, ctx.p
     m = _projective_count(ctx)
@@ -339,12 +327,12 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     # A computed class stands for the classes t * p**j mod M, j < orbit.
     orbit = int(weights.max())
     lanes, index = _direction_lanes(ctx, f.values)
-    batch = max(1, _BATCH_ELEMENTS // order)
+    batch = min(ts.size, max(1, _BATCH_ELEMENTS // order))
     # Row j of base locates f(g**(t0 + j) * z) in lanes[t0:], for any t0.  Orbit
     # representatives are not consecutive: there base is rewritten for each batch.
     base = index + np.arange(batch, dtype=np.int64)[:, None]
     row_hist = np.zeros(order // p + 1, dtype=np.int64)  # weighted; [1] is left to _spectrum
-    directions, max_rows = m, 1
+    max_rows = 1
     offending = []  # t of every computed class with a count above p
     for s0 in range(0, ts.size, batch):
         t = ts[s0 : s0 + batch]
@@ -359,12 +347,6 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
         bad = np.flatnonzero(tops > 1)
         if not bad.size:  # every row of multiplicity 1, as in every batch of a GAPN map
             continue
-        if mode == "verdict":
-            j = int(bad[0])
-            row_hist = np.bincount(mult[j])
-            directions, max_rows = int(t[j]) + 1, int(tops[j])
-            offending, orbit = [t[j : j + 1]], 1  # the witness is class t[j]'s own
-            break
         w = weights[t]
         kinds = set(w.tolist())  # orbit sizes divide n, so a batch holds few
         for weight in kinds:
@@ -387,10 +369,9 @@ def differential_spectrum(f: FnTable, mode: str = "full") -> GapnReport:
     return GapnReport(
         is_gapn=max_rows <= 1,
         max_count=max_rows * p,
-        spectrum=_spectrum(ctx, row_hist, directions, p - 1),
+        spectrum=_spectrum(ctx, row_hist, m, p - 1),
         witness=witness,
         deciders_agreed=["brute-force"],
-        partial=directions < m,
     )
 
 
@@ -439,7 +420,6 @@ def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
         spectrum=_spectrum(ctx, np.bincount(mult), 1, order - 1),
         witness=witness,
         deciders_agreed=["monomial-fast"],
-        partial=False,
     )
 
 

@@ -351,21 +351,19 @@ def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]]) -> dict
     return {"sampled": sampled, "per_stratum": per_stratum, "violations": violations}
 
 
-def _gather_verdicts(
-    ctx: FieldCtx, d: int, want_report: bool, long_running: bool = False
-) -> gapn.GapnReport:
-    """Run every decider that applies to (ctx, d); outcomes must agree.
+def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> gapn.GapnReport:
+    """Full report for one exponent with every applicable decider agreeing.
 
-    The report is the full spectrum when brute force runs, else the
-    single-direction one; deciders_agreed names every decider that ran.
+    The report is the full spectrum when brute force runs.  Above the soft
+    order budget brute force is skipped unless opted in, and the report is
+    then the extrapolated single-direction one.  deciders_agreed names
+    every decider that ran.
     """
     p, n = ctx.p, ctx.n
     verdicts: dict[str, bool] = {}
     full_ok = ctx.order <= SOFT_ORDER_BUDGET or long_running
     if full_ok:
-        report = gapn.differential_spectrum(
-            gapn.monomial_table(ctx, d), mode="full" if want_report else "verdict"
-        )
+        report = gapn.differential_spectrum(gapn.monomial_table(ctx, d))
         verdicts[BRUTE_FORCE] = report.is_gapn
     fast = gapn.monomial_gapn_fast(ctx, d)
     verdicts[MONOMIAL_FAST] = fast.is_gapn
@@ -380,18 +378,9 @@ def _gather_verdicts(
     return report._replace(deciders_agreed=sorted(verdicts))
 
 
-def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> gapn.GapnReport:
-    """Full report for one exponent with every applicable decider agreeing.
-
-    Above the soft order budget the full spectrum is skipped unless opted
-    in; the report is then the extrapolated single-direction one.
-    """
-    return _gather_verdicts(ctx, d, want_report=True, long_running=long_running)
-
-
 def exact_verdict(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
     """Verdict for one exponent by all applicable deciders (must agree)."""
-    report = _gather_verdicts(ctx, d, want_report=False)
+    report = analyze_exponent(ctx, d)
     return report.is_gapn, report.deciders_agreed
 
 

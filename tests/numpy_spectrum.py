@@ -27,8 +27,8 @@ def row_counts(ctx, sums: np.ndarray) -> np.ndarray:
     return counts
 
 
-def spectrum(f, mode: str = "full") -> dict:
-    """differential_spectrum(f, mode).to_dict(), from count matrices."""
+def spectrum(f) -> dict:
+    """differential_spectrum(f).to_dict(), from count matrices."""
     ctx = f.ctx
     order, p = ctx.order, ctx.p
     m = (order - 1) // (p - 1)
@@ -38,22 +38,15 @@ def spectrum(f, mode: str = "full") -> dict:
     hist = np.zeros(order // p + 1, dtype=np.int64)
     max_rows = 0
     offending = []
-    partial = False
     for t0 in range(0, m, batch):
         size = min(batch, m - t0)
         counts = row_counts(ctx, gapn._derivative_values(ctx, lanes[t0:], base[:size]))
         tops = counts.max(axis=1)
         bad = np.flatnonzero(tops > 1)
-        stop = bool(bad.size) and mode == "verdict"
-        if stop:
-            counts, tops, bad = counts[: bad[0] + 1], tops[: bad[0] + 1], bad[:1]
         hist_b = np.bincount(counts.ravel())
         hist[: hist_b.size] += hist_b
         max_rows = max(max_rows, int(tops.max()))
         offending.append(t0 + bad)
-        if stop:
-            partial = t0 + int(bad[0]) < m - 1
-            break
     witness = None
     ts = np.concatenate(offending)
     if ts.size:
@@ -68,7 +61,7 @@ def spectrum(f, mode: str = "full") -> dict:
         "spectrum": [[int(k) * p, int(hist[k]) * (p - 1)] for k in np.nonzero(hist)[0]],
         "witness": witness,
         "deciders_agreed": ["brute-force"],
-        "partial": partial,
+        "partial": False,
     }
 
 

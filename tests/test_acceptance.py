@@ -62,7 +62,7 @@ def _gate(announce, num, label, limit, body):
 
 
 def _brute_is_gapn(ctx, d):
-    return differential_spectrum(monomial_table(ctx, d), mode="verdict").is_gapn
+    return differential_spectrum(monomial_table(ctx, d)).is_gapn
 
 
 def _normalized_weight_p(p, n):
@@ -226,10 +226,10 @@ def test_acceptance_8_binary_regression(announce, field):
             for i in range(1, n):
                 if math.gcd(i, n) != 1:
                     continue
-                report = differential_spectrum(monomial_table(ctx, 2**i + 1), mode="full")
+                report = differential_spectrum(monomial_table(ctx, 2**i + 1))
                 assert report.is_gapn and report.max_count == 2, (n, i)
             t = (n - 1) // 2
-            report = differential_spectrum(monomial_table(ctx, 2**t + 3), mode="full")
+            report = differential_spectrum(monomial_table(ctx, 2**t + 3))
             assert report.is_gapn and report.max_count == 2, n
 
     _gate(announce, 8, "p=2 regression", 60, body)
@@ -265,7 +265,7 @@ def test_acceptance_9_property_suites(announce, field):
         # Spectrum conservation on every monomial of F_27, then
         # per-direction totals for one of them.
         for d in range(1, 26):
-            report = differential_spectrum(monomial_table(ctx, d), mode="full")
+            report = differential_spectrum(monomial_table(ctx, d))
             assert sum(c * m for c, m in report.spectrum.items()) == (order - 1) * order
         table = monomial_table(ctx, 5)
         for a in range(1, order):
@@ -291,7 +291,7 @@ def test_acceptance_9_property_suites(announce, field):
                     dtype=np.int64,
                 ),
             )
-            assert differential_spectrum(shifted, mode="verdict").is_gapn
+            assert differential_spectrum(shifted).is_gapn
 
         # Verdicts are independent of the modulus used to build the field.
         alt = make_field(3, 3, PolyFp(3, (2, 2, 0, 1)))

@@ -171,20 +171,16 @@ class TestDifferentialSpectrum:
             report = differential_spectrum(monomial_table(ctx, d))
             assert report.is_gapn == (report.max_count <= 3)
 
-    def test_verdict_mode_partial_flag(self, field):
+    def test_non_gapn_report_is_complete(self, field):
+        # x -> x^2 offends at the first projective class already: its report
+        # still covers every direction, the same as the per-direction loop.
         ctx = field(3, 3)
-        bad = differential_spectrum(monomial_table(ctx, 2), mode="verdict")
-        assert not bad.is_gapn
-        assert bad.partial
-        assert bad.witness is not None
-        good = differential_spectrum(monomial_table(ctx, 5), mode="verdict")
-        assert good.is_gapn
-        assert not good.partial
-        assert good.spectrum == differential_spectrum(monomial_table(ctx, 5)).spectrum
-
-    def test_unknown_mode(self, field):
-        with pytest.raises(ValueError):
-            differential_spectrum(monomial_table(field(3, 2), 5), mode="fast")
+        f = monomial_table(ctx, 2)
+        report = differential_spectrum(f)
+        assert not report.is_gapn
+        assert not report.partial
+        assert sum(report.spectrum.values()) == (ctx.order - 1) * ctx.order
+        assert (report.spectrum, report.max_count, report.witness) == _reference_spectrum(f)
 
     def test_d13_on_f27_regression(self, field):
         # weight-3 exponent whose digit polynomial is (x-1)^2; the map
@@ -239,15 +235,14 @@ def _assert_matches_reference(f):
     full = differential_spectrum(f)
     assert (full.spectrum, full.max_count, full.witness) == (spectrum, max_count, witness)
     assert not full.partial
-    verdict = differential_spectrum(f, mode="verdict")
-    assert verdict.is_gapn == full.is_gapn == (max_count <= f.ctx.p)
-    if not verdict.is_gapn:
+    assert full.is_gapn == (max_count <= f.ctx.p)
+    if not full.is_gapn:
         ctx = f.ctx
-        a, b = verdict.witness
+        a, b = full.witness
         hits = sum(_scalar_derivative(ctx, f, a, x) == b for x in range(ctx.order))
         assert hits > ctx.p
     else:
-        assert verdict.witness is None and verdict.spectrum == spectrum
+        assert full.witness is None and full.spectrum == spectrum
 
 
 class TestBatchedKernel:
@@ -266,7 +261,7 @@ class TestBatchedKernel:
         # n = 1 is a single row per direction
         ctx = field(p, n)
         rng = np.random.default_rng(p * 100 + n)
-        # the last table hits few values, so that verdict mode has a witness
+        # the last table hits few values, so that it has a witness
         highs = [ctx.order] * (tables - 1) + [min(ctx.order, 3)]
         for high in highs:
             _assert_matches_reference(FnTable(ctx, rng.integers(0, high, ctx.order)))
@@ -304,21 +299,23 @@ _ORACLE_FIELDS = [
 
 def _first_offending_class(f):
     """t of the first projective class g**t with a count above p, by the
-    count-matrix oracle, or None."""
-    witness = numpy_spectrum.spectrum(f, mode="verdict")["witness"]
-    if witness is None:
-        return None
-    return int(f.ctx.log_table[witness[0]]) % ((f.ctx.order - 1) // (f.ctx.p - 1))
+    count matrix of one class at a time, or None."""
+    ctx = f.ctx
+    lanes, index = gapn._direction_lanes(ctx, f.values)
+    for t in range((ctx.order - 1) // (ctx.p - 1)):
+        sums = gapn._derivative_values(ctx, lanes[t:], index[None, :])
+        if numpy_spectrum.row_counts(ctx, sums).max() > 1:
+            return t
+    return None
 
 
 class TestCountOracle:
     """The per-row multiplicities give what the count-matrix kernel gave:
-    every field of the report, in both modes and at any batch size."""
+    every field of the report, at any batch size."""
 
     @staticmethod
     def _assert_oracle(f):
-        for mode in ("full", "verdict"):
-            assert differential_spectrum(f, mode).to_dict() == numpy_spectrum.spectrum(f, mode)
+        assert differential_spectrum(f).to_dict() == numpy_spectrum.spectrum(f)
 
     @pytest.mark.parametrize("p,n", _ORACLE_FIELDS)
     def test_every_exponent(self, field, p, n):
@@ -345,8 +342,7 @@ class TestCountOracle:
 
     def test_batch_sizes(self, field, monkeypatch):
         # One, two and four directions per batch and 2**14 values, with the
-        # first offending class of a verdict run at the end of a batch and
-        # inside one.
+        # first offending class at the end of a batch and inside one.
         ctx = field(3, 4)
         base = monomial_table(ctx, 5).values
         assert _first_offending_class(FnTable(ctx, base)) is None
@@ -411,9 +407,8 @@ class TestCountOracle:
 
     def test_batch_sizes_of_representatives(self, field, monkeypatch):
         # One, two and four orbit representatives per batch, with the first
-        # offending class of a verdict run at representative 2, 3 or 4: 2
-        # lies inside a batch of four, 3 ends a batch of two or four, and 4
-        # starts one.
+        # offending class at representative 2, 3 or 4: 2 lies inside a
+        # batch of four, 3 ends a batch of two or four, and 4 starts one.
         ctx = field(3, 4)
         mono = lambda d: monomial_table(ctx, d).values
         cases = [FnTable(ctx, ctx.add_array(mono(a), mono(b))) for a, b in ((7, 11), (5, 19), (5, 8))]
@@ -437,7 +432,7 @@ class TestCountOracle:
         for d in exponents:
             f = monomial_table(ctx, d)
             report = differential_spectrum(f).to_dict()
-            assert report == numpy_spectrum.spectrum(f, "full")
+            assert report == numpy_spectrum.spectrum(f)
             verdicts.append(report["is_gapn"])
         assert verdicts == [True, True, False, False]
 
@@ -896,7 +891,7 @@ class TestBinarySanity:
 
         ctx = field(2, n)
         for i in range(1, n):
-            report = differential_spectrum(monomial_table(ctx, 2**i + 1), mode="verdict")
+            report = differential_spectrum(monomial_table(ctx, 2**i + 1))
             assert report.is_gapn == (gcd(i, n) == 1), f"i={i}, n={n}"
 
     @pytest.mark.parametrize("n", [3, 5, 7])

@@ -414,9 +414,7 @@ class TestDeciderEquivalence:
                 by_criterion = criterion_gapn(d, p, n).is_gapn
                 by_rank = circulant_rank(d, p, n) == n - 1
                 by_kernel = linearized_kernel_dim(ctx, d) == 1
-                by_brute = differential_spectrum(
-                    monomial_table(ctx, d), mode="verdict"
-                ).is_gapn
+                by_brute = differential_spectrum(monomial_table(ctx, d)).is_gapn
                 assert by_criterion == by_rank == by_kernel == by_brute, (p, n, d)
 
 
@@ -668,9 +666,7 @@ class TestInvarianceProperties:
         ctx = field(3, 4)
         verdicts = {}
         for d in range(1, ctx.order - 1):
-            verdicts[d] = differential_spectrum(
-                monomial_table(ctx, d), mode="verdict"
-            ).is_gapn
+            verdicts[d] = differential_spectrum(monomial_table(ctx, d)).is_gapn
         for d in range(1, ctx.order - 1):
             rep = coset_rep(d, 3, 4)
             assert verdicts[d] == verdicts[rep], d

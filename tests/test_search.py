@@ -38,7 +38,8 @@ from gapnkit import (
 )
 from gapnkit import FieldCtx, gapn, make_field, search
 from gapnkit.cli import main as cli_main
-from gapnkit.search import SOFT_ORDER_BUDGET
+from gapnkit.numtheory import is_prime
+from gapnkit.search import BRUTE_FORCE, SOFT_ORDER_BUDGET
 from numpy_cosets import coset_reps as numpy_coset_reps
 
 
@@ -154,7 +155,7 @@ class TestConjecture:
     def test_f243_band_survivors_brute_forced(self, field):
         ctx = field(3, 5)
         for d in (23, 35, 49, 79):
-            report = differential_spectrum(monomial_table(ctx, d), mode="full")
+            report = differential_spectrum(monomial_table(ctx, d))
             assert report.is_gapn
             assert report.max_count == 3
             assert 3 < p_weight(d, 3) < 5 * 2 - 1
@@ -170,7 +171,7 @@ class TestConjecture:
         ]
         assert len(band) == 13
         for d in band:
-            assert not differential_spectrum(monomial_table(ctx, d), mode="verdict").is_gapn
+            assert not differential_spectrum(monomial_table(ctx, d)).is_gapn
 
     def test_holds_on_f729(self):
         result = run_search(SearchJob(3, 6, mode="conjecture"))
@@ -597,6 +598,19 @@ class TestFamilies:
         assert [e.d for e in top] == [123, 119, 99]
         assert all(e.predicted and e.verdict for e in top)
 
+    def test_every_field_within_budget(self):
+        # Every field on which families decides by brute force: the
+        # families' predictions all hold, and brute force decided each one.
+        fields = [
+            (p, n) for p in range(2, SOFT_ORDER_BUDGET + 1) if is_prime(p)
+            for n in range(1, 12) if p**n <= SOFT_ORDER_BUDGET
+        ]
+        assert len(fields) == 359
+        for p, n in fields:
+            report = verify_families(p, n)
+            assert report.mismatches == 0, (p, n)
+            assert all(BRUTE_FORCE in e.deciders for e in report.entries), (p, n)
+
     def test_welch_not_gapn_for_p5(self):
         report = verify_families(5, 2)
         welch = [e for e in report.entries if e.family == "welch"]
@@ -677,6 +691,15 @@ class TestAnalyze:
         verdict, deciders = exact_verdict(field(3, 4), 11)
         assert verdict is False
         assert len(deciders) == 5
+
+    def test_exact_verdict_reads_the_full_report(self, field):
+        # exact_verdict is analyze_exponent's verdict and decider list, for
+        # GAPN and non-GAPN exponents alike.
+        ctx = field(3, 3)
+        for d in range(1, ctx.order - 1):
+            report = analyze_exponent(ctx, d)
+            assert not report.partial, d
+            assert exact_verdict(ctx, d) == (report.is_gapn, report.deciders_agreed), d
 
     def test_budget_skips_full_brute_force(self, field):
         assert SOFT_ORDER_BUDGET == 3**7
