@@ -162,7 +162,7 @@ def _budget_gate(args, limit: int = SOFT_ORDER_BUDGET) -> None:
         )
 
 
-def _search_result(args):
+def _cmd_search(args):
     # The prime first, as make_field reports it for the other commands:
     # the budget gate's advice to pass --long-running would only lead there.
     if not is_prime(args.p):
@@ -183,11 +183,7 @@ def _search_result(args):
         jobs=args.jobs,
         cache_dir=args.cache,
     )
-    return run_search(job)
-
-
-def _cmd_search(args):
-    result = _search_result(args)
+    result = run_search(job)
     if args.command == "conjecture":
         verdict = "holds" if result.conjecture_holds else "fails"
         lines = [f"conjecture {verdict} for ({args.p},{args.n})"]

@@ -99,7 +99,7 @@ def find_irreducible(p: int, n: int) -> PolyFp:
 class FieldCtx:
     """Field context: modulus, lazily built tables, and the arithmetic on indices."""
 
-    __slots__ = ("p", "n", "order", "_modulus_arg", *_BUILDERS)
+    __slots__ = ("p", "n", "order", "_modulus_arg", "__weakref__", *_BUILDERS)
 
     def __init__(self, p: int, n: int, modulus: PolyFp | None = None):
         # Any integer type, as a Python int: p**n of numpy ints can wrap.

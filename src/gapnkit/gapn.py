@@ -56,15 +56,15 @@ sums a fixed sample of about 4 * sqrt(p**n) rows of S_1, and two rows
 with one sum already give a count of at least 2p.  For a random-looking
 map that collision is all but certain, so the full pass runs only for
 the GAPN exponents and a few others.  Both certificates read one state
-per field that depends on the field alone, built once by
-prepare_verdicts: the subfield verdicts and the logs of the sampled rows,
-so a candidate's sampled values are one antilog gather.
+per field context, built once by prepare_verdicts and kept as long as the
+context: the subfield verdicts and the logs of the sampled rows, so a
+candidate's sampled values are one antilog gather.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import weakref
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import WrongWeight, ZeroDirection
@@ -209,6 +209,10 @@ def _direction_lanes(ctx: FieldCtx, values: np.ndarray) -> tuple[np.ndarray, np.
     return lanes, index
 
 
+# Field context -> the values of x -> x**p on it; an entry goes with its context.
+_frobenius: weakref.WeakKeyDictionary[FieldCtx, np.ndarray] = weakref.WeakKeyDictionary()
+
+
 def _frobenius_classes(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     """weights[t], 0 <= t < M: how many projective classes class t stands
     for in a spectrum, 0 for a class that is not computed.
@@ -221,13 +225,15 @@ def _frobenius_classes(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     classes t * p**j mod M, weigh 0.  Any other table, and every table on
     F_p, computes every class with weight 1.  phi fixes exactly F_p, the
     indices below p, so such a table maps F_p into F_p: a test of p entries
-    turns most other tables away before phi's table is read.
+    turns most other tables away before phi's table, built once per context, is read.
     """
     import numpy as np
 
     p, n, m = ctx.p, ctx.n, _projective_count(ctx)
     if n > 1 and values[:p].max() < p:
-        frob = monomial_table(ctx, p).values
+        frob = _frobenius.get(ctx)
+        if frob is None:
+            frob = _frobenius.setdefault(ctx, monomial_table(ctx, p).values)
         if (values[frob] == frob[values]).all():
             least = member = np.arange(m, dtype=np.int64)
             for _ in range(n - 1):
@@ -434,13 +440,12 @@ def _sample_size(p: int, n: int) -> int:
     return min(order // p - 1, math.isqrt(16 * order - 1) + 1)
 
 
-@functools.lru_cache(maxsize=256)
 def _subfield_verdicts(p: int, m: int) -> bytes:
     """verdicts[r % (p**m - 1)] = 1 when y -> y**r is GAPN on F_(p^m), for
     1 <= r <= p**m - 1, so entry 0 stands for r = p**m - 1.  The verdict is
     shared by the cyclotomic coset of r, so it is decided once per coset.
-    A proper subfield of a field within TABLE_CAP has at most 2**12
-    elements, so each entry is at most 4 KiB."""
+    Nothing is kept here: the bytes live in the state that prepare_verdicts
+    keeps for the field that contains F_(p^m)."""
     sub = make_field(p, m)
     q = sub.order - 1
     verdicts = [None] * q
@@ -454,16 +459,16 @@ def _subfield_verdicts(p: int, m: int) -> bytes:
     return bytes(verdicts)
 
 
-# (p, n, modulus) -> prepare_verdicts(ctx), for at most 64 fields, the
-# oldest dropped first.  The three fix the log table, since _build_tables
-# picks its generator deterministically, so equal contexts share an entry.
-_prepared: dict[tuple[int, int, PolyFp], tuple] = {}
+# Field context -> prepare_verdicts(ctx).  The logs are read against that
+# context's own tables, so an entry goes with its context.
+_prepared: weakref.WeakKeyDictionary[FieldCtx, tuple] = weakref.WeakKeyDictionary()
 
 
 def prepare_verdicts(ctx: FieldCtx) -> tuple[tuple[tuple[int, bytes], ...], np.ndarray]:
     """(subfields, logs), what monomial_gapn_verdict reads on this field
-    besides its tables, built once per field; a process forked afterwards
-    inherits it and the tables instead of building its own.
+    besides its tables, built once per context and kept as long as it; a
+    process forked afterwards inherits it with the context, while a pickled
+    or copied context builds its own.
 
     subfields holds (p**m - 1, _subfield_verdicts(p, m)) for every m | n,
     1 < m < n.  F_p is left out: there S_a f is constant, so every map is
@@ -473,22 +478,19 @@ def prepare_verdicts(ctx: FieldCtx) -> tuple[tuple[tuple[int, bytes], ...], np.n
     the table gate: above TABLE_CAP nothing is imported or decided.
     """
     log, _ = ctx.log_table, ctx.lane_table
-    p, n = ctx.p, ctx.n
-    key = (p, n, ctx.modulus)
-    state = _prepared.get(key)
+    state = _prepared.get(ctx)
     if state is None:
         import random
 
         import numpy as np
 
+        p, n = ctx.p, ctx.n
         k = _sample_size(p, n)
         rows = random.Random(_SAMPLE_SEED).sample(range(1, p ** (n - 1)), k)
         logs = log[np.array(rows, dtype=np.int64).reshape(k, 1) * p + np.arange(p, dtype=np.int64)]
         logs.setflags(write=False)
         subfields = tuple((p**m - 1, _subfield_verdicts(p, m)) for m in range(2, n) if n % m == 0)
-        if len(_prepared) >= 64:
-            _prepared.pop(list(_prepared)[0], None)  # list(): one step, safe beside other threads
-        state = _prepared.setdefault(key, (subfields, logs))
+        state = _prepared.setdefault(ctx, (subfields, logs))
     return state
 
 

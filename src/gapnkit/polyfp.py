@@ -274,7 +274,6 @@ def _squarefree_parts(f: PolyFp) -> list[tuple[PolyFp, int]]:
     n = 1
     while True:
         d = f.derivative()
-        done = False
         if not d.is_zero:
             g = poly_gcd(f, d)
             h = f // g
@@ -286,11 +285,8 @@ def _squarefree_parts(f: PolyFp) -> list[tuple[PolyFp, int]]:
                     factors.append((hh, i * n))
                 g, h, i = g // gg, gg, i + 1
             if g.is_one:
-                done = True
-            else:
-                f = g
-        if done:
-            return factors
+                return factors
+            f = g
         f = _pth_root(f)
         n *= p
 

@@ -1,9 +1,13 @@
+import copy
+import gc
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -768,8 +772,9 @@ class TestSubfieldCertificate:
 
 
 class TestPreparedState:
-    """prepare_verdicts builds one (subfields, logs) state per field, keyed
-    by (p, n, modulus), and keeps at most 64 of them."""
+    """prepare_verdicts builds one (subfields, logs) state per field
+    context, and spectra build x -> x**p once per context; each is kept in
+    a map keyed weakly by its context, so it goes when the context does."""
 
     @staticmethod
     def _sampled_logs(ctx):
@@ -779,23 +784,25 @@ class TestPreparedState:
         rows = random.Random(gapn._SAMPLE_SEED).sample(range(1, p ** (n - 1)), gapn._sample_size(p, n))
         return ctx.log_table[np.array(rows, dtype=np.int64)[:, None] * p + np.arange(p)]
 
-    def test_equal_contexts_share_one_entry(self, monkeypatch):
-        monkeypatch.setattr(gapn, "_prepared", {})
+    def test_each_context_draws_its_own_sample(self, monkeypatch):
+        drawn = []
+
+        def sample_size(p, n, real=gapn._sample_size):
+            drawn.append((p, n))
+            return real(p, n)
+
+        monkeypatch.setattr(gapn, "_sample_size", sample_size)
         first, second = FieldCtx(3, 8), FieldCtx(3, 8)
         state = gapn.prepare_verdicts(first)
-
-        def refuse(*args):
-            raise AssertionError("the second context built a prepared state")
-
-        monkeypatch.setattr(random, "Random", refuse)  # prepare_verdicts imports random when it builds
-        monkeypatch.setattr(gapn, "_subfield_verdicts", refuse)
-        assert gapn.prepare_verdicts(second) is state
-        assert list(gapn._prepared) == [(3, 8, first.modulus)]
+        assert gapn.prepare_verdicts(first) is state
+        assert drawn.count((3, 8)) == 1
+        other = gapn.prepare_verdicts(second)
+        assert other is not state and gapn.prepare_verdicts(second) is other
+        assert drawn.count((3, 8)) == 2
         for d in range(1, 200):
             assert monomial_gapn_verdict(second, d) == monomial_gapn_verdict(first, d)
 
-    def test_second_irreducible_has_its_own_entry(self, monkeypatch):
-        monkeypatch.setattr(gapn, "_prepared", {})
+    def test_second_irreducible_has_its_own_entry(self):
         default = make_field(3, 6)
         monics = (PolyFp(3, digits_of(k, 3, 6) + (1,)) for k in range(3**6))
         canonical, second = [f for f in monics if is_irreducible(f)][:2]
@@ -803,7 +810,7 @@ class TestPreparedState:
         ctx = make_field(3, 6, second)
         default_subfields, default_logs = gapn.prepare_verdicts(default)
         subfields, logs = gapn.prepare_verdicts(ctx)
-        assert list(gapn._prepared) == [(3, 6, canonical), (3, 6, second)]
+        assert default in gapn._prepared and ctx in gapn._prepared
         assert subfields == default_subfields  # isomorphic fields
         assert logs.shape == (108, 3) and not logs.flags.writeable
         assert (logs == self._sampled_logs(ctx)).all()
@@ -812,16 +819,63 @@ class TestPreparedState:
         # The first rows the fixed seed has always drawn on 3^6.
         assert (ctx.antilog_table[logs[:4, 0]] // 3).tolist() == [60, 197, 203, 200]
 
-    def test_memo_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(gapn, "_prepared", {})
+    def test_state_goes_with_its_context(self):
         monics = (PolyFp(7, digits_of(k, 7, 3) + (1,)) for k in range(7**3))
         moduli = [f for f in monics if is_irreducible(f)][:70]
         assert len(moduli) == 70
-        for modulus in moduli:
-            gapn.prepare_verdicts(make_field(7, 3, modulus))
-            assert len(gapn._prepared) <= 64
-        # The oldest entries went first.
-        assert list(gapn._prepared) == [(7, 3, f) for f in moduli[-64:]]
+
+        def sizes():
+            return len(gapn._prepared), len(gapn._frobenius)
+
+        gc.collect()
+        before = sizes()
+        contexts = [make_field(7, 3, f) for f in moduli]
+        for ctx in contexts:
+            gapn.prepare_verdicts(ctx)
+            gapn._frobenius_classes(ctx, monomial_table(ctx, 5).values)
+        assert all(ctx in gapn._prepared and ctx in gapn._frobenius for ctx in contexts)
+        assert sizes() == (before[0] + 70, before[1] + 70)
+        # A value that held its context would keep the context, and its entry, alive.
+        refs = [weakref.ref(ctx) for ctx in contexts]
+        del contexts, ctx
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert sizes() == before
+
+    def test_frobenius_table_built_once_per_context(self, monkeypatch):
+        built = []
+
+        def table(ctx, d, real=gapn.monomial_table):
+            built.append((ctx, d))
+            return real(ctx, d)
+
+        monkeypatch.setattr(gapn, "monomial_table", table)
+        ctx = FieldCtx(3, 5)
+        for d in (5, 7):
+            differential_spectrum(monomial_table(ctx, d))
+        assert built == [(ctx, 3)]
+        # A random table fails the F_p test, so x -> x**p is never read.
+        other = FieldCtx(3, 5)
+        values = np.random.default_rng(5).integers(0, other.order, other.order)
+        assert values[:3].max() >= 3
+        differential_spectrum(FnTable(other, values))
+        assert built == [(ctx, 3)] and other not in gapn._frobenius
+
+    @pytest.mark.parametrize(
+        "clone", [lambda ctx: pickle.loads(pickle.dumps(ctx)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_clone_carries_no_state(self, clone):
+        ctx = FieldCtx(3, 6)
+        state = gapn.prepare_verdicts(ctx)
+        gapn._frobenius_classes(ctx, monomial_table(ctx, 5).values)
+        twin = clone(ctx)
+        assert twin not in gapn._prepared and twin not in gapn._frobenius
+        for d in range(1, 50):
+            assert monomial_gapn_verdict(twin, d) == monomial_gapn_verdict(ctx, d)
+        twin_state = gapn._prepared[twin]
+        assert twin_state is not state
+        assert twin_state[0] == state[0] and (twin_state[1] == state[1]).all()
 
 
 # Every field of order up to 3^8 with a weight-p exponent (n >= 2), 2^10 among them.

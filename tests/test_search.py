@@ -482,10 +482,10 @@ class TestCollisionCertificate:
         assert len(passes) <= 10
 
     def test_sample_drawn_once_per_field(self, monkeypatch):
-        # From empty caches a 3^9 conjecture scan draws the sample twice:
+        # From an empty state a 3^9 conjecture scan draws the sample twice:
         # once for 3^9 and once for 3^3, whose verdicts settle candidates.
+        # A plain dict keeps both contexts as keys once the scan is done.
         monkeypatch.setattr(gapn, "_prepared", {})
-        gapn._subfield_verdicts.cache_clear()
         seeds = []
 
         def seeded(seed, real=random.Random):
@@ -495,7 +495,7 @@ class TestCollisionCertificate:
         monkeypatch.setattr(random, "Random", seeded)  # prepare_verdicts imports random when it builds
         assert run_search(SearchJob(3, 9, mode="conjecture")).conjecture_holds is True
         assert seeds == [gapn._SAMPLE_SEED] * 2
-        assert sorted((p, n) for p, n, _ in gapn._prepared) == [(3, 3), (3, 9)]
+        assert sorted((ctx.p, ctx.n) for ctx in gapn._prepared) == [(3, 3), (3, 9)]
 
 
 class TestSubfieldCertificate:
