@@ -272,6 +272,13 @@ class TestIrreducibility:
         # x^9 = x in F_3[x]/(x^2+1) since the field has 9 elements
         assert pow_mod(x, 9, f) == x
         assert pow_mod(x, 4, f) == P(3, 1)  # order of x mod x^2+1 is 4
+        # Every exponent up to 40, 0 and 1 and each top bit included, by repeated product.
+        g = P(3, 2, 1, 2, 1)
+        mod = P(3, 1, 2, 0, 1, 1)
+        power = PolyFp.one(3)
+        for e in range(41):
+            assert pow_mod(g, e, mod) == power % mod
+            power = power * g
 
     def test_agrees_with_naive_over_f2(self):
         # all monic cubics over F_2
@@ -384,6 +391,54 @@ class TestFactorize:
                 continue
             fz = factorize(f)
             assert fz.product() == f
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_evaluation_split_matches_cantor_zassenhaus(self, p, monkeypatch):
+        # Every monic polynomial of degree <= 4, with linear factors split by
+        # evaluation and again with the bound at 0, which leaves them to
+        # Cantor-Zassenhaus.
+        polys = [f for deg in range(5) for f in _monic(p, deg)]
+        by_evaluation = [factorize(f) for f in polys]
+        monkeypatch.setattr("gapnkit.polyfp._ROOTS_BY_EVALUATION_MAX_P", 0)
+        assert [factorize(f) for f in polys] == by_evaluation
+
+    @pytest.mark.parametrize("p,roots", [(2, [0, 1]), (3, [0, 1, 2]), (7, [6, 2, 3]), (251, [250, 0, 17, 99, 1])])
+    def test_linear_products_draw_nothing(self, p, roots, monkeypatch):
+        # At or below the evaluation bound, distinct linear factors split
+        # without seeding a random stream, squared or not.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random stream was seeded")
+
+        monkeypatch.setattr(random, "Random", refuse)
+        linear = sorted((P(p, -a, 1) for a in roots), key=lambda g: g.coeffs)
+        f = P(p, 1)
+        for g in linear:
+            f = f * g
+        assert factorize(f).factors == tuple((g, 1) for g in linear)
+        assert factorize(f * f.scale(p - 1)).factors == tuple((g, 2) for g in linear)
+
+    @pytest.mark.parametrize("p", [1_000_003, 2**31 - 1])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_linear_factors_above_the_bound_split_by_cantor_zassenhaus(self, p, k):
+        rng = random.Random(p + k)
+        roots = rng.sample(range(p), k)
+        # x^2 - c with c a non-residue, by Euler's criterion, is irreducible.
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        quadratic = P(p, -c, 0, 1)
+        f = quadratic
+        for a in roots:
+            f = f * P(p, -a, 1)
+        fz = factorize(f)
+        assert fz.product() == f
+        assert all(m == 1 and is_irreducible(g) for g, m in fz.factors)
+        assert [g.degree for g, _ in fz.factors] == [1] * k + [2]
+
+    def test_characteristic_two_trace_split(self):
+        # The product of the two irreducible cubics over F_2 has no root,
+        # so only the trace map of Cantor-Zassenhaus splits it.
+        cubics = [P(2, 1, 0, 1, 1), P(2, 1, 1, 0, 1)]
+        fz = factorize(cubics[0] * cubics[1])
+        assert fz.factors == ((cubics[0], 1), (cubics[1], 1))
 
     def test_sorted_and_deterministic(self):
         f = P(5, 0, 1) * P(5, 1, 1) * P(5, 2, 1) * P(5, 1, 1, 1) * P(5, 3, 0, 0, 2)
