@@ -8,11 +8,12 @@ object.  Exit codes: 0 success, 1 domain error, 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, gapn
 from .errors import BudgetExceeded, GapnkitError, NotPrime
@@ -35,11 +36,20 @@ from .search import (
     verify_families,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
+# profile's largest --max-n: tabulating 10**6 dimensions takes about a
+# second, and the time grows linearly with --max-n.
+_MAX_PROFILE_N = 10**6
+
 
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError("must be a positive integer")
     return value
 
 
@@ -108,6 +118,8 @@ def _cmd_criterion(args):
 
 def _cmd_profile(args):
     d = normalize_weight_p(args.d, args.p)
+    if args.max_n > _MAX_PROFILE_N:
+        raise BudgetExceeded(f"--max-n {args.max_n} exceeds the bound {_MAX_PROFILE_N}")
     profile = exceptional_profile(d, args.p)
     dims = profile.gapn_dimensions(args.max_n)
     doc = {**profile.to_dict(), "max_n": args.max_n, "gapn_dimensions": dims}
@@ -218,7 +230,7 @@ def _cmd_spectrum(args):
     ctx = make_field(args.p, args.n)
     _budget_gate(args)
     if args.table is not None:
-        if str(args.table).endswith(".csv"):
+        if str(args.table).lower().endswith(".csv"):
             table = gapn.load_table_csv(ctx, args.table)
         else:
             table = gapn.load_table_raw(ctx, args.table)
@@ -250,92 +262,133 @@ def _cmd_spectrum(args):
 # ---- wiring -----------------------------------------------------------------
 
 
-def _add_format(sub) -> None:
-    sub.add_argument(
-        "--format", choices=["human", "json", "csv"], default="human",
-        help="output format (default human)",
-    )
+class _Option(NamedTuple):
+    """One option of a subcommand, as build_parser hands it to argparse.
+    kind converts its value: _positive, str, or a tuple of the values it
+    may take; None makes the option a flag.  exclusive marks the
+    subcommand's required, mutually exclusive options: exactly one must
+    be given."""
+
+    flag: str
+    dest: str
+    kind: object
+    required: bool = False
+    default: object = None
+    help: str | None = None
+    metavar: str | None = None
+    exclusive: bool = False
 
 
-def _add_search_flags(sub) -> None:
-    sub.add_argument(
-        "--jobs", type=_positive, default=1,
+def _options(*options: _Option) -> dict[str, _Option]:
+    return {option.flag: option for option in options}
+
+
+_P = _Option("-p", "p", _positive, required=True)
+_N = _Option("-n", "n", _positive, required=True)
+_D = _Option("-d", "d", _positive, required=True)
+_FORMAT = _Option(
+    "--format", "format", ("human", "json", "csv"), default="human", help="output format (default human)"
+)
+_SEARCH_FLAGS = (
+    _Option(
+        "--jobs", "jobs", _positive, default=1,
         help="at most this many worker processes; a pool starts only when it saves more than its start-up",
-    )
-    sub.add_argument("--cache", default=None, metavar="DIR", help="verdict cache directory")
-    sub.add_argument("--no-skip-even", action="store_true", help="disable the even-weight filter")
-    sub.add_argument("--no-skip-low", action="store_true", help="disable the low-weight filter")
-    sub.add_argument("--verify-filters", action="store_true", help="brute-force a sample of filtered cosets")
-    sub.add_argument("--long-running", action="store_true", help="allow scans above the soft order budget")
+    ),
+    _Option("--cache", "cache", str, metavar="DIR", help="verdict cache directory"),
+    _Option("--no-skip-even", "no_skip_even", None, help="disable the even-weight filter"),
+    _Option("--no-skip-low", "no_skip_low", None, help="disable the low-weight filter"),
+    _Option("--verify-filters", "verify_filters", None, help="brute-force a sample of filtered cosets"),
+    _Option("--long-running", "long_running", None, help="allow scans above the soft order budget"),
+)
+
+# Every subcommand, in help order: (help, options by flag, defaults).
+_COMMANDS = {
+    "test": (
+        "full GAPN report for one exponent",
+        _options(
+            _P._replace(help="characteristic"),
+            _N._replace(help="extension degree"),
+            _D._replace(help="exponent"),
+            _Option("--long-running", "long_running", None, help="full spectrum above the soft budget"),
+            _FORMAT,
+        ),
+        {"func": _cmd_test},
+    ),
+    "criterion": (
+        "digit-polynomial criterion for a weight-p exponent",
+        _options(_P, _N, _D, _FORMAT),
+        {"func": _cmd_criterion},
+    ),
+    "profile": (
+        "dimension-independent profile of a weight-p exponent",
+        _options(
+            _P,
+            _D,
+            _Option("--max-n", "max_n", _positive, default=12, help="largest dimension tabulated (default 12)"),
+            _FORMAT,
+        ),
+        {"func": _cmd_profile},
+    ),
+    "families": (
+        "check classical families against exact deciders",
+        _options(_P, _N, _FORMAT),
+        {"func": _cmd_families},
+    ),
+    "search": (
+        "scan coset space for GAPN exponents",
+        _options(_P, _N, _Option("--mode", "mode", _MODES, default="exhaustive"), *_SEARCH_FLAGS, _FORMAT),
+        {"func": _cmd_search},
+    ),
+    "conjecture": (
+        "band scan: no GAPN with p < weight < n(p-1)-1",
+        _options(_P, _N, *_SEARCH_FLAGS, _FORMAT),
+        {"func": _cmd_search, "mode": "conjecture"},
+    ),
+    "spectrum": (
+        "full differential spectrum as CSV rows",
+        _options(
+            _P,
+            _N,
+            _D._replace(required=False, help="monomial exponent", exclusive=True),
+            _Option(
+                "--table", "table", str, metavar="FILE", help="value table (.csv, else raw u8-le)", exclusive=True
+            ),
+            _Option("--long-running", "long_running", None, help="allow orders above the soft budget"),
+            _FORMAT,
+        ),
+        {"func": _cmd_spectrum},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
+    """The full argparse parser, built from _COMMANDS."""
+    import argparse
 
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="gapnkit",
         description="Decide, search, and profile GAPN monomials over F_(p^n).",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("test", help="full GAPN report for one exponent")
-    sub.add_argument("-p", type=_positive, required=True, help="characteristic")
-    sub.add_argument("-n", type=_positive, required=True, help="extension degree")
-    sub.add_argument("-d", type=_positive, required=True, help="exponent")
-    sub.add_argument("--long-running", action="store_true", help="full spectrum above the soft budget")
-    _add_format(sub)
-    sub.set_defaults(func=_cmd_test)
-
-    sub = commands.add_parser("criterion", help="digit-polynomial criterion for a weight-p exponent")
-    sub.add_argument("-p", type=_positive, required=True)
-    sub.add_argument("-n", type=_positive, required=True)
-    sub.add_argument("-d", type=_positive, required=True)
-    _add_format(sub)
-    sub.set_defaults(func=_cmd_criterion)
-
-    sub = commands.add_parser("profile", help="dimension-independent profile of a weight-p exponent")
-    sub.add_argument("-p", type=_positive, required=True)
-    sub.add_argument("-d", type=_positive, required=True)
-    sub.add_argument("--max-n", type=_positive, default=12, help="largest dimension tabulated (default 12)")
-    _add_format(sub)
-    sub.set_defaults(func=_cmd_profile)
-
-    sub = commands.add_parser("families", help="check classical families against exact deciders")
-    sub.add_argument("-p", type=_positive, required=True)
-    sub.add_argument("-n", type=_positive, required=True)
-    _add_format(sub)
-    sub.set_defaults(func=_cmd_families)
-
-    sub = commands.add_parser("search", help="scan coset space for GAPN exponents")
-    sub.add_argument("-p", type=_positive, required=True)
-    sub.add_argument("-n", type=_positive, required=True)
-    sub.add_argument("--mode", choices=_MODES, default="exhaustive")
-    _add_search_flags(sub)
-    _add_format(sub)
-    sub.set_defaults(func=_cmd_search)
-
-    sub = commands.add_parser("conjecture", help="band scan: no GAPN with p < weight < n(p-1)-1")
-    sub.add_argument("-p", type=_positive, required=True)
-    sub.add_argument("-n", type=_positive, required=True)
-    _add_search_flags(sub)
-    _add_format(sub)
-    sub.set_defaults(func=_cmd_search, mode="conjecture")
-
-    sub = commands.add_parser("spectrum", help="full differential spectrum as CSV rows")
-    sub.add_argument("-p", type=_positive, required=True)
-    sub.add_argument("-n", type=_positive, required=True)
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("-d", type=_positive, help="monomial exponent")
-    group.add_argument("--table", metavar="FILE", help="value table (.csv, else raw u8-le)")
-    sub.add_argument("--long-running", action="store_true", help="allow orders above the soft budget")
-    _add_format(sub)
-    sub.set_defaults(func=_cmd_spectrum)
-
-    return parser, commands.choices
+    for name, (summary, options, defaults) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        group = None
+        for option in options.values():
+            target = sub
+            if option.exclusive:
+                group = group or sub.add_mutually_exclusive_group(required=True)
+                target = group
+            if option.kind is None:
+                target.add_argument(option.flag, dest=option.dest, action="store_true", help=option.help)
+            else:
+                choices = option.kind if isinstance(option.kind, tuple) else None
+                target.add_argument(
+                    option.flag, dest=option.dest, type=None if choices else option.kind, choices=choices,
+                    required=option.required, default=option.default, help=option.help, metavar=option.metavar,
+                )
+        sub.set_defaults(**defaults)
+    return parser
 
 
 def _emit(args, doc, lines, csv_part) -> None:
@@ -355,29 +408,64 @@ def _emit(args, doc, lines, csv_part) -> None:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """_build_parsers(), once per interpreter: building them costs most of
-    a small request, and parsing leaves each parser as it found it."""
-    return _build_parsers()
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per interpreter: parsing leaves it as it found it."""
+    return build_parser()
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """What _parsers()[0].parse_args(argv) returns, in one pass when argv
-    starts with a subcommand: the full parser would only hand the rest of
-    argv to that subcommand's parser, as parse_known_args(rest, None)."""
+def _read_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives argv, read from _COMMANDS, if argv is
+    well formed: a subcommand, then each of its options at most once by
+    its exact name, a flag alone and any other option with one value that
+    does not start with "-" and that its kind accepts; every required
+    option, and one of the exclusive ones.  None for any other argv."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, options, defaults = command
+    values = {}
+    i = 1
+    while i < len(argv):
+        option = options.get(argv[i])
+        if option is None or option.dest in values:
+            return None
+        if option.kind is None:
+            values[option.dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        text = argv[i + 1]
+        if isinstance(option.kind, tuple):
+            if text not in option.kind:
+                return None
+            values[option.dest] = text
+        else:
+            try:
+                values[option.dest] = option.kind(text)
+            except Exception:  # the full parser reports it, or raises it again
+                return None
+        i += 2
+    exclusive = [option.dest in values for option in options.values() if option.exclusive]
+    if exclusive and exclusive.count(True) != 1:
+        return None
+    for option in options.values():
+        if option.dest not in values:
+            if option.required:
+                return None
+            values[option.dest] = False if option.kind is None else option.default
+    return SimpleNamespace(command=argv[0], **values, **defaults)
+
+
+def _parse_args(argv) -> SimpleNamespace | argparse.Namespace:
+    """What build_parser().parse_args(argv) returns.  A well-formed argv
+    is read from _COMMANDS alone; anything else -- no argument, -h,
+    --version, an abbreviation, --opt=value, -p3, a repeat, a stray or
+    leftover argument, "--", a value that fails its conversion -- goes to
+    the full parser, so help, version text and usage errors stay its own."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = _parsers()[1].get(argv[0]) if argv else None
-    # "--=x" is the one argument the full parser itself rejects (it could
-    # be --help or --version) before the subcommand's parser sees it.
-    if sub is not None and not any(arg.startswith("--=") for arg in argv):
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    # Anything else -- no argument, -h, --version, an option before the
-    # subcommand, an unknown name, a leftover argument -- goes through the
-    # full parser, so help, version text and usage errors stay its own.
-    return _parsers()[0].parse_args(argv)
+    args = _read_well_formed(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

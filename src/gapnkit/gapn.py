@@ -560,6 +560,15 @@ def linearized_kernel_dim(ctx: FieldCtx, d: int) -> int:
 RAW_DTYPE = "<u8"  # 64-bit little-endian unsigned
 
 
+def _is_decimal(text: str) -> bool:
+    """Whether text is an integer as str() writes it: ASCII digits, no
+    leading zero, at most a leading minus.  Every number in a CSV table
+    and in a search cache record must be; int() also reads "+8", " 8 ",
+    "0_8" and "٣"."""
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "0")
+
+
 def save_table_raw(table: FnTable, path) -> None:
     """Write the value table as packed 64-bit little-endian integers."""
     table.values.astype(RAW_DTYPE).tofile(path)
@@ -597,9 +606,9 @@ def load_table_csv(ctx: FieldCtx, path) -> FnTable:
     """Read rows x,f(x) that give every element exactly once.
 
     A header row (first field "x") and blank lines are skipped; any other
-    row that is not two integers in [0, p**n), or repeats an x, raises
-    ValueError naming its line.  OrderTooLarge comes before the file is
-    opened.
+    row that is not two integers in [0, p**n), written as str() writes
+    them, or repeats an x, raises ValueError naming its line.
+    OrderTooLarge comes before the file is opened.
     """
     ctx._require_tables("value table")
     import csv
@@ -616,6 +625,8 @@ def load_table_csv(ctx: FieldCtx, path) -> FnTable:
             if len(row) != 2:
                 raise ValueError(f"{where}: expected two fields x,f(x), got {len(row)}")
             try:
+                if not (_is_decimal(row[0]) and _is_decimal(row[1])):
+                    raise ValueError
                 x, v = int(row[0]), int(row[1])
             except ValueError:
                 raise ValueError(f"{where}: non-integer field in {','.join(row)!r}") from None

@@ -41,9 +41,9 @@ process, so a killed scan resumes from every coset it finished:
     p,n,coset_rep,weight,verdict,decider,version,checksum
 
 with verdict 0/1, deciders joined by '+', and checksum the decimal CRC-32
-of the preceding text.  A line loads only if writing its parsed fields
-back gives that same line, so its checksum holds and every number is in
-canonical decimal; version is recorded but not checked.  Empty lines are
+of the preceding text.  A line loads only if every number in it is in
+canonical decimal, the rule CSV value tables follow too, and its checksum
+holds; version is recorded but not checked.  Empty lines are
 skipped, and one trailing carriage return is ignored.  CacheCorrupt,
 rather than a silent recompute, is raised by any other line (one padded
 with blanks or not UTF-8 included) and by any record from another field,
@@ -515,8 +515,9 @@ def _load_cache(cache_dir, p: int, n: int) -> dict[int, tuple[int, bool, list[st
         except ValueError:
             raise CacheCorrupt(f"{path}:{lineno}: non-integer field") from None
         deciders = parts[5].split("+")
-        # Checks the checksum, and that every number is canonical decimal.
-        if _record(rec_p, rec_n, rep, weight, verdict, deciders, parts[6]) != line:
+        # Every number is canonical decimal, and the checksum holds.
+        prefix = line.rpartition(",")[0]
+        if not all(map(gapn._is_decimal, parts[:5])) or parts[7] != str(zlib.crc32(prefix.encode("utf-8"))):
             raise CacheCorrupt(f"{path}:{lineno}: checksum mismatch or non-canonical number")
         if (rec_p, rec_n) != (p, n):
             raise CacheCorrupt(f"{path}:{lineno}: record for ({rec_p},{rec_n}) in ({p},{n}) cache")

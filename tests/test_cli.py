@@ -182,6 +182,19 @@ class TestProfileCommand:
             '  "unit_root_multiplicity": 1,\n  "witness_n": 13,\n  "max_n": 12,\n  "gapn_dimensions": []\n}\n'
         )
 
+    def test_max_n_bound(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, ["profile", "-p", "3", "-d", "13", "--max-n", "1000001"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "BudgetExceeded", "message": "--max-n 1000001 exceeds the bound 1000000"}
+        # The bound itself is allowed; a smaller one keeps the check quick.
+        monkeypatch.setattr(cli, "_MAX_PROFILE_N", 20)
+        assert json_doc(capsys, ["profile", "-p", "3", "-d", "13", "--max-n", "20", "--format", "json"])["max_n"] == 20
+        code, _, err = run_cli(capsys, ["profile", "-p", "3", "-d", "13", "--max-n", "21"])
+        assert (code, json.loads(err)["error"]) == (1, "BudgetExceeded")
+        # The prime and the weight are checked first.
+        code, _, err = run_cli(capsys, ["profile", "-p", "4", "-d", "13", "--max-n", "21"])
+        assert (code, json.loads(err)["error"]) == (1, "NotPrime")
+
     def test_default_max_n(self, capsys):
         doc = json_doc(capsys, ["profile", "-p", "3", "-d", "5", "--format", "json"])
         assert doc["max_n"] == 12
@@ -415,6 +428,20 @@ class TestSpectrumCommand:
         assert payload["error"] == "ValueError"
         assert ":11:" in payload["message"]
 
+    @pytest.mark.parametrize("text", ["+8", " 8 ", "0_8", "08", "\u0663"])
+    def test_table_numbers_are_canonical_decimal(self, capsys, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text("x,f(x)\n" + "".join(f"{x},{x}\n" for x in range(8)) + f"8,{text}\n")
+        code, out, err = run_cli(capsys, ["spectrum", "-p", "3", "-n", "2", "--table", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": f"{path}:10: non-integer field in {'8,' + text!r}"}
+
+    @pytest.mark.parametrize("name", ["t.CSV", "t.Csv"])
+    def test_csv_suffix_in_any_case(self, capsys, tmp_path, name):
+        save_table_csv(monomial_table(make_field(3, 2), 5), tmp_path / name)
+        doc = json_doc(capsys, ["spectrum", "-p", "3", "-n", "2", "--table", str(tmp_path / name), "--format", "json"])
+        assert (doc["is_gapn"], doc["pairs_total"]) == (True, 72)
+
     def test_missing_table_file(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, ["spectrum", "-p", "3", "-n", "2", "--table", str(tmp_path / "nope.csv")]
@@ -632,31 +659,36 @@ _EVERY_REQUEST_KIND = [
 
 class TestParserReuse:
     def test_built_at_first_main_call_not_at_import(self):
+        # A well-formed request is read without the parser; a usage error
+        # builds it.
         code = (
             "import contextlib, io, gapnkit.cli as c\n"
-            "before = c._parsers.cache_info().currsize\n"
+            "before = c._parser.cache_info().currsize\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    c.main(['profile', '-p', '3', '-d', '13'])\n"
-            "print(before, c._parsers.cache_info().currsize)\n"
+            "well_formed = c._parser.cache_info().currsize\n"
+            "with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "    c.main(['profile', '-p', '3'])\n"
+            "print(before, well_formed, c._parser.cache_info().currsize)\n"
         )
         path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-        assert proc.stdout == "0 1\n", proc.stderr
+        assert proc.stdout == "0 0 1\n", proc.stderr
 
     def test_one_parser_per_interpreter(self, capsys):
         run_cli(capsys, ["profile", "-p", "3", "-d", "13"])
-        assert cli._parsers()[0] is cli._parsers()[0]
+        assert cli._parser() is cli._parser()
 
     def test_reused_parser_matches_fresh_one(self):
-        shared = cli._parsers()[0]
+        shared = cli._parser()
         for argv in _EVERY_REQUEST_KIND:
             shared.parse_args(argv)
         for argv in _EVERY_REQUEST_KIND:
             assert shared.parse_args(argv) == cli.build_parser().parse_args(argv)
 
     def test_no_state_carried_between_requests(self):
-        shared = cli._parsers()[0]
+        shared = cli._parser()
         assert shared.parse_args(["search", "-p", "3", "-n", "4", "--cache", "D"]).cache == "D"
         args = shared.parse_args(["search", "-p", "3", "-n", "4"])
         assert args.cache is None
@@ -672,8 +704,8 @@ class TestParserReuse:
                 assert code == 0
 
 
-# Inputs the subcommand's own parser must not settle alone, or settles the
-# same way the full parser does.
+# Inputs that are not well formed, so the full parser settles them, and
+# well-formed ones that the option table settles the same way.
 _DISPATCH_EDGE_CASES = [
     [],
     ["nosuchcmd", "-p", "3"],
@@ -698,13 +730,16 @@ _DISPATCH_EDGE_CASES = [
     ["criterion", "-p", "3", "-n", "4", "-d", "11", "--format", "yaml"],
     ["profile", "-p", "three", "-d", "13"],
     ["profile", "-p", "3"],
-    # The full parser rejects "--=x" as ambiguous before any subcommand sees it.
+    # A value that starts with "-" is an option to argparse, so the option has none.
+    ["spectrum", "-p", "3", "-n", "2", "--table", "-t.csv"],
+    ["search", "-p", "3", "-n", "4", "--cache", "-c"],
+    # The full parser rejects "--=x" as ambiguous, as it could be --help or --version.
     ["profile", "-p", "3", "-d", "13", "--=x"],
 ]
 
 
 class TestDispatchKeepsBytes:
-    """main parses argv with the subcommand's own parser alone, and says
+    """main reads a well-formed argv from the option table alone, and says
     exactly what the full parser's parse_args would have it say."""
 
     def outputs(self, capsys, monkeypatch, tmp_path, argv):
@@ -716,7 +751,7 @@ class TestDispatchKeepsBytes:
             return code, re.sub(r'(elapsed"?: )[0-9.e+-]+', r"\1", out), err
 
         dispatched = run("dispatched")
-        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parsers()[0].parse_args(argv))
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
         return dispatched, run("full")
 
     @pytest.mark.parametrize("argv", _EVERY_REQUEST_KIND + _DISPATCH_EDGE_CASES)
@@ -732,10 +767,10 @@ class TestDispatchKeepsBytes:
 
     def test_same_namespace_as_a_fresh_parser(self):
         for argv in _EVERY_REQUEST_KIND:
-            assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
+            assert vars(cli._parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
     def test_subcommand_parsers_not_built_at_import(self):
-        code = "import gapnkit.cli as c; print(c._parsers.cache_info().currsize)"
+        code = "import gapnkit.cli as c; print(c._parser.cache_info().currsize)"
         path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)

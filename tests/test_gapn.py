@@ -31,6 +31,7 @@ from gapnkit import (
 )
 from gapnkit import gapn
 from gapnkit.gapn import (
+    _is_decimal,
     load_table_csv,
     load_table_raw,
     monomial_gapn_verdict,
@@ -1015,6 +1016,13 @@ class TestTableIO:
             ("5", 10, "two fields"),
             ("5,x", 10, "non-integer"),
             ("8,9", 10, "outside"),
+            # int() reads each of these as a number; the rule is str()'s spelling.
+            ("+8,3", 10, "non-integer"),
+            ("8, 3 ", 10, "non-integer"),
+            ("8,0_3", 10, "non-integer"),
+            ("8,03", 10, "non-integer"),
+            ("8,\u0663", 10, "non-integer"),
+            ("-0,3", 10, "non-integer"),
         ],
     )
     def test_csv_bad_row_names_line(self, field, tmp_path, bad_row, line, fragment):
@@ -1024,6 +1032,16 @@ class TestTableIO:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=rf":{line}: .*{fragment}"):
             load_table_csv(ctx, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.integers().map(str), st.text(alphabet="+-_ 0123456789\u0663", max_size=5)))
+    def test_decimal_is_what_str_writes(self, text):
+        # The one number rule of CSV tables and cache records.
+        try:
+            written = str(int(text))
+        except ValueError:
+            written = None
+        assert _is_decimal(text) is (written == text)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

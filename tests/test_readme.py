@@ -32,6 +32,20 @@ def _examples():
     return examples
 
 
+# The error names README lists for exit 1.
+ERROR_NAMES = {
+    "BudgetExceeded", "CacheCorrupt", "DeciderDisagreement", "FactorizationTooLarge", "NotPrime",
+    "OrderTooLarge", "WrongWeight", "ValueError", "UnicodeDecodeError", "OSError", "BrokenPipeError",
+    "FileExistsError", "FileNotFoundError", "IsADirectoryError", "NotADirectoryError", "PermissionError",
+}
+
+
+def _readme_error_names():
+    text = README.read_text()
+    start = text.index("The `error` name is one of")
+    return set(re.findall(r"`(\w+)`", text[start : text.index("\n\n", start)])) - {"error"}
+
+
 def _pattern(expected):
     parts = []
     for line in expected:
@@ -45,6 +59,10 @@ def _pattern(expected):
 
 
 EXAMPLES = _examples()
+
+
+def test_readme_lists_every_error_name():
+    assert _readme_error_names() == ERROR_NAMES
 
 
 def test_readme_has_every_example():

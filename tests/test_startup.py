@@ -4,7 +4,9 @@ numpy is imported only by a command that reads a field table, and
 multiprocessing only when a worker pool starts.  Commands that read no
 table (profile, criterion, weight-p-only scans, --help, usage errors and
 domain errors raised before a table is read) load neither, and their
-output is what the same request gives in this process.
+output is what the same request gives in this process.  argparse is
+imported only for help, --version and usage errors: a well-formed
+request is read from the CLI's option table.
 """
 
 import json
@@ -99,6 +101,7 @@ FIELD_FREE = [
     (["search", "-p", "5", "-n", "6", "--mode", "weight-p-only", "--format", "json"], 0),
     (["profile", "-p", "4", "-d", "7"], 1),
     (["profile", "-p", "1", "-d", "1"], 1),
+    (["profile", "-p", "3", "-d", "13", "--max-n", "1000001"], 1),
     (["criterion", "-p", "9", "-n", "3", "-d", "9"], 1),
     (["search", "-p", "4", "-n", "3", "--mode", "weight-p-only"], 1),
     (["search", "-p", "3", "-n", "60", "--mode", "weight-p-only", "--long-running"], 1),
@@ -130,8 +133,9 @@ class TestFieldFreeStartUp:
 
 
 # Modules no field-free start runs: the records are NamedTuples or slotted
-# classes, and csv and random are imported by the functions that use them.
-UNUSED_AT_START = ["csv", "dataclasses", "inspect", "random"]
+# classes, csv and random are imported by the functions that use them, and
+# argparse (with its gettext) only for help and usage errors.
+UNUSED_AT_START = ["argparse", "csv", "dataclasses", "gettext", "inspect", "random"]
 
 # _RUNNER's requests, reporting which of UNUSED_AT_START the import or the
 # command added to the modules already loaded before it; an interpreter
@@ -171,6 +175,57 @@ class TestStartUpModules:
         report, out, err = _fresh(tmp_path, argv, flags, _ADDED_RUNNER)
         assert report == {"code": code, "optimize": len(flags), "added": []}
         assert (out, err) == ("", "")
+
+
+# _RUNNER's requests, reporting the exit code and whether the request
+# added argparse to the modules loaded before it.
+_ARGPARSE_RUNNER = """
+import json, sys
+report, argv = sys.argv[1], sys.argv[2:]
+before = set(sys.modules)
+from gapnkit.cli import main
+try:
+    code = main(argv)
+except SystemExit as exc:
+    code = exc.code
+with open(report, "w") as fh:
+    json.dump({"code": code, "optimize": sys.flags.optimize,
+               "argparse": "argparse" in set(sys.modules) - before}, fh)
+"""
+
+
+class TestArgparseOnlyWhenNeeded:
+    @pytest.mark.parametrize("flags", FLAGS)
+    @pytest.mark.parametrize(
+        "argv,code,loaded",
+        [
+            (["-h"], 0, True),
+            (["profile", "-h"], 0, True),
+            (["profile", "-p", "3"], 2, True),
+            (["profile", "-p", "3", "-d", "13", "--max-n", "0"], 2, True),
+            (["profile", "-p", "3", "-d", "13"], 0, False),
+            (["profile", "-p", "3", "-d", "13", "--max-n", "1000001"], 1, False),
+        ],
+    )
+    def test_help_and_usage_errors_load_argparse(self, tmp_path, capsys, monkeypatch, flags, argv, code, loaded):
+        # One terminal width for argparse here and in the fresh interpreter.
+        monkeypatch.setenv("COLUMNS", "80")
+        report, out, err = _fresh(tmp_path, argv, flags, _ARGPARSE_RUNNER)
+        assert report == {"code": code, "optimize": len(flags), "argparse": loaded}
+        assert (code, out, err) == _in_process(capsys, argv)
+        assert ("usage: gapnkit" in out + err) is loaded
+
+    @pytest.mark.parametrize("flags", FLAGS)
+    def test_no_argparse_in_import_time(self, flags):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, *flags, "-X", "importtime", "-m", "gapnkit", "profile", "-p", "3", "-d", "13"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "GAPN dimensions n <= 12: 4 5 7 8 10 11")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "gapnkit.cli" in imported
+        assert not [name for name in imported if "argparse" in name or "gettext" in name]
 
 
 # _RUNNER with a pool started after the first candidate, on two CPUs
