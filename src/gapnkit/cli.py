@@ -45,6 +45,10 @@ _MAX_PROFILE_N = 10**6
 
 
 def _positive(text: str) -> int:
+    # Canonical decimal, as in --table rows and cache records: int() also
+    # reads "+3", " 3", "0_3" and "٣".
+    if not gapn._is_decimal(text):
+        raise ValueError(f"{text!r} is not a decimal integer")
     value = int(text)
     if value < 1:
         from argparse import ArgumentTypeError

@@ -4,8 +4,9 @@ A field element is its packed index: the element with polynomial-basis
 coefficients (c_0, ..., c_(n-1)) is the plain integer sum c_s * p**s, so
 element indices run over [0, p**n).  A FieldCtx carries the modulus and,
 for orders up to TABLE_CAP = 2**24, three tables: log and antilog tables
-over a fixed primitive element, and a lane table (every element's digits
-packed into one int64) that backs the derivative kernel and add_array.
+over the smallest primitive element counting from x, and a lane table
+(every element's digits packed into one int64) that backs the derivative
+kernel and add_array.
 Each is a slot filled on its first read by the one builder _BUILDERS
 names for it, the default modulus included.  Scalar arithmetic never
 reads a table: add, neg, mul and pow are polyfp arithmetic modulo the
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING
 from .errors import DivisionByZero, NotIrreducible, NotPrime, OrderTooLarge
 from .monomial import digits_of
 from .numtheory import factorint, is_prime
-from .polyfp import PolyFp, is_irreducible, pow_mod
+from .polyfp import PolyFp, _resultant, is_irreducible, pow_mod
 
 if TYPE_CHECKING:
     import numpy as np
@@ -218,10 +219,20 @@ class FieldCtx:
 
         p, n, order = self.p, self.n, self.order
         group = order - 1
-        cofactors = [group // q for q in factorint(group)] if group > 1 else []
+        primes = list(factorint(group)) if group > 1 else []
+        # y is primitive when y**(group/q) != 1 for every prime q of the group
+        # order.  For q | p - 1 that power is N(y)**((p - 1)/q), where the norm
+        # N(y) = y**(group/(p - 1)) lies in F_p and is the resultant of the
+        # monic modulus and y: O(n**2) steps instead of a power in the field.
+        by_norm = [(p - 1) // q for q in primes if (p - 1) % q == 0]
+        by_pow = [group // q for q in primes if (p - 1) % q]
         start = p if n > 1 else 1
         for gen in range(start, order):
-            if all(self.pow(gen, cf) != 1 for cf in cofactors):
+            if by_norm:
+                norm = _resultant(self.modulus, self._poly(gen))
+                if any(pow(norm, e, p) == 1 for e in by_norm):
+                    continue
+            if all(self.pow(gen, cf) != 1 for cf in by_pow):
                 break
         else:
             raise AssertionError("no primitive element found (impossible)")

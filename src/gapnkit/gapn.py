@@ -209,8 +209,9 @@ def _direction_lanes(ctx: FieldCtx, values: np.ndarray) -> tuple[np.ndarray, np.
     return lanes, index
 
 
-# Field context -> the values of x -> x**p on it; an entry goes with its context.
-_frobenius: weakref.WeakKeyDictionary[FieldCtx, np.ndarray] = weakref.WeakKeyDictionary()
+# Field context -> (the values of x -> x**p, the read-only orbit weights) on
+# it, both functions of the field alone; an entry goes with its context.
+_frobenius: weakref.WeakKeyDictionary[FieldCtx, tuple[np.ndarray, np.ndarray]] = weakref.WeakKeyDictionary()
 
 
 def _frobenius_classes(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
@@ -225,21 +226,26 @@ def _frobenius_classes(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     classes t * p**j mod M, weigh 0.  Any other table, and every table on
     F_p, computes every class with weight 1.  phi fixes exactly F_p, the
     indices below p, so such a table maps F_p into F_p: a test of p entries
-    turns most other tables away before phi's table, built once per context, is read.
+    turns most other tables away before phi's table is read.  phi's table
+    and the orbit weights are built once per context; the check that a
+    table commutes with phi runs on every call.
     """
     import numpy as np
 
     p, n, m = ctx.p, ctx.n, _projective_count(ctx)
     if n > 1 and values[:p].max() < p:
-        frob = _frobenius.get(ctx)
-        if frob is None:
-            frob = _frobenius.setdefault(ctx, monomial_table(ctx, p).values)
-        if (values[frob] == frob[values]).all():
+        state = _frobenius.get(ctx)
+        if state is None:
             least = member = np.arange(m, dtype=np.int64)
             for _ in range(n - 1):
                 member = member * p % m
                 np.minimum(least, member, out=least)
-            return np.bincount(least, minlength=m)
+            weights = np.bincount(least, minlength=m)
+            weights.setflags(write=False)
+            state = _frobenius.setdefault(ctx, (monomial_table(ctx, p).values, weights))
+        frob, weights = state
+        if (values[frob] == frob[values]).all():
+            return weights
     return np.ones(m, dtype=np.int64)
 
 
@@ -412,10 +418,15 @@ def monomial_gapn_fast(ctx: FieldCtx, d: int) -> GapnReport:
     """
     if d < 1:
         raise ValueError("need an exponent d >= 1")
-    order, p = ctx.order, ctx.p
-    values = monomial_table(ctx, d).values
+    return _single_direction(ctx, monomial_table(ctx, d).values)
+
+
+def _single_direction(ctx: FieldCtx, values: np.ndarray) -> GapnReport:
+    """monomial_gapn_fast's report from the values of x**d, d >= 1, for a
+    caller that holds them already."""
     import numpy as np
 
+    order, p = ctx.order, ctx.p
     sums = _derivative_values(ctx, ctx.lane_table, values[None, :])
     mult = _row_multiplicity(ctx, sums)[0]
     m = int(mult.max()) * p

@@ -236,6 +236,25 @@ def poly_gcd(a: PolyFp, b: PolyFp) -> PolyFp:
     return a.monic()
 
 
+def _resultant(a: PolyFp, b: PolyFp) -> int:
+    """Res(a, b) in F_p for a of degree >= 1, by Euclid's algorithm in
+    O(deg a * deg b) steps: with r = a mod b,
+    Res(a, b) = (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * Res(b, r),
+    and Res(a, c) = c**deg a for a constant c.  For a monic a it is the
+    product of b over the roots of a."""
+    p = a.p
+    res = 1
+    while b.degree > 0:
+        r = a % b
+        if r.is_zero:
+            return 0
+        if a.degree & b.degree & 1:
+            res = p - res
+        res = res * pow(b.lc, a.degree - r.degree, p) % p
+        a, b = b, r
+    return res * pow(b.lc, a.degree, p) % p
+
+
 def pow_mod(base: PolyFp, e: int, mod: PolyFp) -> PolyFp:
     """base**e reduced modulo mod, for e >= 0, by square-and-multiply
     from the low bit up; the base is not squared past e's top bit."""

@@ -359,13 +359,17 @@ def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> gapn.
     then the extrapolated single-direction one.  deciders_agreed names
     every decider that ran.
     """
+    if d < 1:
+        raise ValueError("need an exponent d >= 1")
     p, n = ctx.p, ctx.n
     verdicts: dict[str, bool] = {}
     full_ok = ctx.order <= SOFT_ORDER_BUDGET or long_running
+    table = gapn.monomial_table(ctx, d)
     if full_ok:
-        report = gapn.differential_spectrum(gapn.monomial_table(ctx, d))
+        report = gapn.differential_spectrum(table)
         verdicts[BRUTE_FORCE] = report.is_gapn
-    fast = gapn.monomial_gapn_fast(ctx, d)
+    # monomial_gapn_fast(ctx, d), from the table built above.
+    fast = gapn._single_direction(ctx, table.values)
     verdicts[MONOMIAL_FAST] = fast.is_gapn
     if not full_ok:
         report = fast
@@ -432,15 +436,23 @@ def verify_families(p: int, n: int) -> FamilyReport:
 
     Exponents are reduced modulo p**n - 1, since x**(p**n - 1 + d) = x**d on
     the field; one that reduces to 0 lies outside [1, p**n - 2] and is
-    dropped (gold i = 1 on F_4, where p**n - 1 = 3).
+    dropped (gold i = 1 on F_4, where p**n - 1 = 3).  One member of each
+    cyclotomic coset is decided, and its verdict and deciders go to its
+    coset mates: x**(d*p) is x**d followed by the additive automorphism
+    x -> x**p, so it has the same spectrum, and the digit sum, on which the
+    applicable deciders depend, is the same across a coset.
     """
     ctx = make_field(p, n)
     entries: list[FamilyEntry] = []
+    decided: dict[int, tuple[bool, list[str]]] = {}  # coset rep -> exact_verdict of its first member
     for family, param, d, predicted in classical_families(p, n):
         d %= p**n - 1
         if d:
-            verdict, deciders = exact_verdict(ctx, d)
-            entries.append(FamilyEntry(family, param, d, predicted, verdict, deciders))
+            rep = coset_rep(d, p, n)
+            if rep not in decided:
+                decided[rep] = exact_verdict(ctx, d)
+            verdict, deciders = decided[rep]
+            entries.append(FamilyEntry(family, param, d, predicted, verdict, list(deciders)))
     return FamilyReport(p, n, entries)
 
 

@@ -636,6 +636,29 @@ class TestUsageErrors:
         assert code == 2
         assert "usage:" in err
 
+    # Each positive option, with a valid value at its place in a request
+    # that answers; int() reads every other spelling of it too.
+    @pytest.mark.parametrize(
+        "argv,at",
+        [
+            (["test", "-p", "3", "-n", "2", "-d", "5"], 2),
+            (["test", "-p", "3", "-n", "2", "-d", "5"], 4),
+            (["test", "-p", "3", "-n", "2", "-d", "5"], 6),
+            (["search", "-p", "3", "-n", "2", "--jobs", "1"], 6),
+            (["profile", "-p", "3", "-d", "13", "--max-n", "4"], 6),
+        ],
+        ids=["-p", "-n", "-d", "--jobs", "--max-n"],
+    )
+    @pytest.mark.parametrize("spelling", ["+{}", " {}", "{} ", "0_{}", "0{}", "arabic-indic"])
+    def test_numbers_are_canonical_decimal(self, capsys, argv, at, spelling):
+        assert run_cli(capsys, argv)[0] == 0
+        value = argv[at]
+        text = value.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")) if spelling == "arabic-indic" else spelling.format(value)
+        assert int(text) == int(value)
+        code, out, err = run_cli(capsys, [*argv[:at], text, *argv[at + 1 :]])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {argv[at - 1]}: invalid _positive value: {text!r}\n")
+
 
 # One request of every kind, with each option that has a default set.
 _EVERY_REQUEST_KIND = [

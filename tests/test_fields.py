@@ -23,8 +23,8 @@ from gapnkit import (
 from gapnkit.cli import main as cli_main
 from gapnkit.monomial import digits_of
 from gapnkit.numtheory import is_prime
-from gapnkit.polyfp import is_irreducible
-from numpy_tables import lane_tables, log_tables
+from gapnkit.polyfp import _resultant, is_irreducible
+from numpy_tables import generator, lane_tables, log_tables
 
 
 # Naive irreducibility oracle, independent of the library's irreducibility test:
@@ -502,7 +502,7 @@ class TestTablesMatchOracle:
     def test_default_modulus(self, p, n):
         self._assert_match(FieldCtx(p, n))
 
-    @pytest.mark.parametrize("p,n", [(3, 3), (2, 8), (67, 2), (3, 9)])
+    @pytest.mark.parametrize("p,n", [(3, 3), (2, 8), (67, 2), (3, 9), (7, 3)])
     def test_other_modulus(self, p, n):
         modulus = _second_modulus(p, n)
         assert modulus != find_irreducible(p, n)
@@ -515,6 +515,34 @@ class TestTablesMatchOracle:
         monkeypatch.setattr(fields, "factorint", lambda m: {})
         with pytest.raises(AssertionError, match="antilog table misses an element"):
             FieldCtx(3, 2).log_table  # noqa: B018
+
+
+# Every field with n >= 2 of order up to 3^7, and the longest generator
+# searches measured: 3^8 tries 36 candidates, 3^10 32 and 13^6 170.
+_GENERATOR_FIELDS = [
+    (p, n) for p in range(2, 47) if is_prime(p) for n in range(2, 12) if p**n <= 3**7  # 47**2 > 3**7
+] + [(3, 8), (3, 10), (3, 12), (5, 7), (7, 5), (13, 6)]
+
+
+class TestGenerator:
+    """The generator is the smallest primitive element counting from x.  The
+    primes q of p - 1 are tested through the norm: y**((p**n - 1)/q) =
+    N(y)**((p - 1)/q), N(y) the resultant of the modulus and y."""
+
+    @pytest.mark.parametrize("p,n", _GENERATOR_FIELDS)
+    def test_smallest_primitive_element(self, p, n):
+        ctx = FieldCtx(p, n)
+        assert ctx.generator == generator(ctx)
+
+    @pytest.mark.parametrize("p,n", _GENERATOR_FIELDS)
+    def test_norm_is_the_resultant(self, p, n):
+        # Seeded y of every degree 0 through n - 1.
+        ctx = FieldCtx(p, n)
+        rng = random.Random(p * 100 + n)
+        norm = (ctx.order - 1) // (p - 1)
+        for degree in range(n):
+            for y in {rng.randrange(max(1, p**degree), p ** (degree + 1)) for _ in range(3)}:
+                assert _resultant(ctx.modulus, ctx._poly(y)) == ctx.pow(y, norm), (y, degree)
 
 
 class TestPickling:

@@ -862,6 +862,29 @@ class TestPreparedState:
         differential_spectrum(FnTable(other, values))
         assert built == [(ctx, 3)] and other not in gapn._frobenius
 
+    def test_orbit_weights_built_once_per_context(self, monkeypatch):
+        returned = []
+
+        def classes(ctx, values, real=gapn._frobenius_classes):
+            returned.append(real(ctx, values))
+            return returned[-1]
+
+        monkeypatch.setattr(gapn, "_frobenius_classes", classes)
+        ctx = FieldCtx(3, 5)
+        for d in (5, 7):
+            differential_spectrum(monomial_table(ctx, d))
+        weights = gapn._frobenius[ctx][1]
+        assert returned[0] is weights and returned[1] is weights
+        assert not weights.flags.writeable
+        assert weights.tolist() == _orbit_weights(3, 5)
+        # A seeded random table that maps F_3 into F_3 reaches the symmetry
+        # check, fails it, and computes every class with weight 1.
+        values = np.random.default_rng(35).integers(0, ctx.order, ctx.order)
+        values[:3] = [2, 0, 1]
+        report = differential_spectrum(FnTable(ctx, values))
+        assert returned[2] is not weights and returned[2].tolist() == [1] * 121
+        assert report.to_dict() == numpy_spectrum.spectrum(FnTable(ctx, values))
+
     @pytest.mark.parametrize(
         "clone", [lambda ctx: pickle.loads(pickle.dumps(ctx)), copy.copy, copy.deepcopy],
         ids=["pickle", "copy", "deepcopy"],

@@ -38,8 +38,9 @@ from gapnkit import (
 )
 from gapnkit import FieldCtx, gapn, make_field, search
 from gapnkit.cli import main as cli_main
+from gapnkit.monomial import classical_families
 from gapnkit.numtheory import is_prime
-from gapnkit.search import BRUTE_FORCE, SOFT_ORDER_BUDGET
+from gapnkit.search import BRUTE_FORCE, SOFT_ORDER_BUDGET, FamilyEntry, FamilyReport
 from numpy_cosets import coset_reps as numpy_coset_reps
 
 
@@ -610,6 +611,32 @@ class TestFamilies:
             report = verify_families(p, n)
             assert report.mismatches == 0, (p, n)
             assert all(BRUTE_FORCE in e.deciders for e in report.entries), (p, n)
+
+    @pytest.mark.parametrize(
+        "p,n", [(p, n) for p in range(2, 244) if is_prime(p) for n in range(1, 8) if p**n <= 3**5]
+    )
+    def test_one_analysis_per_coset_matches_every_entry_decided(self, p, n):
+        # The reference decides every entry on its own.
+        ctx = make_field(p, n)
+        reference = []
+        for family, param, d, predicted in classical_families(p, n):
+            d %= p**n - 1
+            if d:
+                reference.append(FamilyEntry(family, param, d, predicted, *exact_verdict(ctx, d)))
+        assert verify_families(p, n) == FamilyReport(p, n, reference)
+
+    @pytest.mark.parametrize("p,n,calls,entries", [(2, 8, 5, 8), (3, 4, 5, 8), (3, 5, 6, 10), (5, 3, 4, 6), (7, 2, 3, 4)])
+    def test_exact_verdict_once_per_coset(self, monkeypatch, p, n, calls, entries):
+        decided = []
+
+        def counted(ctx, d, real=search.exact_verdict):
+            decided.append(d)
+            return real(ctx, d)
+
+        monkeypatch.setattr(search, "exact_verdict", counted)
+        report = verify_families(p, n)
+        assert (len(decided), len(report.entries)) == (calls, entries)
+        assert {coset_rep(d, p, n) for d in decided} == {coset_rep(e.d, p, n) for e in report.entries}
 
     def test_welch_not_gapn_for_p5(self):
         report = verify_families(5, 2)
