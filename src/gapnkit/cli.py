@@ -17,20 +17,21 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, gapn
 from .errors import BudgetExceeded, GapnkitError, NotPrime
-from .fields import make_field
+from .fields import SOFT_ORDER_BUDGET, make_field
 from .monomial import (
-    describe_exponent,
+    coset_rep,
     criterion_gapn,
     exceptional_profile,
     identify_family,
     normalize_weight_p,
+    p_weight,
 )
 from .numtheory import is_prime
 from .search import (
     _MODES,
-    SOFT_ORDER_BUDGET,
     SearchFilters,
     SearchJob,
+    _check_exponent_range,
     analyze_exponent,
     run_search,
     verify_families,
@@ -57,11 +58,6 @@ def _positive(text: str) -> int:
     return value
 
 
-def _check_exponent_range(d: int, p: int, n: int) -> None:
-    if not 1 <= d < p**n - 1:
-        raise ValueError(f"exponent {d} outside [1, {p**n - 2}] for F_({p}^{n})")
-
-
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -72,31 +68,27 @@ def _yn(flag: bool) -> str:
 
 def _cmd_test(args):
     ctx = make_field(args.p, args.n)
-    _check_exponent_range(args.d, args.p, args.n)
     report = analyze_exponent(ctx, args.d, long_running=args.long_running)
-    info = describe_exponent(args.d, args.p, args.n)
+    weight, rep = p_weight(args.d, args.p), coset_rep(args.d, args.p, args.n)
     families = identify_family(args.d, args.p, args.n)
     doc = {
         "p": args.p,
         "n": args.n,
         "d": args.d,
-        "weight": info.weight,
-        "coset_rep": info.coset_rep,
+        "weight": weight,
+        "coset_rep": rep,
         "family": families,
         **report.to_dict(),
     }
     lines = [f"GAPN: {_yn(report.is_gapn)} (max count {report.max_count})"]
-    lines.append(
-        f"d = {args.d} on F_({args.p}^{args.n}); weight {info.weight}; "
-        f"coset rep {info.coset_rep}"
-    )
+    lines.append(f"d = {args.d} on F_({args.p}^{args.n}); weight {weight}; coset rep {rep}")
     if families:
         lines.append("family: " + ", ".join(families))
     lines.append("deciders: " + ", ".join(report.deciders_agreed))
     spectrum = " ".join(f"{c}:{m}" for c, m in sorted(report.spectrum.items()))
     lines.append(f"spectrum: {spectrum}")
     header = ["p", "n", "d", "weight", "is_gapn", "max_count", "partial"]
-    row = [args.p, args.n, args.d, info.weight, int(report.is_gapn), report.max_count, int(report.partial)]
+    row = [args.p, args.n, args.d, weight, int(report.is_gapn), report.max_count, int(report.partial)]
     return doc, lines, (header, [row])
 
 
@@ -485,6 +477,9 @@ def main(argv=None) -> int:
         print(json.dumps(payload), file=sys.stderr)
         return 1
     return 0
+
+
+__all__ = ["build_parser", "main"]
 
 
 if __name__ == "__main__":

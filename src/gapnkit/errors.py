@@ -59,3 +59,10 @@ class BudgetExceeded(GapnkitError):
 
 class DeciderDisagreement(GapnkitError):
     """Two exact deciders returned different verdicts for one exponent."""
+
+
+__all__ = [
+    "BothZero", "BudgetExceeded", "CacheCorrupt", "DeciderDisagreement", "DivisionByZero", "EvenCharacteristic",
+    "FactorizationTooLarge", "GapnkitError", "NotIrreducible", "NotNormalized", "NotPrime", "OrderTooLarge",
+    "RootIsZero", "WrongWeight", "ZeroDirection",
+]

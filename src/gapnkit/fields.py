@@ -159,18 +159,6 @@ class FieldCtx:
             v = v * p + c
         return v
 
-    def element_from_coeffs(self, coeffs) -> int:
-        """Pack polynomial-basis coefficients (c_0, ..., c_(n-1)) into an index."""
-        cs = list(coeffs)
-        if len(cs) > self.n:
-            raise ValueError("too many coefficients")
-        return self._index(PolyFp(self.p, cs))
-
-    def coeffs_of(self, a: int) -> tuple[int, ...]:
-        """Unpack an index into its coefficient vector (c_0, ..., c_(n-1))."""
-        self._check_element(a)
-        return digits_of(a, self.p, self.n)
-
     def _check_element(self, a: int) -> None:
         if not 0 <= a < self.order:
             raise ValueError(f"{a} is not an element index of this field")
@@ -282,6 +270,7 @@ class FieldCtx:
         self.antilog_table = _read_only(antilog)
         self.log_table = _read_only(log)
 
+    # No package caller; perfbench/tracer.py wraps it by name, so it goes with that tracer (ROADMAP item 2).
     @property
     def digit_table(self) -> np.ndarray:
         """(order, n) array of base-p digits for every element index,
@@ -345,6 +334,7 @@ class FieldCtx:
 
     # ---- vectorized helpers ---------------------------------------------
 
+    # No package caller; perfbench/tracer.py wraps it by name, so it goes with that tracer (ROADMAP item 2).
     def add_array(self, a, b):
         """Elementwise field addition of index arrays (or array + scalar):
         the sum of two lane-packed values cannot carry, so every lane mod
@@ -352,6 +342,7 @@ class FieldCtx:
         lanes = self.lane_table
         return self.lanes_to_index(lanes[a] + lanes[b])
 
+    # Only gen_derivative calls it; perfbench/tracer.py wraps it by name too (ROADMAP item 2).
     def mul_array(self, a, b):
         """Elementwise field multiplication of index arrays via log tables."""
         log, antilog = self.log_table, self.antilog_table
@@ -392,3 +383,6 @@ def make_field(p: int, n: int, modulus: PolyFp | None = None) -> FieldCtx:
             # setdefault: when two threads race, both get the one stored.
             ctx = _shared.setdefault((p, n), ctx)
     return ctx
+
+
+__all__ = ["FieldCtx", "SOFT_ORDER_BUDGET", "find_irreducible", "make_field"]

@@ -26,7 +26,7 @@ import math
 from typing import NamedTuple
 
 from .errors import EvenCharacteristic, NotNormalized, NotPrime, WrongWeight
-from .numtheory import is_prime, primes
+from .numtheory import is_prime
 from .polyfp import PolyFp, _order_of_x, factorize, poly_gcd, x_pow_mod
 
 
@@ -348,21 +348,6 @@ def exceptional_profile(d: int, p: int) -> ExceptionalProfile:
     return ExceptionalProfile(d, p, root_orders, unit_mult, n)
 
 
-def extension_prime(profile: ExceptionalProfile, n: int) -> int:
-    """Smallest prime q such that GAPN on F_(p^n) extends to F_(p^(q*n)):
-    the first prime at which the profile predicts GAPN in dimension q*n."""
-    if not profile.predicts_gapn(n):
-        raise ValueError(f"profile of {profile.d} does not predict GAPN in dimension {n}")
-    return next(q for q in primes() if profile.predicts_gapn(q * n))
-
-
-def welch_exponent(p: int, n: int) -> tuple[int, bool]:
-    """The welch exponent of classical_families and its predicted verdict."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return next((d, pred) for fam, _, d, pred in classical_families(p, n) if fam == "welch")
-
-
 def max_degree_family(p: int, n: int) -> list[int]:
     """The exponents p**n - p**j - 1 for j = 0..n-1, all of digit sum
     n*(p-1) - 1, the largest possible for a GAPN power map: every digit of
@@ -406,37 +391,9 @@ def identify_family(d: int, p: int, n: int) -> list[str]:
     ]
 
 
-class Exponent(NamedTuple):
-    """An exponent together with its derived bookkeeping."""
-
-    d: int
-    p: int
-    n: int
-    digits: tuple[int, ...]
-    weight: int
-    coset_rep: int
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "p": self.p,
-            "n": self.n,
-            "digits": list(self.digits),
-            "weight": self.weight,
-            "coset_rep": self.coset_rep,
-        }
-
-
-def describe_exponent(d: int, p: int, n: int) -> Exponent:
-    """Bundle digits, weight, and coset representative for one exponent."""
-    digs = digits_of(d, p, n)
-    return Exponent(d, p, n, digs, sum(digs), coset_rep(d, p, n))
-
-
 __all__ = [
     "CriterionReport",
     "ExceptionalProfile",
-    "Exponent",
     "circulant_rank",
     "classical_families",
     "coset_count",
@@ -444,15 +401,12 @@ __all__ = [
     "coset_rep",
     "coset_reps",
     "criterion_gapn",
-    "describe_exponent",
     "digit_polynomial",
     "digits_of",
     "exceptional_profile",
-    "extension_prime",
     "identify_family",
     "max_degree_family",
     "normalize_weight_p",
     "p_weight",
     "rank_mod_p",
-    "welch_exponent",
 ]

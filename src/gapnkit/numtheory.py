@@ -1,4 +1,4 @@
-"""Integer helpers: primality testing, factorization, and a prime generator.
+"""Integer helpers: primality testing and factorization.
 
 Everything here targets desk-scale inputs (below 2**64 or so).  Factorization
 runs trial division for small factors and Brent's cycle-finding variant of
@@ -102,11 +102,4 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-def primes():
-    """Yield the primes 2, 3, 5, ... indefinitely."""
-    yield 2
-    n = 3
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
+__all__ = ["factorint", "is_prime"]

@@ -487,3 +487,15 @@ def _order_of_x(h: PolyFp) -> int:
         while e % q == 0 and x_pow_mod(e // q, h).is_one:
             e //= q
     return e
+
+
+__all__ = [
+    "Factorization",
+    "PolyFp",
+    "factorize",
+    "is_irreducible",
+    "poly_gcd",
+    "pow_mod",
+    "root_order",
+    "x_pow_mod",
+]

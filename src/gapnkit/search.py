@@ -351,17 +351,22 @@ def _verify_filtered(ctx: FieldCtx, filtered_reps: dict[str, list[int]]) -> dict
     return {"sampled": sampled, "per_stratum": per_stratum, "violations": violations}
 
 
+def _check_exponent_range(d: int, p: int, n: int) -> None:
+    if not 1 <= d < p**n - 1:
+        raise ValueError(f"exponent {d} outside [1, {p**n - 2}] for F_({p}^{n})")
+
+
 def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> gapn.GapnReport:
-    """Full report for one exponent with every applicable decider agreeing.
+    """Full report for one exponent d in [1, p**n - 2] with every applicable
+    decider agreeing; any other d raises ValueError.
 
     The report is the full spectrum when brute force runs.  Above the soft
     order budget brute force is skipped unless opted in, and the report is
     then the extrapolated single-direction one.  deciders_agreed names
     every decider that ran.
     """
-    if d < 1:
-        raise ValueError("need an exponent d >= 1")
     p, n = ctx.p, ctx.n
+    _check_exponent_range(d, p, n)
     verdicts: dict[str, bool] = {}
     full_ok = ctx.order <= SOFT_ORDER_BUDGET or long_running
     table = gapn.monomial_table(ctx, d)
@@ -380,12 +385,6 @@ def analyze_exponent(ctx: FieldCtx, d: int, long_running: bool = False) -> gapn.
         verdicts[LINEARIZED_KERNEL] = gapn.linearized_kernel_dim(ctx, dn) == 1
     _agree(verdicts, d, p, n)
     return report._replace(deciders_agreed=sorted(verdicts))
-
-
-def exact_verdict(ctx: FieldCtx, d: int) -> tuple[bool, list[str]]:
-    """Verdict for one exponent by all applicable deciders (must agree)."""
-    report = analyze_exponent(ctx, d)
-    return report.is_gapn, report.deciders_agreed
 
 
 class FamilyEntry(NamedTuple):
@@ -444,15 +443,15 @@ def verify_families(p: int, n: int) -> FamilyReport:
     """
     ctx = make_field(p, n)
     entries: list[FamilyEntry] = []
-    decided: dict[int, tuple[bool, list[str]]] = {}  # coset rep -> exact_verdict of its first member
+    decided: dict[int, gapn.GapnReport] = {}  # coset rep -> the report of its first member
     for family, param, d, predicted in classical_families(p, n):
         d %= p**n - 1
         if d:
             rep = coset_rep(d, p, n)
             if rep not in decided:
-                decided[rep] = exact_verdict(ctx, d)
-            verdict, deciders = decided[rep]
-            entries.append(FamilyEntry(family, param, d, predicted, verdict, list(deciders)))
+                decided[rep] = analyze_exponent(ctx, d)
+            report = decided[rep]
+            entries.append(FamilyEntry(family, param, d, predicted, report.is_gapn, list(report.deciders_agreed)))
     return FamilyReport(p, n, entries)
 
 
@@ -553,9 +552,7 @@ __all__ = [
     "SearchFilters",
     "SearchJob",
     "SearchResult",
-    "SOFT_ORDER_BUDGET",
     "analyze_exponent",
-    "exact_verdict",
     "run_search",
     "verify_families",
 ]

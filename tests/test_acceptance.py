@@ -31,9 +31,9 @@ from gapnkit import (
     normalize_weight_p,
     p_weight,
     run_search,
-    welch_exponent,
 )
 from gapnkit.cli import main
+from gapnkit.monomial import classical_families
 from gapnkit.search import SearchFilters, SearchJob
 
 
@@ -107,21 +107,26 @@ def test_acceptance_2_max_degree_family(announce, field):
     _gate(announce, 2, "max-degree family", 60, body)
 
 
+def _welch(p, n):
+    """The welch exponent of classical_families and its predicted verdict."""
+    return next((d, predicted) for family, _, d, predicted in classical_families(p, n) if family == "welch")
+
+
 def test_acceptance_3_welch_family(announce, field):
     def body():
         for n in range(2, 8):
-            d, predicted = welch_exponent(3, n)
+            d, predicted = _welch(3, n)
             t = (n - 1) // 2 if n % 2 else n // 2
             assert d == 3**t + 4
             assert predicted is True
             assert _brute_is_gapn(field(3, n), d), n
         for p in (5, 7):
             for n in (3, 4):
-                d, predicted = welch_exponent(p, n)
+                d, predicted = _welch(p, n)
                 assert predicted is False
                 # Weight 3 < p already settles it; brute force confirms.
                 assert p_weight(d, p) == 3
-        assert not _brute_is_gapn(field(5, 3), welch_exponent(5, 3)[0])
+        assert not _brute_is_gapn(field(5, 3), _welch(5, 3)[0])
 
     _gate(announce, 3, "welch family", 60, body)
 

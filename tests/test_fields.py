@@ -589,27 +589,45 @@ class TestPickling:
 
 
 class TestEncoding:
+    # An element index is its polynomial-basis coefficient vector
+    # (c_0, ..., c_(n-1)) read as base-p digits, c_0 lowest.
+
     def test_coeff_round_trip(self, field):
         ctx = field(3, 3)
+        table = ctx.digit_table
         for x in range(ctx.order):
-            assert ctx.element_from_coeffs(ctx.coeffs_of(x)) == x
+            coeffs = digits_of(x, 3, 3)
+            assert tuple(table[x].tolist()) == coeffs
+            assert sum(c * 3**i for i, c in enumerate(coeffs)) == x
+            if coeffs[-1] == 0:
+                # times x shifts the coefficients up while no reduction occurs
+                assert ctx.mul(x, 3) == 3 * x
 
     def test_coeffs_reduce_mod_p(self, field):
         ctx = field(3, 2)
-        assert ctx.element_from_coeffs((4, 5)) == ctx.element_from_coeffs((1, 2))
+        # (1 + 2x) + (1 + 2x) = 2 + 4x = 2 + x
+        assert ctx.add(7, 7) == 5
+        for a in range(ctx.order):
+            for b in range(ctx.order):
+                sums = tuple((u + v) % 3 for u, v in zip(digits_of(a, 3, 2), digits_of(b, 3, 2)))
+                assert digits_of(ctx.add(a, b), 3, 2) == sums
 
     def test_more_coefficients_than_the_degree_rejected(self, field):
-        with pytest.raises(ValueError, match="too many coefficients"):
-            field(3, 2).element_from_coeffs([0, 0, 1])
+        # Index 9 = x^2 needs a third coefficient on F_9.
+        ctx = field(3, 2)
+        for op in (lambda: ctx.add(9, 0), lambda: ctx.neg(9), lambda: ctx.mul(1, 9)):
+            with pytest.raises(ValueError, match="9 is not an element index"):
+                op()
 
     def test_custom_modulus_changes_arithmetic(self):
         # x^3 + 2x + 1 and x^3 + 2x + 2 are both irreducible over F_3
         a = make_field(3, 3, PolyFp(3, (1, 2, 0, 1)))
         b = make_field(3, 3, PolyFp(3, (2, 2, 0, 1)))
         assert a.mul(3, 9) != b.mul(3, 9) or a.modulus != b.modulus
-        # x * x^2 = x^3 = -(2x + c) in each representation
-        assert a.mul(3, 9) == a.neg(a.element_from_coeffs((1, 2, 0)))
-        assert b.mul(3, 9) == b.neg(b.element_from_coeffs((2, 2, 0)))
+        # x * x^2 = x^3 = -(2x + c) in each representation: 1 + 2x is the
+        # index 1 + 2*3 = 7, and 2 + 2x is 8.
+        assert a.mul(3, 9) == a.neg(7)
+        assert b.mul(3, 9) == b.neg(8)
 
 
 class TestSharedFields:

@@ -20,12 +20,10 @@ from gapnkit import (
     coset_rep,
     coset_reps,
     criterion_gapn,
-    describe_exponent,
     differential_spectrum,
     digit_polynomial,
     digits_of,
     exceptional_profile,
-    extension_prime,
     identify_family,
     linearized_kernel_dim,
     max_degree_family,
@@ -33,10 +31,9 @@ from gapnkit import (
     monomial_table,
     normalize_weight_p,
     p_weight,
-    welch_exponent,
 )
-from gapnkit.monomial import CriterionReport, rank_mod_p
-from gapnkit.numtheory import is_prime, primes
+from gapnkit.monomial import CriterionReport, classical_families, rank_mod_p
+from gapnkit.numtheory import is_prime
 from gapnkit.polyfp import factorize, poly_gcd, root_order, x_pow_mod
 from numpy_cosets import coset_reps as numpy_coset_reps
 from numpy_rank import rank_mod_p as numpy_rank_mod_p
@@ -393,7 +390,8 @@ class TestRankModP:
 
     def test_every_weight_p_circulant_of_the_small_fields(self):
         checked = 0
-        for p in itertools.takewhile(lambda q: q * q <= SOFT_ORDER_BUDGET, primes()):
+        # Every prime p with p**2 <= SOFT_ORDER_BUDGET = 3**7.
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
             n = 2
             while p**n <= SOFT_ORDER_BUDGET:
                 for d in _normalized_weight_p_exponents(p, n):
@@ -560,44 +558,55 @@ class TestExceptionalProfile:
         }
 
 
+def _extension_prime(profile, n):
+    """Smallest prime q at which the profile predicts GAPN in dimension
+    q * n: GAPN on F_(p^n) then extends to F_(p^(q*n))."""
+    return next(q for q in itertools.count(2) if is_prime(q) and profile.predicts_gapn(q * n))
+
+
 class TestExtensionPrime:
     def test_no_constraints(self):
         profile = exceptional_profile(5, 3)
-        assert extension_prime(profile, 2) == 2
+        assert profile.predicts_gapn(2)
+        assert _extension_prime(profile, 2) == 2
 
     def test_order_two_excluded(self):
         profile = exceptional_profile(11, 3)
-        assert extension_prime(profile, 3) == 3
+        assert profile.predicts_gapn(3)
+        assert _extension_prime(profile, 3) == 3
 
     def test_orders_two_and_three_excluded(self):
         profile = ExceptionalProfile(
             d=5, p=3, root_orders=(2, 3), unit_root_multiplicity=1, witness_n=5
         )
-        assert extension_prime(profile, 5) == 5
+        assert _extension_prime(profile, 5) == 5
 
     def test_repeated_unit_root_excludes_p(self):
         profile = exceptional_profile(13, 3)
         # q = 3 would land 3 | qn; the rule must dodge the characteristic
-        q = extension_prime(profile, 4)
+        q = _extension_prime(profile, 4)
         assert q == 2
         assert profile.predicts_gapn(4 * q)
 
     def test_extension_stays_gapn(self):
         profile = exceptional_profile(11, 3)
-        q = extension_prime(profile, 3)
+        q = _extension_prime(profile, 3)
         assert criterion_gapn(11, 3, 3 * q).is_gapn
 
     def test_requires_gapn_base(self):
+        # Dimension 4 is no base to extend from: neither the profile nor
+        # the criterion finds GAPN there.
         profile = exceptional_profile(11, 3)
-        with pytest.raises(ValueError):
-            extension_prime(profile, 4)
+        assert not profile.predicts_gapn(4)
+        assert 4 not in profile.gapn_dimensions(12)
+        assert not criterion_gapn(11, 3, 4).is_gapn
 
     def test_prime_dividing_a_root_order_can_be_smallest(self):
         # The root order of 31 = 1011_3 is 8: 8 does not divide 2 * 5, so
         # q = 2 works although it divides 8.
         profile = exceptional_profile(31, 3)
         assert profile.root_orders == (8,)
-        assert extension_prime(profile, 5) == 2
+        assert _extension_prime(profile, 5) == 2
         assert criterion_gapn(31, 3, 10).is_gapn
 
     @pytest.mark.parametrize("p,n0", [(3, 5), (5, 3), (7, 3)])
@@ -609,7 +618,7 @@ class TestExtensionPrime:
         for d in _normalized_weight_p_exponents(p, n0):
             profile = exceptional_profile(d, p)
             for n in profile.gapn_dimensions(12):
-                q = extension_prime(profile, n)
+                q = _extension_prime(profile, n)
                 smaller = [r for r in range(2, q) if is_prime(r)]
                 assert profile.predicts_gapn(q * n)
                 assert not any(profile.predicts_gapn(r * n) for r in smaller)
@@ -617,19 +626,30 @@ class TestExtensionPrime:
                 assert not any(criterion_gapn(d, p, r * n).is_gapn for r in smaller), (d, n, q)
 
 
+def _welch(p, n):
+    """The welch entry of classical_families as (d, predicted GAPN)."""
+    return next((d, predicted) for family, _, d, predicted in classical_families(p, n) if family == "welch")
+
+
 class TestFamilies:
     def test_welch_exponents(self):
-        assert welch_exponent(3, 3) == (7, True)
-        assert welch_exponent(5, 5) == (31, False)
-        assert welch_exponent(2, 5) == (7, True)
-        assert welch_exponent(3, 4) == (13, True)
+        assert _welch(3, 3) == (7, True)
+        assert _welch(5, 5) == (31, False)
+        assert _welch(2, 5) == (7, True)
+        assert _welch(3, 4) == (13, True)
         # n = 3 gives t = 1, so the exponent is 7 + 7 + 1 regardless of how
         # large p is.
-        assert welch_exponent(7, 3) == (15, False)
+        assert _welch(7, 3) == (15, False)
 
     def test_welch_needs_n_at_least_2(self):
-        with pytest.raises(ValueError):
-            welch_exponent(3, 1)
+        assert [f for f, *_ in classical_families(3, 1) if f == "welch"] == []
+        assert [f for f, *_ in classical_families(3, 2) if f == "welch"] == ["welch"]
+
+    def test_exponent_digits_weight_and_coset(self):
+        # What `gapnkit test` reports for an exponent besides its verdict.
+        assert digits_of(7, 3, 2) == (1, 2)
+        assert p_weight(7, 3) == 3
+        assert coset_rep(7, 3, 2) == 5
 
     def test_max_degree_family(self):
         assert max_degree_family(3, 2) == [7, 5]
@@ -652,13 +672,6 @@ class TestFamilies:
         assert identify_family(7, 3, 3) == ["welch(t=1)"]
         assert identify_family(79, 3, 4) == ["inverse"]
         assert identify_family(4, 3, 2) == []
-
-    def test_describe_exponent(self):
-        info = describe_exponent(7, 3, 2)
-        assert info.digits == (1, 2)
-        assert info.weight == 3
-        assert info.coset_rep == 5
-        assert info.to_dict()["digits"] == [1, 2]
 
 
 class TestInvarianceProperties:

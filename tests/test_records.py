@@ -16,7 +16,7 @@ import pytest
 
 from gapnkit import FieldCtx, PolyFp, make_field
 from gapnkit.gapn import FnTable, GapnReport, differential_spectrum, monomial_table
-from gapnkit.monomial import CriterionReport, ExceptionalProfile, Exponent
+from gapnkit.monomial import CriterionReport, ExceptionalProfile
 from gapnkit.polyfp import Factorization
 from gapnkit.search import FamilyEntry, FamilyReport, SearchFilters, SearchJob, SearchResult
 
@@ -42,11 +42,6 @@ RECORDS = {
         (2215, 3, (728,), 1, 8),
         dict(d=2215, p=3, root_orders=(728,), unit_root_multiplicity=1, witness_n=8),
         {"d": 2215, "p": 3, "root_orders": [728], "unit_root_multiplicity": 1, "witness_n": 8},
-    ),
-    Exponent: (
-        (5, 3, 2, (2, 1), 3, 5),
-        dict(d=5, p=3, n=2, digits=(2, 1), weight=3, coset_rep=5),
-        {"d": 5, "p": 3, "n": 2, "digits": [2, 1], "weight": 3, "coset_rep": 5},
     ),
     Factorization: (
         (3, 1, ((PolyFp(3, (2, 1, 1)), 1), (PolyFp(3, (2, 2, 1)), 1))),
@@ -80,7 +75,7 @@ RECORDS = {
     ),
 }
 
-FORMERLY_FROZEN = [CriterionReport, ExceptionalProfile, Exponent, Factorization]
+FORMERLY_FROZEN = [CriterionReport, ExceptionalProfile, Factorization]
 
 _IDS = [cls.__name__ for cls in RECORDS]
 

@@ -26,7 +26,6 @@ from gapnkit import (
     coset_rep,
     coset_reps,
     differential_spectrum,
-    exact_verdict,
     exceptional_profile,
     identify_family,
     monomial_gapn_fast,
@@ -622,18 +621,19 @@ class TestFamilies:
         for family, param, d, predicted in classical_families(p, n):
             d %= p**n - 1
             if d:
-                reference.append(FamilyEntry(family, param, d, predicted, *exact_verdict(ctx, d)))
+                report = analyze_exponent(ctx, d)
+                reference.append(FamilyEntry(family, param, d, predicted, report.is_gapn, report.deciders_agreed))
         assert verify_families(p, n) == FamilyReport(p, n, reference)
 
     @pytest.mark.parametrize("p,n,calls,entries", [(2, 8, 5, 8), (3, 4, 5, 8), (3, 5, 6, 10), (5, 3, 4, 6), (7, 2, 3, 4)])
-    def test_exact_verdict_once_per_coset(self, monkeypatch, p, n, calls, entries):
+    def test_analyze_exponent_once_per_coset(self, monkeypatch, p, n, calls, entries):
         decided = []
 
-        def counted(ctx, d, real=search.exact_verdict):
+        def counted(ctx, d, real=search.analyze_exponent):
             decided.append(d)
             return real(ctx, d)
 
-        monkeypatch.setattr(search, "exact_verdict", counted)
+        monkeypatch.setattr(search, "analyze_exponent", counted)
         report = verify_families(p, n)
         assert (len(decided), len(report.entries)) == (calls, entries)
         assert {coset_rep(d, p, n) for d in decided} == {coset_rep(e.d, p, n) for e in report.entries}
@@ -710,23 +710,14 @@ class TestAnalyze:
         assert report.partial is False
 
     def test_low_weight_panel(self, field):
-        verdict, deciders = exact_verdict(field(3, 4), 2)
-        assert verdict is False
-        assert deciders == ["brute-force", "monomial-fast"]
+        report = analyze_exponent(field(3, 4), 2)
+        assert report.is_gapn is False
+        assert report.deciders_agreed == ["brute-force", "monomial-fast"]
 
     def test_weight_p_non_gapn(self, field):
-        verdict, deciders = exact_verdict(field(3, 4), 11)
-        assert verdict is False
-        assert len(deciders) == 5
-
-    def test_exact_verdict_reads_the_full_report(self, field):
-        # exact_verdict is analyze_exponent's verdict and decider list, for
-        # GAPN and non-GAPN exponents alike.
-        ctx = field(3, 3)
-        for d in range(1, ctx.order - 1):
-            report = analyze_exponent(ctx, d)
-            assert not report.partial, d
-            assert exact_verdict(ctx, d) == (report.is_gapn, report.deciders_agreed), d
+        report = analyze_exponent(field(3, 4), 11)
+        assert report.is_gapn is False
+        assert len(report.deciders_agreed) == 5
 
     def test_budget_skips_full_brute_force(self, field):
         assert SOFT_ORDER_BUDGET == 3**7
@@ -743,6 +734,26 @@ class TestAnalyze:
         report = analyze_exponent(field(3, 8), 5, long_running=True)
         assert "brute-force" in report.deciders_agreed
 
+    @pytest.mark.parametrize("d", [8, 10, 11, 17])
+    def test_exponent_outside_the_range_is_refused(self, capsys, field, d):
+        # analyze_exponent refuses every d outside [1, p**n - 2] with the
+        # message the CLI prints.  8, 10 and 17 once answered, and 11
+        # reached circulant_rank, whose message named the bound p**n.
+        message = f"exponent {d} outside [1, 7] for F_(3^2)"
+        with pytest.raises(ValueError) as raised:
+            analyze_exponent(field(3, 2), d)
+        assert str(raised.value) == message
+        assert cli_main(["test", "-p", "3", "-n", "2", "-d", str(d)]) == 1
+        assert capsys.readouterr() == ("", json.dumps({"error": "ValueError", "message": message}) + "\n")
+
+    def test_every_exponent_in_range_answers(self, field):
+        ctx = field(3, 2)
+        reports = [analyze_exponent(ctx, d) for d in range(1, 8)]
+        assert [r.is_gapn for r in reports] == [False, False, False, False, True, False, True]
+        for d, report in enumerate(reports, 1):
+            full = differential_spectrum(monomial_table(ctx, d))
+            assert report == full._replace(deciders_agreed=report.deciders_agreed), d
+
 
 _PANEL_FIELDS = [(2, 5), (3, 4), (5, 2), (7, 2)]
 
@@ -754,7 +765,9 @@ class TestDeciderPanel:
         algebraic = ["circulant-rank", "criterion", "linearized-kernel"]
         for d in range(1, p**n - 1):
             expected = ["brute-force", "monomial-fast", *(algebraic if p_weight(d, p) == p else [])]
-            assert exact_verdict(ctx, d)[1] == sorted(expected), d
+            report = analyze_exponent(ctx, d)
+            assert report.deciders_agreed == sorted(expected), d
+            assert not report.partial, d
 
     @pytest.mark.parametrize("p,n", _PANEL_FIELDS)
     def test_scan_route_agrees_with_panel(self, field, p, n):
@@ -762,7 +775,7 @@ class TestDeciderPanel:
         for rep, weight in zip(*coset_reps(p, n)):
             names = ["criterion", "circulant-rank"] if weight == p else ["monomial-fast"]
             decided = search._decide_candidate((rep, weight), ctx)
-            assert decided == (rep, weight, exact_verdict(ctx, rep)[0], names)
+            assert decided == (rep, weight, analyze_exponent(ctx, rep).is_gapn, names)
             assert set(decided[3]) <= set(search.DECIDERS)
 
     def test_report_labels_are_decider_names(self, field):
